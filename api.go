@@ -148,28 +148,11 @@ const (
 // ValueMode selects the value stream policy (see core.ValueMode).
 type ValueMode = haspmvcore.ValueMode
 
-// Value-stream policies: auto palette compression (bit-exact), the
-// []float64 reference, or the lossy f32 stream (which additionally
-// requires Options.AllowF32Values).
+// Value-stream policies: auto palette compression (bit-exact) or the
+// []float64 reference.
 const (
 	ValueAuto      = haspmvcore.ValueAuto
 	ValueReference = haspmvcore.ValueReference
-	ValueForceF32  = haspmvcore.ValueForceF32
-)
-
-// ReorderMode selects the HACSR row-reorder strategy (see
-// core.ReorderMode).
-type ReorderMode = haspmvcore.ReorderMode
-
-// Row-reorder strategies: the paper's length sort (default), the
-// cost-model autotuner picking per matrix, or one of the forced orders
-// (natural, bipartite reverse Cuthill-McKee, first-column BFS cluster).
-const (
-	ReorderLength   = haspmvcore.ReorderLength
-	ReorderAuto     = haspmvcore.ReorderAuto
-	ReorderIdentity = haspmvcore.ReorderIdentity
-	ReorderRCM      = haspmvcore.ReorderRCM
-	ReorderCluster  = haspmvcore.ReorderCluster
 )
 
 // ModelParams are the performance-model calibration constants.

@@ -437,53 +437,6 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// BenchmarkReorderAuto compares Compute under the reorder autotuner's
-// pick against the length-sort default on the workload the graph
-// orders exist for: a row-shuffled strided stencil whose x vector
-// (16MB) spills the model machine's LLC budget, charging gather at
-// DRAM cost. The benchmark refuses to run if the autotuner does not
-// take a graph order (that part is deterministic); the GFlops entries
-// are trend-gated by cmd/benchdiff — on cache-rich hosts the two run
-// alike, on cache-constrained hosts auto pulls ahead.
-func BenchmarkReorderAuto(b *testing.B) {
-	m := haspmv.IntelI912900KF()
-	a := gen.ShuffleRows(gen.StridedStencil(1<<21, 4, 16), 42)
-	auto, err := haspmvcore.New(haspmvcore.Options{Reorder: haspmvcore.ReorderAuto}).Prepare(m, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec := auto.(*haspmvcore.Prepared).ReorderStats()
-	if dec.Strategy != haspmvcore.StrategyRCM && dec.Strategy != haspmvcore.StrategyCluster {
-		b.Fatalf("autotuner picked %v, want a graph order", dec.Strategy)
-	}
-	length, err := haspmvcore.New(haspmvcore.Options{
-		Reorder:     haspmvcore.ReorderLength,
-		PProportion: auto.(*haspmvcore.Prepared).Plan().PProportion,
-	}).Prepare(m, a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%5)/4
-	}
-	y := make([]float64, a.Rows)
-	for _, tc := range []struct {
-		name string
-		prep exec.Prepared
-	}{{"length", length}, {"auto-" + dec.Strategy.String(), auto}} {
-		b.Run(tc.name, func(b *testing.B) {
-			tc.prep.Compute(y, x) // warm the scratch and worker pools
-			b.SetBytes(int64(12 * a.NNZ()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tc.prep.Compute(y, x)
-			}
-			b.ReportMetric(2*float64(a.NNZ())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
-		})
-	}
-}
-
 // BenchmarkColdStart measures the prepared-matrix store's reason to
 // exist: the full Prepare pipeline on webbase-1M against mmap-loading
 // the persisted Prepared state and rebuilding a servable instance from
@@ -601,31 +554,6 @@ func BenchmarkAdaptSweep(b *testing.B) {
 			}
 			b.ReportMetric(100*rec, "%oracle")
 		})
-	}
-}
-
-// BenchmarkFleetServe measures closed-loop serving throughput through
-// the in-process shard group at several shard counts. Each shard count
-// reports its aggregate request rate as a "shards:<n>-rps" metric, which
-// benchdiff gates higher-is-better per shard count (a sharded
-// configuration regressing to single-worker speed is a real regression
-// even when ns/op noise hides it).
-func BenchmarkFleetServe(b *testing.B) {
-	cfg := benchConfig()
-	m := amp.IntelI912900KF()
-	shardCounts := []int{1, 2, 4}
-	rps := map[int]float64{}
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.FleetSweep(cfg, m, "dawson5", shardCounts, 32, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			rps[r.Shards] = r.RPS
-		}
-	}
-	for _, n := range shardCounts {
-		b.ReportMetric(rps[n], fmt.Sprintf("shards:%d-rps", n))
 	}
 }
 

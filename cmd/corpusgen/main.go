@@ -46,7 +46,6 @@ func run(args []string) error {
 	fill := fs.Float64("fill", 1, "stencil band fill probability (0 or 1 = dense bands)")
 	noise := fs.Float64("noise", 0, "fraction of rows receiving one off-band defect entry")
 	palette := fs.Int("palette", 0, "restrict values to this many distinct floats (0 = continuous)")
-	shuffle := fs.Bool("shuffle", false, "also write a row-permuted *-shuffled copy of each matrix (reorder-autotuner adversary)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,22 +56,13 @@ func run(args []string) error {
 		return err
 	}
 
-	writeOne := func(name string, a *sparse.CSR) error {
+	write := func(name string, a *sparse.CSR) error {
 		path := filepath.Join(*dir, name+".mtx")
 		if err := mmio.WriteFile(path, a); err != nil {
 			return err
 		}
 		s := sparse.ComputeRowStats(a)
 		fmt.Printf("%-40s %s\n", path, s)
-		return nil
-	}
-	write := func(name string, a *sparse.CSR) error {
-		if err := writeOne(name, a); err != nil {
-			return err
-		}
-		if *shuffle {
-			return writeOne(name+"-shuffled", gen.ShuffleRows(a, *seed))
-		}
 		return nil
 	}
 

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"haspmv/internal/mmio"
-	"haspmv/internal/sparse"
 )
 
 func TestCorpusGeneration(t *testing.T) {
@@ -65,72 +63,6 @@ func TestStencilGeneration(t *testing.T) {
 	}
 	if len(distinct) != 4 {
 		t.Fatalf("palette 4 produced %d distinct values", len(distinct))
-	}
-}
-
-func TestShuffledCopies(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-dir", dir, "-stencil", "-rows", "1500", "-cols", "1500",
-		"-diags", "5", "-shuffle"}
-	if err := run(args); err != nil {
-		t.Fatal(err)
-	}
-	a, err := mmio.ReadFile(filepath.Join(dir, "stencil-1500x1500-d5.mtx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mmio.ReadFile(filepath.Join(dir, "stencil-1500x1500-d5-shuffled.mtx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Rows != a.Rows || b.Cols != a.Cols || b.NNZ() != a.NNZ() {
-		t.Fatalf("shuffled shape %dx%d/%d != original %dx%d/%d",
-			b.Rows, b.Cols, b.NNZ(), a.Rows, a.Cols, a.NNZ())
-	}
-	// Same rows, different order: the multiset of per-row signatures must
-	// match, and the orders must actually differ.
-	sig := func(a *sparse.CSR) map[string]int {
-		m := map[string]int{}
-		for i := 0; i < a.Rows; i++ {
-			lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-			m[fmt.Sprint(a.ColIdx[lo:hi], a.Val[lo:hi])]++
-		}
-		return m
-	}
-	sa, sb := sig(a), sig(b)
-	if len(sa) != len(sb) {
-		t.Fatalf("row signature sets differ: %d vs %d", len(sa), len(sb))
-	}
-	for k, n := range sa {
-		if sb[k] != n {
-			t.Fatalf("row multiset differs at %q: %d vs %d", k, n, sb[k])
-		}
-	}
-	if sparse.Bandwidth(b) <= sparse.Bandwidth(a) {
-		t.Fatalf("shuffle did not scatter the band: bandwidth %d -> %d",
-			sparse.Bandwidth(a), sparse.Bandwidth(b))
-	}
-	// Deterministic for a fixed seed.
-	dir2 := t.TempDir()
-	if err := run(append(args[:1:1], append([]string{dir2}, args[2:]...)...)); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := mmio.ReadFile(filepath.Join(dir2, "stencil-1500x1500-d5-shuffled.mtx"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range b.RowPtr {
-		if b.RowPtr[i] != b2.RowPtr[i] {
-			t.Fatalf("shuffle not deterministic: rowptr[%d] %d vs %d", i, b.RowPtr[i], b2.RowPtr[i])
-		}
-	}
-	for i := range b.ColIdx {
-		if b.ColIdx[i] != b2.ColIdx[i] || b.Val[i] != b2.Val[i] {
-			t.Fatalf("shuffle not deterministic at nnz %d", i)
-		}
 	}
 }
 

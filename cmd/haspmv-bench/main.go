@@ -20,9 +20,8 @@
 //	haspmv-bench -exp format          # execution formats: int/u32/auto/dia/palette (host)
 //	haspmv-bench -exp segsum          # segmented-sum vs serial-epilogue execution (host)
 //	haspmv-bench -exp serve           # closed-loop serving: batcher vs solo (host)
-//	haspmv-bench -exp fleet           # closed-loop serving across row-shards (host)
 //	haspmv-bench -exp adapt           # online repartitioning recovery from miscalibration
-//	haspmv-bench -exp all             # everything, in paper order
+//	haspmv-bench -exp all             # table1 through phases, in paper order
 //
 // Scale knobs: -corpus N (matrices standing in for the 2888 SuiteSparse
 // sweep), -maxnnz (largest corpus matrix), -scale S (divisor on the
@@ -104,18 +103,17 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("haspmv-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, host, batch, index, format, segsum, serve, fleet, adapt, selfcheck, all)")
+	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, host, batch, index, format, segsum, serve, adapt, selfcheck, all)")
 	corpus := fs.Int("corpus", 0, "corpus size (default from harness)")
 	maxNNZ := fs.Int("maxnnz", 0, "largest corpus matrix nnz")
 	scale := fs.Int("scale", 0, "representative matrix scale divisor (1 = published size)")
 	machines := fs.String("machines", "", "comma-separated machine names (default: all four)")
 	points := fs.Int("points", 24, "stream sweep points per curve (fig3)")
-	matrix := fs.String("matrix", "rma10", "representative matrix for breakdown/host/batch experiments")
+	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown, host, batch, index, format, segsum, serve and adapt experiments")
 	nvs := fs.String("nvs", "1,2,4,8,16", "comma-separated batch widths for the batch experiment")
 	clients := fs.Int("clients", 64, "concurrent closed-loop clients for the serve experiment")
 	perClient := fs.Int("perclient", 6, "requests per client for the serve experiment")
 	lingers := fs.String("lingers", "0,50us,200us,1ms", "comma-separated coalescing windows for the serve experiment")
-	shards := fs.String("shards", "1,2,4", "comma-separated shard counts for the fleet experiment")
 	perturbs := fs.String("perturb", "0.5,2,4", "comma-separated P-group miscalibration factors for the adapt experiment")
 	adaptSteps := fs.Int("adapt-steps", 10, "multiplies the adapt experiment lets the feedback loop observe")
 	seed := fs.Int64("seed", 0, "corpus seed override")
@@ -376,21 +374,6 @@ func run(args []string) error {
 			a := gen.Representative(*matrix, cfg.RepScale)
 			bench.PrintServe(out, m, *matrix, a.NNZ(), rows)
 			if err := writeCSV("serve", func(w io.Writer) error { return bench.ServeCSV(w, m.Name, *matrix, rows) }); err != nil {
-				return err
-			}
-		case "fleet":
-			counts, err := parseInts(*shards)
-			if err != nil {
-				return fmt.Errorf("-shards: %w", err)
-			}
-			m := cfg.Machines[0]
-			rows, err := bench.FleetSweep(cfg, m, *matrix, counts, *clients, *perClient)
-			if err != nil {
-				return err
-			}
-			a := gen.Representative(*matrix, cfg.RepScale)
-			bench.PrintFleet(out, m, *matrix, a.NNZ(), rows)
-			if err := writeCSV("fleet", func(w io.Writer) error { return bench.FleetCSV(w, m.Name, *matrix, rows) }); err != nil {
 				return err
 			}
 		case "adapt":

@@ -33,7 +33,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mminfo", flag.ContinueOnError)
 	spmv := fs.Bool("spmv", false, "run the modeled method comparison on the matrix")
-	reorder := fs.Bool("reorder", false, "score every row-reorder strategy and report the autotuner's pick")
 	machine := fs.String("machine", "i9-12900KF", "AMP model for -spmv")
 	convert := fs.String("convert", "", "write the matrix to this path in general/real coordinate form")
 	if err := fs.Parse(args); err != nil {
@@ -88,48 +87,6 @@ func run(args []string) error {
 		skew.MaxRowNNZ, skew.MeanRowNNZ, 100*skew.MaxShare, skew.Gini,
 		cores, costmodel.RowsSpanningCores(a.RowPtr, cores),
 		map[bool]string{true: "segsum", false: "serial"}[skew.PreferSegSum(cores)])
-
-	if *reorder {
-		fmt.Printf("\n# reorder strategies (%d cores)\n", cores)
-		an := haspmvcore.AnalyzeReorder(a, m)
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "strategy\tindex-bytes\tgather-bytes\tseek-bytes\ttotal\tvs-length\tbandwidth")
-		lenTotal := an.Decision.Scores[haspmvcore.StrategyLength].Total
-		for s := haspmvcore.StrategyLength; s <= haspmvcore.StrategyCluster; s++ {
-			sc := an.Decision.Scores[s]
-			if !sc.Evaluated {
-				fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t-\n", s)
-				continue
-			}
-			rel := "="
-			if lenTotal > 0 {
-				rel = fmt.Sprintf("%+.1f%%", 100*float64(sc.Total-lenTotal)/float64(lenTotal))
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%s\t%d\n",
-				s, sc.IndexBytes, sc.GatherBytes, sc.SeekBytes, sc.Total, rel, an.Bandwidth[s])
-		}
-		tw.Flush()
-		// The headline numbers: how far RCM squeezes the bandwidth, how
-		// much x-gather traffic the winning order saves, and the pick the
-		// Prepare-time autotuner (which respects the time-budget gate)
-		// would actually make.
-		if rcm := an.Bandwidth[haspmvcore.StrategyRCM]; rcm >= 0 {
-			fmt.Printf("rcm-bandwidth: %d -> %d\n", an.BandwidthNatural, rcm)
-		}
-		pick := an.Decision.Strategy
-		if g0 := an.Decision.Scores[haspmvcore.StrategyLength].GatherBytes; g0 > 0 {
-			g1 := an.Decision.Scores[pick].GatherBytes
-			fmt.Printf("x-gather bytes: %d -> %d (%.1f%% of length-sort)\n", g0, g1, 100*float64(g1)/float64(g0))
-		}
-		if an.Decision.XResident {
-			fmt.Printf("x-vector: resident in %s's last-level cache (gather term discounted to L3-hit cost)\n", m.Name)
-		}
-		gate := ""
-		if an.Decision.Gated {
-			gate = " (graph strategies gated at Prepare time: matrix under the analysis budget)"
-		}
-		fmt.Printf("autotuner pick: %s%s\n", pick, gate)
-	}
 
 	if *convert != "" {
 		if err := mmio.WriteFile(*convert, a); err != nil {

@@ -99,55 +99,3 @@ func TestUsageErrors(t *testing.T) {
 		t.Fatalf("malformed file: %v", err)
 	}
 }
-
-// The -reorder report must print every strategy's score breakdown, the
-// RCM bandwidth delta and the autotuner pick.
-func TestReorderReport(t *testing.T) {
-	// A shuffled band: RCM should recover a much smaller bandwidth than
-	// the natural (shuffled) order.
-	n := 200
-	coo := &sparse.COO{Rows: n, Cols: n}
-	shuf := make([]int, n)
-	for i := range shuf {
-		shuf[i] = (i*137 + 41) % n
-	}
-	for i := 0; i < n; i++ {
-		r := shuf[i]
-		for d := -1; d <= 1; d++ {
-			if c := i + d; c >= 0 && c < n {
-				coo.Add(r, c, 1+float64(d))
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "band.mtx")
-	if err := mmio.WriteFile(path, coo.ToCSR()); err != nil {
-		t.Fatal(err)
-	}
-
-	old := os.Stdout
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = w
-	runErr := run([]string{"-reorder", path})
-	w.Close()
-	os.Stdout = old
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	var buf strings.Builder
-	if _, err := io.Copy(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# reorder strategies", "strategy", "index-bytes", "gather-bytes",
-		"length", "identity", "rcm", "cluster",
-		"rcm-bandwidth:", "x-gather bytes:", "autotuner pick:",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("reorder report missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -29,7 +29,7 @@ type FormatRow struct {
 	ValBytesPerNNZ float64
 	// DiaNNZShare is the fraction of nonzeros executed from diagonal run
 	// descriptors, and ValueFormat the value stream the instance chose
-	// ("f64", "palette", "f32") — reported because "palette" only names
+	// ("f64" or "palette") — reported because "palette" only names
 	// the *request*; whether compression engaged depends on the matrix.
 	DiaNNZShare float64
 	ValueFormat string

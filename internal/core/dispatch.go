@@ -28,8 +28,6 @@ func (p *Prepared) dotFragment(f IndexFormat, vf ValueFormat, r, klo, khi, un in
 			switch vf {
 			case ValPalette:
 				return kernel.DotRangeDiagPalette(vs.palIdx, vs.pal, st.runs, ri, x, klo, khi, un)
-			case ValF32:
-				return kernel.DotRangeDiagF32(vs.val32, st.runs, ri, x, klo, khi, un)
 			default:
 				return kernel.DotRangeDiag(p.mat.Val, st.runs, ri, x, klo, khi, un)
 			}
@@ -45,15 +43,6 @@ func (p *Prepared) dotFragment(f IndexFormat, vf ValueFormat, r, klo, khi, un in
 			return kernel.DotRangePalette(vs.palIdx, vs.pal, st.col16, st.rowBase[r], x, klo, khi, un)
 		default:
 			return kernel.DotRangePalette(vs.palIdx, vs.pal, p.mat.ColIdx, 0, x, klo, khi, un)
-		}
-	case ValF32:
-		switch f {
-		case Index32:
-			return kernel.DotRangeF32(vs.val32, st.col32, 0, x, klo, khi, un)
-		case Index16:
-			return kernel.DotRangeF32(vs.val32, st.col16, st.rowBase[r], x, klo, khi, un)
-		default:
-			return kernel.DotRangeF32(vs.val32, p.mat.ColIdx, 0, x, klo, khi, un)
 		}
 	default:
 		switch f {
@@ -79,8 +68,6 @@ func (p *Prepared) dotFragmentBlock(f IndexFormat, vf ValueFormat, r, klo, khi, 
 			switch vf {
 			case ValPalette:
 				kernel.DotRangeBlockDiagPalette(vs.palIdx, vs.pal, st.runs, ri, X, sums, klo, khi, un)
-			case ValF32:
-				kernel.DotRangeBlockDiagF32(vs.val32, st.runs, ri, X, sums, klo, khi, un)
 			default:
 				kernel.DotRangeBlockDiag(p.mat.Val, st.runs, ri, X, sums, klo, khi, un)
 			}
@@ -97,15 +84,6 @@ func (p *Prepared) dotFragmentBlock(f IndexFormat, vf ValueFormat, r, klo, khi, 
 			kernel.DotRangeBlockPalette(vs.palIdx, vs.pal, st.col16, st.rowBase[r], X, sums, klo, khi, un)
 		default:
 			kernel.DotRangeBlockPalette(vs.palIdx, vs.pal, p.mat.ColIdx, 0, X, sums, klo, khi, un)
-		}
-	case ValF32:
-		switch f {
-		case Index32:
-			kernel.DotRangeBlockF32(vs.val32, st.col32, 0, X, sums, klo, khi, un)
-		case Index16:
-			kernel.DotRangeBlockF32(vs.val32, st.col16, st.rowBase[r], X, sums, klo, khi, un)
-		default:
-			kernel.DotRangeBlockF32(vs.val32, p.mat.ColIdx, 0, X, sums, klo, khi, un)
 		}
 	default:
 		switch f {

@@ -76,35 +76,14 @@ func fuzzOptions(b byte) Options {
 }
 
 // fuzzValueOptions maps a second input byte (data[3], which doubles as
-// the first entry's row byte) onto the value-stream ablation space:
-// auto / pinned-reference / forced-f32 value modes and the AllowF32Values
-// opt-in. Forced f32 without the opt-in deliberately behaves like auto —
-// that non-engagement is part of the contract under test.
+// the first entry's row byte) onto the value-stream ablation space: a
+// low two-bit value of 1 pins the []float64 reference, anything else
+// leaves the value stream on auto. The other bit patterns are ignored
+// rather than renumbered, so every checked-in seed keeps decoding to the
+// options it was written for.
 func fuzzValueOptions(o *Options, b byte) {
-	switch b & 3 {
-	case 1:
+	if b&3 == 1 {
 		o.Value = ValueReference
-	case 2:
-		o.Value = ValueForceF32
-	}
-	o.AllowF32Values = b&4 != 0
-}
-
-// fuzzReorderOptions maps bits 3-5 of the same byte onto the reorder
-// strategy space: default length sort, the autotuner, and the three
-// forced orders. The forced graph modes (RCM, cluster) bypass the
-// autotuner's time-budget gate, so the bipartite traversals run even on
-// fuzz-sized matrices.
-func fuzzReorderOptions(o *Options, b byte) {
-	switch (b >> 3) & 7 {
-	case 1:
-		o.Reorder = ReorderAuto
-	case 2:
-		o.Reorder = ReorderIdentity
-	case 3:
-		o.Reorder = ReorderRCM
-	case 4:
-		o.Reorder = ReorderCluster
 	}
 }
 
@@ -123,7 +102,6 @@ func referencePrepared(t *testing.T, hp *Prepared, a *sparse.CSR, opts Options) 
 	refOpts.Index = IndexReference
 	refOpts.Exec = ExecSerial
 	refOpts.Value = ValueReference
-	refOpts.AllowF32Values = false
 	refOpts.PProportion = hp.Plan().PProportion
 	ref, err := New(refOpts).Prepare(amp.IntelI912900KF(), a)
 	if err != nil {
@@ -181,27 +159,29 @@ func adjacencySeed() []byte {
 	return data
 }
 
-// reorderSeed builds a shuffled-band fuzz seed: a 16-row band written in
-// scrambled row order, with data[3] (the first entry's row byte) carrying
-// the given reorder-mode bits so the seed lands directly on one reorder
-// strategy — 24 forces RCM, 32 forces cluster, 8 runs the autotuner.
-func reorderSeed(modeBits byte) []byte {
-	data := []byte{15, 31, 0, modeBits, byte(2 * (modeBits % 16)), 7}
+// shuffledBandSeed builds the short/long-sort fuzz seed: a 16-row band
+// whose rows hold 1 to 6 entries, written in scrambled row order, with
+// the reorder on and an explicit base of 4 (option byte 4) — the rows of
+// 4 or more entries move to the tail in reverse order, so the
+// reordered-vs-natural-order stage compares two different orders.
+func shuffledBandSeed() []byte {
+	data := []byte{15, 31, 4}
 	for i := 0; i < 16; i++ {
 		r := (i*7 + 3) % 16
-		for j := 0; j < 3; j++ {
-			data = append(data, byte(r), byte(2*r+j), byte(5+r+j))
+		for j := 0; j <= r%6; j++ {
+			data = append(data, byte(r), byte(r+j), byte(5+r+j))
 		}
 	}
 	return data
 }
 
-// f32Seed activates the rounded value stream: the first entry's row byte
-// is 6 (ValueForceF32 + AllowF32Values), so the bit-equality stages are
-// skipped and the naive comparison runs at f32 tolerance.
-func f32Seed() []byte {
-	return []byte{7, 15, 0,
-		6, 0, 13, 6, 1, 14, 0, 2, 15, 1, 4, 9, 2, 6, 7, 3, 8, 5, 4, 10, 3, 5, 12, 90, 7, 14, 33}
+// adjacencyReferenceSeed is adjacencySeed with the value stream pinned
+// to the []float64 reference: it leads with one more 1.0 entry, at row
+// byte 33 (row 1, and 33&3 == 1 selects ValueReference), so a
+// palette-eligible matrix runs on the f64 stream.
+func adjacencyReferenceSeed() []byte {
+	data := adjacencySeed()
+	return append([]byte{data[0], data[1], data[2], 33, 20, 4}, data[3:]...)
 }
 
 // FuzzPrepareCompute feeds random small matrices through the full
@@ -216,8 +196,10 @@ func f32Seed() []byte {
 // mega-row holding most of the nonzeros, both of which cut one row
 // across several regions so the parallel fragment patch is exercised,
 // and the pluggable-format shapes: a forced-diagonal banded matrix with
-// an off-band defect row, a 0/1 adjacency matrix whose single-entry
-// palette straddles a region boundary, and an explicit f32 opt-in.
+// an off-band defect row and a 0/1 adjacency matrix whose single-entry
+// palette straddles a region boundary (also pinned to the f64 value
+// reference), plus a scrambled band the short/long sort permutes and
+// forced segsum over a forced-diagonal or one-level partition.
 func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{7, 7, 0})                                                                                                                 // 8x8, all rows empty
 	f.Add([]byte{0, 15, 1, 0, 0, 8, 0, 5, 16, 0, 11, 200})                                                                                 // single row, reorder off
@@ -230,10 +212,10 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add(segsumMegaRowSeed())                                                                                                             // forced segsum: one mega-row spanning 3+ regions among short rows
 	f.Add(diaDefectSeed())                                                                                                                 // forced dia: banded rows + one off-band defect row on the u32 fallback
 	f.Add(adjacencySeed())                                                                                                                 // 0/1 adjacency: single-entry palette across a region boundary
-	f.Add(f32Seed())                                                                                                                       // explicit f32 opt-in: rounded stream, loosened comparison
-	f.Add(reorderSeed(24))                                                                                                                 // forced RCM over a shuffled band
-	f.Add(reorderSeed(32))                                                                                                                 // forced cluster order over a shuffled band
-	f.Add(reorderSeed(8))                                                                                                                  // reorder autotuner (gated at fuzz sizes: length/identity race)
+	f.Add(adjacencyReferenceSeed())                                                                                                        // 0/1 adjacency pinned to the f64 value reference
+	f.Add(shuffledBandSeed())                                                                                                              // scrambled band of 1-6 entry rows, base 4: sorted vs natural order
+	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...))                                                                              // forced dia under forced segsum
+	f.Add(append([]byte{5, 31, 131}, segsumMegaRowSeed()[3:]...))                                                                          // forced segsum mega-row, one-level partition, reorder off
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return // keep Prepare cost bounded
@@ -245,7 +227,6 @@ func FuzzPrepareCompute(f *testing.F) {
 		opts := fuzzOptions(optByte)
 		if len(data) > 3 {
 			fuzzValueOptions(&opts, data[3])
-			fuzzReorderOptions(&opts, data[3])
 		}
 		prep, err := New(opts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
@@ -256,18 +237,7 @@ func FuzzPrepareCompute(f *testing.F) {
 			t.Fatalf("assignment coverage broken (opts %+v): %v", opts, err)
 		}
 		hp := prep.(*Prepared)
-		// Only the explicit f32 opt-in rounds values: there the result
-		// cannot be bit-identical to the f64 oracle, so the bit-equality
-		// stages are skipped and the naive comparison loosens to f32
-		// precision. Every other value mode must stay exact.
-		f32Active := hp.ValueStats().Format == ValF32
-		tol := 1e-9
-		if f32Active {
-			if !opts.AllowF32Values {
-				t.Fatalf("f32 value stream engaged without AllowF32Values (opts %+v)", opts)
-			}
-			tol = 1e-5
-		}
+		const tol = 1e-9
 
 		x := make([]float64, a.Cols)
 		for i := range x {
@@ -288,16 +258,13 @@ func FuzzPrepareCompute(f *testing.F) {
 		// Bit-equality against the []int/f64 reference streams: index and
 		// palette compression are only legal because on the same partition
 		// they reproduce the reference kernels' float64 bits exactly.
-		var refPrep *Prepared
+		refPrep := referencePrepared(t, hp, a, opts)
 		ref := make([]float64, a.Rows)
-		if !f32Active {
-			refPrep = referencePrepared(t, hp, a, opts)
-			refPrep.Compute(ref, x)
-			for i := range y {
-				if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("compressed y[%d] = %x, []int reference %x (matrix %dx%d nnz %d, opts %+v)",
-						i, math.Float64bits(y[i]), math.Float64bits(ref[i]), a.Rows, a.Cols, a.NNZ(), opts)
-				}
+		refPrep.Compute(ref, x)
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("compressed y[%d] = %x, []int reference %x (matrix %dx%d nnz %d, opts %+v)",
+					i, math.Float64bits(y[i]), math.Float64bits(ref[i]), a.Rows, a.Cols, a.NNZ(), opts)
 			}
 		}
 
@@ -338,36 +305,33 @@ func FuzzPrepareCompute(f *testing.F) {
 		// rebuilding streams, and a region that drifts across a u16-delta
 		// or diagonal eligibility edge must fall back to a wider format,
 		// not drift bits.
-		if !f32Active {
-			if err := refPrep.Repartition(plan); err != nil {
-				t.Fatalf("reference Repartition(%+v) failed: %v", plan, err)
-			}
-			refPrep.Compute(ref, x)
-			for i := range y {
-				if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("after repartition: compressed y[%d] = %x, []int reference %x (plan %+v, opts %+v)",
-						i, math.Float64bits(y[i]), math.Float64bits(ref[i]), plan, opts)
-				}
+		if err := refPrep.Repartition(plan); err != nil {
+			t.Fatalf("reference Repartition(%+v) failed: %v", plan, err)
+		}
+		refPrep.Compute(ref, x)
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+				t.Fatalf("after repartition: compressed y[%d] = %x, []int reference %x (plan %+v, opts %+v)",
+					i, math.Float64bits(y[i]), math.Float64bits(ref[i]), plan, opts)
 			}
 		}
 
 		// Reorder bit-identity against the pinned natural-order oracle:
 		// under a row-edge partition (RowCost never cuts inside a row) with
 		// the serial epilogue, every y[i] is one dot product over row i's
-		// entries in column order — so ANY row permutation, graph orders
-		// included, must reproduce the identity ordering bit for bit, before
-		// and after a repartition. This is the contract that makes the
-		// reorder layer pluggable at all.
+		// entries in column order — so the length-sorted order must
+		// reproduce the natural ordering bit for bit, before and after a
+		// repartition.
 		roOpts := Options{
 			Metric: RowCost, Index: IndexReference, Exec: ExecSerial,
-			Value: ValueReference, Base: opts.Base, Reorder: opts.Reorder,
+			Value: ValueReference, Base: opts.Base, DisableReorder: opts.DisableReorder,
 		}
 		rp, err := New(roOpts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
-			t.Fatalf("row-cost Prepare failed (reorder %v): %v", roOpts.Reorder, err)
+			t.Fatalf("row-cost Prepare failed (opts %+v): %v", roOpts, err)
 		}
 		idOpts := roOpts
-		idOpts.Reorder = ReorderIdentity
+		idOpts.DisableReorder = true
 		idOpts.PProportion = rp.(*Prepared).Plan().PProportion
 		ip, err := New(idOpts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
@@ -379,8 +343,8 @@ func FuzzPrepareCompute(f *testing.F) {
 		ip.Compute(iy, x)
 		for i := range ry {
 			if math.Float64bits(ry[i]) != math.Float64bits(iy[i]) {
-				t.Fatalf("reorder %v y[%d] = %x, identity oracle %x (matrix %dx%d nnz %d)",
-					roOpts.Reorder, i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), a.Rows, a.Cols, a.NNZ())
+				t.Fatalf("reordered y[%d] = %x, identity oracle %x (matrix %dx%d nnz %d)",
+					i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), a.Rows, a.Cols, a.NNZ())
 			}
 		}
 		oplan := Plan{PProportion: plan.PProportion}
@@ -394,8 +358,8 @@ func FuzzPrepareCompute(f *testing.F) {
 		ip.Compute(iy, x)
 		for i := range ry {
 			if math.Float64bits(ry[i]) != math.Float64bits(iy[i]) {
-				t.Fatalf("after repartition: reorder %v y[%d] = %x, identity oracle %x (plan %+v)",
-					roOpts.Reorder, i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), oplan)
+				t.Fatalf("after repartition: reordered y[%d] = %x, identity oracle %x (plan %+v)",
+					i, math.Float64bits(ry[i]), math.Float64bits(iy[i]), oplan)
 			}
 		}
 	})
@@ -417,9 +381,9 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add(segsumMegaRowSeed(), byte(9))                                                                                                                                                                        // forced segsum: mega-row spanning 3+ regions, batched
 	f.Add(diaDefectSeed(), byte(6))                                                                                                                                                                            // forced dia with defect row, block kernels
 	f.Add(adjacencySeed(), byte(8))                                                                                                                                                                            // 0/1 adjacency palette across a region boundary, full block
-	f.Add(f32Seed(), byte(4))                                                                                                                                                                                  // explicit f32 opt-in, block kernels
-	f.Add(reorderSeed(24), byte(7))                                                                                                                                                                            // forced RCM over a shuffled band, block kernels
-	f.Add(reorderSeed(32), byte(8))                                                                                                                                                                            // forced cluster order, full block
+	f.Add(adjacencyReferenceSeed(), byte(8))                                                                                                                                                                   // 0/1 adjacency pinned to the f64 value reference, full block
+	f.Add(shuffledBandSeed(), byte(7))                                                                                                                                                                         // scrambled band, base 4 sort, block kernels
+	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...), byte(5))                                                                                                                                         // forced dia under forced segsum, batched
 	f.Fuzz(func(t *testing.T, data []byte, nvByte byte) {
 		if len(data) > 1<<12 {
 			return
@@ -432,7 +396,6 @@ func FuzzComputeBatch(f *testing.F) {
 		opts := fuzzOptions(optByte)
 		if len(data) > 3 {
 			fuzzValueOptions(&opts, data[3])
-			fuzzReorderOptions(&opts, data[3])
 		}
 		prep, err := New(opts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
@@ -465,12 +428,7 @@ func FuzzComputeBatch(f *testing.F) {
 		}
 
 		// The compressed block kernels must also match the []int/f64
-		// reference block kernels bit for bit on the same partition. The
-		// explicit f32 opt-in rounds values, so only the batch-vs-solo
-		// equality above (same instance, same streams) applies there.
-		if prep.(*Prepared).ValueStats().Format == ValF32 {
-			return
-		}
+		// reference block kernels bit for bit on the same partition.
 		refPrep := referencePrepared(t, prep.(*Prepared), a, opts)
 		refY := make([][]float64, nv)
 		for v := range refY {

@@ -49,8 +49,6 @@ type SnapshotMeta struct {
 	// Skew is the row-length profile driving execution-mode dispatch
 	// (recomputing it needs a counting sort over the row lengths).
 	Skew costmodel.RowSkew
-	// Reorder records the strategy decision behind the stored order.
-	Reorder ReorderDecision
 }
 
 // PreparedSnapshot is the full serializable state of a Prepared
@@ -88,7 +86,6 @@ type PreparedSnapshot struct {
 	// Compressed value streams.
 	PalIdx []uint8
 	Pal    []float64
-	Val32  []float32
 
 	// Segment descriptors (nil when segmented execution is off for
 	// this instance).
@@ -116,7 +113,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 			ValFormat:   vs.format,
 			Distinct:    vs.distinct,
 			Skew:        p.skew,
-			Reorder:     p.reorder,
 		},
 		RowPtr:       p.mat.RowPtr,
 		Val:          p.mat.Val,
@@ -134,7 +130,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 		DiaInel:      st.diaInel,
 		PalIdx:       vs.palIdx,
 		Pal:          vs.pal,
-		Val32:        vs.val32,
 		Segs:         p.segs,
 	}
 	if st.col32 == nil {
@@ -187,9 +182,6 @@ func checkSnapshot(s *PreparedSnapshot) error {
 	if s.PalIdx != nil && len(s.PalIdx) != nnz {
 		return fmt.Errorf("core: snapshot palette stream length %d, want %d", len(s.PalIdx), nnz)
 	}
-	if s.Val32 != nil && len(s.Val32) != nnz {
-		return fmt.Errorf("core: snapshot f32 stream length %d, want %d", len(s.Val32), nnz)
-	}
 	if s.Segs != nil && len(s.Segs) != m {
 		return fmt.Errorf("core: snapshot segment count %d, want %d", len(s.Segs), m)
 	}
@@ -198,10 +190,10 @@ func checkSnapshot(s *PreparedSnapshot) error {
 		if s.PalIdx == nil || len(s.Pal) == 0 || len(s.Pal) > PaletteMax {
 			return fmt.Errorf("core: snapshot palette format without a valid palette")
 		}
-	case ValF32:
-		if s.Val32 == nil && nnz > 0 {
-			return fmt.Errorf("core: snapshot f32 format without the f32 stream")
-		}
+	case ValF64:
+		// The matrix's own values; nothing more to check.
+	default:
+		return fmt.Errorf("core: snapshot value format %v unknown", s.Meta.ValFormat)
 	}
 	return nil
 }
@@ -263,11 +255,10 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		},
 		values: valueStreams{
 			format: snap.Meta.ValFormat, palIdx: snap.PalIdx,
-			pal: snap.Pal, val32: snap.Val32, distinct: snap.Meta.Distinct,
+			pal: snap.Pal, distinct: snap.Meta.Distinct,
 		},
-		segs:    snap.Segs,
-		skew:    snap.Meta.Skew,
-		reorder: snap.Meta.Reorder,
+		segs: snap.Segs,
+		skew: snap.Meta.Skew,
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {

@@ -28,7 +28,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 		{},
 		{Index: IndexReference, Value: ValueReference},
 		{Exec: ExecSegSum},
-		{Reorder: ReorderAuto},
+		{DisableReorder: true},
 		{Metric: NNZCost, OneLevel: true},
 	} {
 		p, snap := snapshotOf(t, opts)
@@ -80,6 +80,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 			s.Meta.ValFormat = ValPalette
 			s.PalIdx, s.Pal = nil, nil
 		}},
+		{"unknown-value-format", func(s *PreparedSnapshot) { s.Meta.ValFormat = ValPalette + 1 }},
 		{"segs-short", func(s *PreparedSnapshot) {
 			s.Segs = make([]kernel.Segment, 1)
 		}},

@@ -84,13 +84,6 @@ func (p *Prepared) buildSegments() {
 	if p.opts.Exec == ExecSerial {
 		return
 	}
-	// The segmented interior kernels stream the matrix's own []float64
-	// (bit-identical under a palette — the table entry is the stored
-	// float64 — but not under the rounded f32 stream), so an f32 instance
-	// stays on the fragment walk everywhere.
-	if p.values.format == ValF32 {
-		return
-	}
 	h := p.h
 	if h.NNZ() > math.MaxInt32 || h.Rows > math.MaxInt32 {
 		return
@@ -268,9 +261,9 @@ func (s *computeScratch) runSegSum(id int, reg Region) {
 	}
 	if r0 <= rLast {
 		// Interior rows always stream the f64 values (bit-identical under
-		// a palette; f32 instances never reach segmented mode). A diagonal
-		// region's interior runs on the u32 stream — descriptors amortize
-		// over long rows, segmented regions are short-row by selection.
+		// a palette). A diagonal region's interior runs on the u32 stream
+		// — descriptors amortize over long rows, segmented regions are
+		// short-row by selection.
 		segs := p.segs[r0 : rLast+1]
 		switch reg.Format {
 		case Index32, IndexDia:

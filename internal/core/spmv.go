@@ -63,21 +63,12 @@ type Options struct {
 	// palette stream when the matrix has at most PaletteMax distinct
 	// values — bit-exact — and the []float64 reference otherwise).
 	Value ValueMode
-	// AllowF32Values permits the lossy float32 value stream. Off by
-	// default: no mode reduces precision without this explicit opt-in.
-	AllowF32Values bool
 	// Exec selects how rows cut across cores are resolved (default
 	// ExecAuto: segmented-sum execution with a parallel patch when the
 	// row-length skew predicts the serial extraY epilogue or the
 	// per-row fragment-walk overhead dominates, the classic serial
 	// epilogue otherwise).
 	Exec ExecMode
-	// Reorder selects the HACSR row-reorder strategy (default
-	// ReorderLength: the paper's length sort; ReorderAuto scores
-	// identity/length/RCM/cluster orders with the cost model's byte
-	// accounting and picks per matrix). DisableReorder takes precedence
-	// and forces the natural order.
-	Reorder ReorderMode
 }
 
 // New builds the HASpMV algorithm. Config defaults to both groups (PAndE).
@@ -111,20 +102,18 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	// empty ones in the same pass instead of re-scanning the row pointer.
 	var h *HACSR
 	var empty []int
-	var rdec ReorderDecision
 	if opts.DisableReorder {
 		h = Identity(mat)
 		empty = collectEmptyRows(mat)
-		rdec = ReorderDecision{Mode: opts.Reorder, Strategy: StrategyIdentity}
 	} else {
-		h, empty, rdec = reorderFor(mat, opts.Base, opts.Reorder, len(cores), machineLLCBytes(m))
+		h, empty = convert(mat, opts.Base)
 	}
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseReorder, time.Since(t0))
 		t0 = time.Now()
 	}
 	streams := buildStreams(mat, h, opts.Index)
-	values := buildValues(mat, opts.Value, opts.AllowF32Values)
+	values := buildValues(mat, opts.Value)
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseStreams, time.Since(t0))
 		t0 = time.Now()
@@ -158,8 +147,7 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 		mat: mat, h: h, machine: m,
 		opts: opts, emptyRows: empty, unroll: unroll,
 		cs: cs, cores: cores, streams: streams, values: values,
-		reorder: rdec,
-		accum:   make([]coreAccum, len(regions)),
+		accum: make([]coreAccum, len(regions)),
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {
@@ -232,7 +220,7 @@ type Prepared struct {
 	// streams holds the compressed column-index streams built once at
 	// Prepare; Repartition only re-picks per-region formats over them.
 	streams indexStreams
-	// values holds the compressed value stream (palette or f32), also
+	// values holds the compressed value stream (palette), also
 	// built once at Prepare and shared by every region.
 	values valueStreams
 	// segs is the per-reordered-row segment descriptor stream for
@@ -243,9 +231,6 @@ type Prepared struct {
 	// skew is the row-length skew profile driving the execution-mode
 	// dispatch.
 	skew costmodel.RowSkew
-	// reorder records which row-order strategy Prepare chose and the
-	// candidate scores behind the choice.
-	reorder ReorderDecision
 	// cores are the participating core ids (P slots first), and pCount
 	// how many of them belong to the Performance group.
 	cores  []int
@@ -575,7 +560,7 @@ func (p *Prepared) Assignments() []costmodel.Assignment {
 			runsIn, inel := p.regionDiaParts(reg)
 			asg.DiagBytes = int(8*runsIn + 4*inel)
 		}
-		// And which value width (palette/f32); ValF64 keeps the zero value
+		// And which value width (palette); ValF64 keeps the zero value
 		// so the model's default ValBytes applies.
 		if reg.Val != ValF64 {
 			asg.ValBytes = reg.Val.BytesPerValue()

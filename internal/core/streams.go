@@ -53,10 +53,9 @@ var (
 		telemetry.NewCounter("core_nnz_u16"),
 		telemetry.NewCounter("core_nnz_dia"),
 	}
-	cNNZValue = [3]*telemetry.Counter{
+	cNNZValue = [2]*telemetry.Counter{
 		telemetry.NewCounter("core_nnz_val_f64"),
 		telemetry.NewCounter("core_nnz_val_palette"),
-		telemetry.NewCounter("core_nnz_val_f32"),
 	}
 )
 

@@ -13,13 +13,10 @@ import (
 // stream for the whole instance: a palette stream (1-byte indices into
 // a table of at most PaletteMax distinct float64s — 0/1 adjacency and
 // edge-weight graphs) that is exact because pal[palIdx[k]] is the very
-// float64 the matrix stores, and a float32 stream that halves the value
-// traffic but rounds each operand — built only when the caller
-// explicitly opts into reduced precision (Options.AllowF32Values).
-// Unlike the per-region index formats the value format is one choice
-// per instance (the value stream is shared by every region), stamped
-// onto each Region as Region.Val so the fragment dispatch and the
-// telemetry split stay region-granular.
+// float64 the matrix stores. Unlike the per-region index formats the
+// value format is one choice per instance (the value stream is shared
+// by every region), stamped onto each Region as Region.Val so the
+// fragment dispatch and the telemetry split stay region-granular.
 
 // PaletteMax is the largest number of distinct values the palette
 // stream can encode (the index stream is one byte per nonzero).
@@ -35,9 +32,6 @@ const (
 	// ValPalette reads 1-byte indices into a table of at most PaletteMax
 	// distinct float64s; exact (the table entry is the stored float64).
 	ValPalette
-	// ValF32 reads a float32 copy of the values (4 bytes per value);
-	// lossy, never selected without Options.AllowF32Values.
-	ValF32
 )
 
 func (f ValueFormat) String() string {
@@ -46,8 +40,6 @@ func (f ValueFormat) String() string {
 		return "f64"
 	case ValPalette:
 		return "palette"
-	case ValF32:
-		return "f32"
 	default:
 		return fmt.Sprintf("ValueFormat(%d)", int(f))
 	}
@@ -59,8 +51,6 @@ func (f ValueFormat) BytesPerValue() int {
 	switch f {
 	case ValPalette:
 		return 1
-	case ValF32:
-		return 4
 	default:
 		return 8
 	}
@@ -68,22 +58,16 @@ func (f ValueFormat) BytesPerValue() int {
 
 // ValueMode selects which value stream Prepare builds. The zero value
 // compresses when exactness allows it: the palette is bit-exact, so it
-// engages automatically; the f32 stream additionally needs the explicit
-// AllowF32Values opt-in.
+// engages automatically.
 type ValueMode int
 
 const (
 	// ValueAuto builds the palette stream when the matrix has at most
-	// PaletteMax distinct values; otherwise the f32 stream when
-	// AllowF32Values is set; otherwise the []float64 reference.
+	// PaletteMax distinct values, and the []float64 reference otherwise.
 	ValueAuto ValueMode = iota
 	// ValueReference skips value compression entirely (the oracle the
 	// fuzz bit-equality stage compares against).
 	ValueReference
-	// ValueForceF32 prefers the f32 stream over the palette. It is only
-	// honored together with AllowF32Values (reduced precision is never
-	// implicit); without the opt-in it behaves like ValueAuto.
-	ValueForceF32
 )
 
 func (m ValueMode) String() string {
@@ -92,8 +76,6 @@ func (m ValueMode) String() string {
 		return "auto"
 	case ValueReference:
 		return "f64"
-	case ValueForceF32:
-		return "f32"
 	default:
 		return fmt.Sprintf("ValueMode(%d)", int(m))
 	}
@@ -108,8 +90,6 @@ type valueStreams struct {
 	// pal[palIdx[k]] bit for bit.
 	palIdx []uint8
 	pal    []float64
-	// val32 is the rounded stream (format ValF32).
-	val32 []float32
 	// distinct counts the distinct value bit patterns discovered;
 	// PaletteMax+1 means the count aborted (more than PaletteMax).
 	distinct int
@@ -126,24 +106,11 @@ func (vs *valueStreams) effValBytes() float64 {
 // comparison: 0.0 and -0.0 are distinct stream entries and NaNs (which
 // compare unequal even to themselves) dedup by payload, so the palette
 // reproduces every stored bit pattern exactly.
-func buildValues(a *sparse.CSR, mode ValueMode, allowF32 bool) valueStreams {
+func buildValues(a *sparse.CSR, mode ValueMode) valueStreams {
 	var vs valueStreams
 	nnz := a.NNZ()
 	if mode == ValueReference || nnz == 0 {
 		return vs
-	}
-	f32 := func() valueStreams {
-		vs.format = ValF32
-		vs.val32 = make([]float32, nnz)
-		exec.ParallelRanges(nnz, prepWidth(), prepGrain, func(_, lo, hi int) {
-			for k := lo; k < hi; k++ {
-				vs.val32[k] = float32(a.Val[k])
-			}
-		})
-		return vs
-	}
-	if mode == ValueForceF32 && allowF32 {
-		return f32()
 	}
 	// Palette discovery is serial with an early exit: matrices with rich
 	// value sets blow past PaletteMax within the first few hundred
@@ -157,9 +124,6 @@ func buildValues(a *sparse.CSR, mode ValueMode, allowF32 bool) valueStreams {
 		}
 		if len(pal) == PaletteMax {
 			vs.distinct = PaletteMax + 1
-			if allowF32 {
-				return f32()
-			}
 			return vs
 		}
 		palMap[bits] = uint8(len(pal))

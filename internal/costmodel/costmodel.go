@@ -85,8 +85,8 @@ type Assignment struct {
 	// each region at the width it actually moves.
 	IdxBytes int
 	// ValBytes, when positive, overrides Params.ValBytes: compressed
-	// value streams (HASpMV's 1-byte palette and opt-in 4-byte f32)
-	// price each multiply at the width the kernels actually stream.
+	// value streams (HASpMV's 1-byte palette) price each multiply at the
+	// width the kernels actually stream.
 	ValBytes int
 	// DiagBytes, when positive, replaces the per-nonzero index term
 	// entirely with this total: a DIA-style region streams 8-byte run

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"haspmv/internal/fleet/shard"
+	"haspmv/internal/server"
 	"haspmv/internal/telemetry"
 )
 
@@ -193,6 +195,11 @@ func (rt *Router) forward(ctx context.Context, key, path string, body []byte, re
 	cands := rt.ringFor(backends).candidates(key, attempts)
 	var lastErr error
 	for i, addr := range cands {
+		if err := ctx.Err(); err != nil {
+			// Cancelled (client gone, or a sibling shard failed): no
+			// candidate can succeed now.
+			return nil, err
+		}
 		if i > 0 {
 			cRouterRetries.Add(1)
 			rt.opts.Logf("fleet: retrying %s on %s (%v)", key, addr, lastErr)
@@ -241,8 +248,18 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cRouterRequests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	// The worker's own cap: a body that works direct works through the
+	// fleet, and a declared oversize body is refused before it is read.
+	if r.ContentLength > server.MaxBodyBytes {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", server.MaxBodyBytes)
+		return
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", server.MaxBodyBytes)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
@@ -275,7 +292,10 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 // scatterMultiply fans one multiply out across the matrix's row-shards:
 // shard i goes to the ring owner of "key#i/count" with the usual
 // failover, carrying only the x slice its column window needs, and the
-// returned fragments gather into the full y.
+// returned fragments gather into the full y. Every column window is
+// checked against x before any sub-request starts; the first failing shard
+// cancels its siblings, and the handler returns only after every
+// sub-request has exited.
 func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key string, count int, matrix string, scale int, x []float64, reqID string) {
 	cRouterScatter.Add(1)
 	plan, err := rt.shardPlan(r.Context(), key, matrix, scale, count)
@@ -284,25 +304,30 @@ func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key st
 		return
 	}
 	rows := 0
-	for _, d := range plan {
-		if d.Row1+1 > rows {
-			rows = d.Row1 + 1
-		}
-	}
-	type fragResult struct {
-		resp struct {
-			Y    []float64 `json:"y"`
-			Row0 int       `json:"row0"`
-		}
-		err error
-	}
-	frags := make([]fragResult, count)
-	var wg sync.WaitGroup
 	for i, d := range plan {
 		if d.ColHi > len(x) {
 			httpError(w, http.StatusBadRequest, "x has %d elements; shard %d needs columns up to %d", len(x), i, d.ColHi)
 			return
 		}
+		if d.Row1+1 > rows {
+			rows = d.Row1 + 1
+		}
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	var (
+		failOnce sync.Once
+		failErr  error
+		wg       sync.WaitGroup
+	)
+	fail := func(err error) {
+		failOnce.Do(func() {
+			failErr = err
+			cancel()
+		})
+	}
+	parts := make([][]float64, count)
+	for i, d := range plan {
 		wg.Add(1)
 		go func(i int, d shard.Desc) {
 			defer wg.Done()
@@ -312,25 +337,26 @@ func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key st
 				"x": x[d.ColLo:d.ColHi],
 			})
 			if err != nil {
-				frags[i].err = err
+				fail(err)
 				return
 			}
-			respBody, err := rt.forward(r.Context(), fmt.Sprintf("%s#%d/%d", key, i, count), "/v1/multiply", sub, reqID)
+			respBody, err := rt.forward(ctx, fmt.Sprintf("%s#%d/%d", key, i, count), "/v1/multiply", sub, reqID)
+			if err == nil {
+				var frag struct {
+					Y []float64 `json:"y"`
+				}
+				err = json.Unmarshal(respBody, &frag)
+				parts[i] = frag.Y
+			}
 			if err != nil {
-				frags[i].err = err
-				return
+				fail(err)
 			}
-			frags[i].err = json.Unmarshal(respBody, &frags[i].resp)
 		}(i, d)
 	}
 	wg.Wait()
-	parts := make([][]float64, count)
-	for i := range frags {
-		if frags[i].err != nil {
-			rt.relayError(w, key, frags[i].err)
-			return
-		}
-		parts[i] = frags[i].resp.Y
+	if failErr != nil {
+		rt.relayError(w, key, failErr)
+		return
 	}
 	y := make([]float64, rows)
 	if err := shard.Gather(y, plan, parts); err != nil {
@@ -395,6 +421,14 @@ func (rt *Router) shardPlan(ctx context.Context, key, matrix string, scale, coun
 		}
 		if len(pr.Shards) != count {
 			return nil, fmt.Errorf("fleet: worker returned %d shards, want %d", len(pr.Shards), count)
+		}
+		for i, d := range pr.Shards {
+			if d.ColLo < 0 || d.ColLo > d.ColHi {
+				return nil, fmt.Errorf("fleet: worker returned shard %d with column window [%d, %d)", i, d.ColLo, d.ColHi)
+			}
+			if d.Row0 < 0 || d.Row1 < d.Row0 {
+				return nil, fmt.Errorf("fleet: worker returned shard %d with rows [%d, %d]", i, d.Row0, d.Row1)
+			}
 		}
 		rt.planMu.Lock()
 		rt.plans[cacheKey] = pr.Shards

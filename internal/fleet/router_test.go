@@ -2,17 +2,22 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"haspmv/internal/amp"
 	"haspmv/internal/core"
+	"haspmv/internal/fleet/shard"
 	"haspmv/internal/gen"
 	"haspmv/internal/server"
 )
@@ -209,7 +214,8 @@ func TestRouterScatterGather(t *testing.T) {
 	for i := range x {
 		x[i] = 1 + float64(i%11)*0.5
 	}
-	want := serialMultiply(a, x)
+	want := make([]float64, a.Rows)
+	a.MulVec(want, x)
 
 	w, out := postMultiply(t, rt, mustBody(t, name, scale, x))
 	if w.Code != http.StatusOK {
@@ -264,7 +270,8 @@ func TestRouterScatterSurvivesWorkerLoss(t *testing.T) {
 	for i := range x {
 		x[i] = float64(i%5) + 1
 	}
-	want := serialMultiply(a, x)
+	want := make([]float64, a.Rows)
+	a.MulVec(want, x)
 	check := func(tag string) {
 		t.Helper()
 		w, out := postMultiply(t, rt, mustBody(t, name, scale, x))
@@ -313,5 +320,259 @@ func TestRouterFleetStatus(t *testing.T) {
 	}
 	if len(st.Workers) != 1 || st.Workers[0].Pid != 42 || len(st.Backends) != 1 {
 		t.Fatalf("bad status: %+v", st)
+	}
+}
+
+// scriptedWorker is a fake fleet worker: it serves a fixed two-shard
+// plan (shard i owns row i and columns [10i, 10i+10)) and hands every
+// shard sub-request to multiply, counting the ones that arrive.
+type scriptedWorker struct {
+	*httptest.Server
+	multiplies atomic.Int32
+}
+
+func newScriptedWorker(t *testing.T, multiply func(w http.ResponseWriter, r *http.Request, shardIndex int)) *scriptedWorker {
+	t.Helper()
+	return newPlanWorker(t, []shard.Desc{
+		{Index: 0, Count: 2, Row0: 0, Row1: 0, ColLo: 0, ColHi: 10},
+		{Index: 1, Count: 2, Row0: 1, Row1: 1, ColLo: 10, ColHi: 20},
+	}, multiply)
+}
+
+// newPlanWorker is newScriptedWorker serving the given plan instead.
+func newPlanWorker(t *testing.T, plan []shard.Desc, multiply func(w http.ResponseWriter, r *http.Request, shardIndex int)) *scriptedWorker {
+	t.Helper()
+	sw := &scriptedWorker{}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/shardplan", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"shards": plan})
+	})
+	mux.HandleFunc("/v1/multiply", func(w http.ResponseWriter, r *http.Request) {
+		sw.multiplies.Add(1)
+		var req struct {
+			ShardIndex int `json:"shard_index"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		multiply(w, r, req.ShardIndex)
+	})
+	sw.Server = httptest.NewServer(mux)
+	t.Cleanup(sw.Close)
+	return sw
+}
+
+// scatterRouter routes the two-shard matrix "m@1" to one worker over a
+// keep-alive-free client, so no idle connection goroutine outlives a
+// request and runtime.NumGoroutine can return to its baseline.
+func scatterRouter(t *testing.T, worker *scriptedWorker) *Router {
+	t.Helper()
+	rt, err := NewRouter(RouterOptions{
+		Backends: func() []string { return []string{workerAddr(worker.Server)} },
+		Shards:   map[string]int{"m@1": 2},
+		Client:   &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// settleGoroutines waits for the goroutine count to fall back to base
+// and fails the test if it does not.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, baseline %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// An x too short for the plan's column windows is a client error the
+// router must catch before any shard sub-request leaves: a 400, no
+// sub-request reaching a worker, no goroutine left behind.
+func TestRouterScatterShortXSpawnsNothing(t *testing.T) {
+	worker := newScriptedWorker(t, func(w http.ResponseWriter, r *http.Request, i int) {
+		json.NewEncoder(w).Encode(map[string]any{"y": []float64{1}})
+	})
+	rt := scatterRouter(t, worker)
+	x := make([]float64, 20)
+	if w, _ := postMultiply(t, rt, mustBody(t, "m", 1, x)); w.Code != http.StatusOK {
+		t.Fatalf("full x: status %d body %s", w.Code, w.Body.String())
+	}
+	worker.multiplies.Store(0)
+	base := runtime.NumGoroutine()
+
+	// 15 elements cover shard 0's window [0, 10) but not shard 1's.
+	w, _ := postMultiply(t, rt, mustBody(t, "m", 1, x[:15]))
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("short x: status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	settleGoroutines(t, base)
+	if n := worker.multiplies.Load(); n != 0 {
+		t.Fatalf("short x: %d shard sub-requests reached the worker, want 0", n)
+	}
+}
+
+// A shard that fails must cancel its stalled sibling: the router relays
+// the failure at once instead of waiting out the sibling, and returns
+// only after the sibling's sub-request has exited. Shard 0 fails only
+// once shard 1 has reached the worker, so the sibling is in flight, not
+// yet unsent, when the cancellation comes.
+func TestRouterScatterFailureCancelsSiblings(t *testing.T) {
+	var siblingCancelled atomic.Bool
+	siblingArrived := make(chan struct{})
+	var arrive sync.Once
+	worker := newScriptedWorker(t, func(w http.ResponseWriter, r *http.Request, i int) {
+		if i == 0 {
+			select {
+			case <-siblingArrived:
+			case <-time.After(5 * time.Second):
+			}
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write([]byte(`{"error":"shard 0 failed"}`))
+			return
+		}
+		arrive.Do(func() { close(siblingArrived) })
+		select {
+		case <-r.Context().Done():
+			siblingCancelled.Store(true)
+		case <-time.After(10 * time.Second):
+		}
+	})
+	rt := scatterRouter(t, worker)
+	x := make([]float64, 20)
+	// Fetch and cache the plan first so the baseline below is taken
+	// with the router already warm.
+	if _, err := rt.shardPlan(context.Background(), "m@1", "m", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+
+	t0 := time.Now()
+	w, _ := postMultiply(t, rt, mustBody(t, "m", 1, x))
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want the failing shard's 500: %s", w.Code, w.Body.String())
+	}
+	if d := time.Since(t0); d > 5*time.Second {
+		t.Fatalf("router took %v: the stalled sibling was not cancelled", d)
+	}
+	if n := worker.multiplies.Load(); n != 2 {
+		t.Fatalf("%d shard sub-requests reached the worker, want 2", n)
+	}
+	settleGoroutines(t, base)
+	deadline := time.Now().Add(5 * time.Second)
+	for !siblingCancelled.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled sibling never saw its request cancelled")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// A worker plan the router cannot scatter safely — the wrong shard
+// count, a negative or inverted column window, a negative or inverted
+// row range — is refused with 502 before any shard sub-request leaves,
+// and is not cached: the next request asks for the plan again.
+func TestRouterScatterRejectsBadPlans(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan []shard.Desc
+	}{
+		{"one-shard-for-two", []shard.Desc{
+			{Index: 0, Count: 1, Row0: 0, Row1: 1, ColLo: 0, ColHi: 20},
+		}},
+		{"negative-col-lo", []shard.Desc{
+			{Index: 0, Count: 2, Row0: 0, Row1: 0, ColLo: -1, ColHi: 10},
+			{Index: 1, Count: 2, Row0: 1, Row1: 1, ColLo: 10, ColHi: 20},
+		}},
+		{"col-lo-above-col-hi", []shard.Desc{
+			{Index: 0, Count: 2, Row0: 0, Row1: 0, ColLo: 0, ColHi: 10},
+			{Index: 1, Count: 2, Row0: 1, Row1: 1, ColLo: 15, ColHi: 12},
+		}},
+		{"negative-row0", []shard.Desc{
+			{Index: 0, Count: 2, Row0: -1, Row1: 0, ColLo: 0, ColHi: 10},
+			{Index: 1, Count: 2, Row0: 1, Row1: 1, ColLo: 10, ColHi: 20},
+		}},
+		{"row1-below-row0", []shard.Desc{
+			{Index: 0, Count: 2, Row0: 0, Row1: 0, ColLo: 0, ColHi: 10},
+			{Index: 1, Count: 2, Row0: 2, Row1: 1, ColLo: 10, ColHi: 20},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			worker := newPlanWorker(t, tc.plan, func(w http.ResponseWriter, r *http.Request, i int) {
+				json.NewEncoder(w).Encode(map[string]any{"y": []float64{1}})
+			})
+			rt := scatterRouter(t, worker)
+			x := make([]float64, 20)
+			for attempt := 0; attempt < 2; attempt++ {
+				w, _ := postMultiply(t, rt, mustBody(t, "m", 1, x))
+				if w.Code != http.StatusBadGateway {
+					t.Fatalf("attempt %d: status %d, want 502: %s", attempt, w.Code, w.Body.String())
+				}
+			}
+			if n := worker.multiplies.Load(); n != 0 {
+				t.Fatalf("%d shard sub-requests reached the worker, want 0", n)
+			}
+			rt.planMu.Lock()
+			cached := len(rt.plans)
+			rt.planMu.Unlock()
+			if cached != 0 {
+				t.Fatalf("%d bad plans cached, want 0", cached)
+			}
+		})
+	}
+}
+
+// Router and worker share one body cap: both refuse a body declared one
+// byte over server.MaxBodyBytes with 413 before reading it, and both let
+// a body declared at exactly the cap through to the JSON decoder (which
+// then rejects the deliberately malformed content with 400).
+func TestRouterBodyLimitMatchesWorker(t *testing.T) {
+	var upstream atomic.Int32
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		upstream.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer backend.Close()
+	rt, err := NewRouter(RouterOptions{Backends: func() []string { return []string{workerAddr(backend)} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := server.New(server.Config{Machine: amp.IntelI912900KF(), Algorithm: core.New(core.Options{})})
+	for _, tc := range []struct {
+		name string
+		h    http.Handler
+	}{{"router", rt}, {"worker", worker}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, c := range []struct {
+				name string
+				size int64
+				want int
+			}{
+				{"at-cap", server.MaxBodyBytes, http.StatusBadRequest},
+				{"over-cap", server.MaxBodyBytes + 1, http.StatusRequestEntityTooLarge},
+			} {
+				t.Run(c.name, func(t *testing.T) {
+					req := httptest.NewRequest(http.MethodPost, "/v1/multiply", strings.NewReader("not json"))
+					req.ContentLength = c.size
+					w := httptest.NewRecorder()
+					tc.h.ServeHTTP(w, req)
+					if w.Code != c.want {
+						t.Errorf("body of %d bytes: status %d, want %d: %s", c.size, w.Code, c.want, w.Body.String())
+					}
+				})
+			}
+		})
+	}
+	if n := upstream.Load(); n != 0 {
+		t.Fatalf("%d rejected bodies were forwarded", n)
 	}
 }

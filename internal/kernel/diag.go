@@ -51,12 +51,6 @@ func DotRangeDiagPalette(idx []uint8, pal []float64, runs []DiaRun, ri int, x []
 	return dotRangeDiaG(idx, pal, runs, ri, x, lo, hi, unrollLen)
 }
 
-// DotRangeDiagF32 is DotRangeDiag over a float32 value stream (lossy;
-// only built when the caller opted into reduced precision).
-func DotRangeDiagF32(val []float32, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeDiaG(val, nil, runs, ri, x, lo, hi, unrollLen)
-}
-
 // dotRangeDiaG is dotRangeC with the column decoded from the run
 // stream; same dispatch as DotRange.
 func dotRangeDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
@@ -196,11 +190,6 @@ func DotRangeBlockDiag(val []float64, runs []DiaRun, ri int, X [][]float64, sums
 // DotRangeBlockDiagPalette is the palette-value block variant.
 func DotRangeBlockDiagPalette(idx []uint8, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
 	dotRangeBlockDiaG(idx, pal, runs, ri, X, sums, lo, hi, unrollLen)
-}
-
-// DotRangeBlockDiagF32 is the float32-value block variant (lossy).
-func DotRangeBlockDiagF32(val []float32, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockDiaG(val, nil, runs, ri, X, sums, lo, hi, unrollLen)
 }
 
 // dotRangeBlockDiaG is dotRangeBlockC with decoded columns; same tile

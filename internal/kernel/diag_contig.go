@@ -83,8 +83,7 @@ func dotContig8F64(val, x []float64, lo, hi, cmk int) float64 {
 }
 
 // dotDiaContigG is dotContigF64 with the value load abstracted through
-// valLoad, serving single-run fragments of the palette and float32
-// value streams.
+// valLoad, serving single-run fragments of the palette value stream.
 func dotDiaContigG[V ValSource](vals []V, pal []float64, x []float64, lo, hi, cmk, unrollLen int) float64 {
 	length := hi - lo
 	if length < ScalarThreshold {
@@ -238,7 +237,7 @@ func dotBlockContig8F64(val []float64, X [][]float64, sums []float64, lo, hi, cm
 }
 
 // dotBlockDiaContigG is dotBlockContigF64 with valLoad operands, for
-// single-run fragments of the palette and float32 streams under the
+// single-run fragments of the palette stream under the
 // batch kernel. The tile/chain structure is identical, so each sums[j]
 // stays bit-identical to the single-vector contiguous kernel.
 func dotBlockDiaContigG[V ValSource](vals []V, pal []float64, X [][]float64, sums []float64, lo, hi, cmk, unrollLen int) {

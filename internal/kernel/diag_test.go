@@ -46,12 +46,6 @@ func TestDiagBitIdentical(t *testing.T) {
 	for _, maxRun := range []int{1, 3, 20, 500} {
 		val, col, runs, x := diagData(r, 2048, 8192, maxRun)
 		idx, pal := palettize(val, 7)
-		val32 := make([]float32, len(val))
-		val32as64 := make([]float64, len(val))
-		for k, v := range val {
-			val32[k] = float32(v)
-			val32as64[k] = float64(val32[k])
-		}
 		lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 127, 128, 1000, 2000}
 		for _, l := range lengths {
 			for _, lo := range []int{0, 13} {
@@ -67,10 +61,6 @@ func TestDiagBitIdentical(t *testing.T) {
 					wantP := DotRange(pal2val(idx, pal), col, x, lo, hi, un)
 					if got := DotRangeDiagPalette(idx, pal, runs, 0, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(wantP) {
 						t.Fatalf("DotRangeDiagPalette maxRun %d len %d lo %d un %d: got %x want %x", maxRun, l, lo, un, got, wantP)
-					}
-					want32 := DotRange(val32as64, col, x, lo, hi, un)
-					if got := DotRangeDiagF32(val32, runs, 0, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want32) {
-						t.Fatalf("DotRangeDiagF32 maxRun %d len %d lo %d un %d: got %x want %x", maxRun, l, lo, un, got, want32)
 					}
 				}
 			}

@@ -1,27 +1,23 @@
 package kernel
 
 // Compressed-value kernels: the Algorithm 6 dot products with the value
-// operand loaded from a palette or float32 stream instead of []float64.
-// The value stream is 8 of the 12-16 bytes moved per nonzero; a matrix
-// with at most 256 distinct values (0/1 adjacency, edge-weight graphs)
-// streams 1-byte palette indices and reads the float64 through a table
-// that fits in L1, and a caller that explicitly accepts reduced
-// precision streams 4-byte float32s.
+// operand loaded from a palette stream instead of []float64. The value
+// stream is 8 of the 12-16 bytes moved per nonzero; a matrix with at
+// most 256 distinct values (0/1 adjacency, edge-weight graphs) streams
+// 1-byte palette indices and reads the float64 through a table that
+// fits in L1.
 //
 // The palette load pal[idx[k]] *is* the float64 the matrix stores, so
 // every palette variant is bit-exact with its []float64 counterpart:
 // the generic bodies below reproduce DotRange/DotRangeBlock's dispatch,
 // chain assignment, reduction trees, and remainders statement for
-// statement, exactly like compressed.go does for the index streams. The
-// float32 variants share the bodies but are lossy by construction (each
-// operand is float64(float32(v))) and are never selected without an
-// explicit opt-in upstream.
+// statement, exactly like compressed.go does for the index streams.
 
 // ValSource is the set of value-stream element types the generic
-// bodies read: the []float64 reference, the lossy float32 stream, and
-// the uint8 palette indices (resolved through a non-nil pal table).
+// bodies read: the []float64 reference and the uint8 palette indices
+// (resolved through a non-nil pal table).
 type ValSource interface {
-	~float64 | ~float32 | ~uint8
+	~float64 | ~uint8
 }
 
 // valLoad resolves one value operand: the element itself for direct
@@ -40,12 +36,6 @@ func valLoad[V ValSource](vals []V, pal []float64, k int) float64 {
 // palette-resolved values.
 func DotRangePalette[C ColIndex](idx []uint8, pal []float64, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
 	return dotRangeVC(idx, pal, col, base, x, lo, hi, unrollLen)
-}
-
-// DotRangeF32 computes sum(float64(val[k])*x[base+int(col[k])]) for k
-// in [lo, hi) over a float32 value stream (lossy).
-func DotRangeF32[C ColIndex](val []float32, col []C, base int, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeVC(val, nil, col, base, x, lo, hi, unrollLen)
 }
 
 // dotRangeVC is dotRangeC with the value load abstracted through
@@ -113,12 +103,6 @@ func dot8VC[V ValSource, C ColIndex](vals []V, pal []float64, col []C, base int,
 // unrollLen), bit-identical per vector.
 func DotRangeBlockPalette[C ColIndex](idx []uint8, pal []float64, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
 	dotRangeBlockVC(idx, pal, col, base, X, sums, lo, hi, unrollLen)
-}
-
-// DotRangeBlockF32 is DotRangeBlock over the float32 value stream
-// (lossy).
-func DotRangeBlockF32[C ColIndex](val []float32, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockVC(val, nil, col, base, X, sums, lo, hi, unrollLen)
 }
 
 // dotRangeBlockVC is dotRangeBlockC with the value load abstracted;

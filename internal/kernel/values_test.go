@@ -7,19 +7,12 @@ import (
 )
 
 // Every palette variant must be bit-identical to the []int kernel over
-// the palette-resolved values; every f32 variant must match the []int
-// kernel over the rounded float64(float32(v)) operands.
+// the palette-resolved values.
 func TestValueStreamsBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	val, col, col32, col16, base, x := compressedData(r, 2048, 512)
 	idx, pal := palettize(val, 11)
 	palVal := pal2val(idx, pal)
-	val32 := make([]float32, len(val))
-	val32as64 := make([]float64, len(val))
-	for k, v := range val {
-		val32[k] = float32(v)
-		val32as64[k] = float64(val32[k])
-	}
 	lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 127, 128, 1000, 2000}
 	for _, l := range lengths {
 		for _, lo := range []int{0, 13} {
@@ -38,13 +31,6 @@ func TestValueStreamsBitIdentical(t *testing.T) {
 				if got := DotRangePalette(idx, pal, col16, base, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(wantP) {
 					t.Fatalf("Palette[u16] len %d lo %d un %d: got %x want %x", l, lo, un, got, wantP)
 				}
-				want32 := DotRange(val32as64, col, x, lo, hi, un)
-				if got := DotRangeF32(val32, col32, 0, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want32) {
-					t.Fatalf("F32[u32] len %d lo %d un %d: got %x want %x", l, lo, un, got, want32)
-				}
-				if got := DotRangeF32(val32, col16, base, x, lo, hi, un); math.Float64bits(got) != math.Float64bits(want32) {
-					t.Fatalf("F32[u16] len %d lo %d un %d: got %x want %x", l, lo, un, got, want32)
-				}
 			}
 		}
 	}
@@ -55,12 +41,6 @@ func TestValueStreamsBlockBitIdentical(t *testing.T) {
 	val, col, col32, col16, base, x := compressedData(r, 4096, 300)
 	idx, pal := palettize(val, 3)
 	palVal := pal2val(idx, pal)
-	val32 := make([]float32, len(val))
-	val32as64 := make([]float64, len(val))
-	for k, v := range val {
-		val32[k] = float32(v)
-		val32as64[k] = float64(val32[k])
-	}
 	X := make([][]float64, MaxBlock)
 	X[0] = x
 	for j := 1; j < MaxBlock; j++ {
@@ -90,13 +70,6 @@ func TestValueStreamsBlockBitIdentical(t *testing.T) {
 					for j := 0; j < w; j++ {
 						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("BlockPalette[u16] len %d lo %d w %d un %d vec %d: got %x want %x", l, lo, w, un, j, got[j], want[j])
-						}
-					}
-					DotRangeBlock(val32as64, col, X, want, lo, hi, un)
-					DotRangeBlockF32(val32, col32, 0, X, got, lo, hi, un)
-					for j := 0; j < w; j++ {
-						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("BlockF32[u32] len %d lo %d w %d un %d vec %d: got %x want %x", l, lo, w, un, j, got[j], want[j])
 						}
 					}
 				}

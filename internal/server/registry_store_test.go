@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,6 +15,7 @@ import (
 	"haspmv/internal/amp"
 	"haspmv/internal/core"
 	"haspmv/internal/store"
+	"haspmv/internal/telemetry"
 )
 
 func newStoreRegistry(t testing.TB, src MatrixSource, maxEntries int, dir string, opts core.Options) *Registry {
@@ -136,6 +139,24 @@ func TestRegistryStoreThrashNoDoublePrepare(t *testing.T) {
 // A corrupt, truncated or foreign store file must never be served: the
 // registry falls back to generate+Prepare and overwrites it.
 func TestRegistryStoreBadFileFallsBack(t *testing.T) {
+	// storeFile spills one valid store file for the 96-row source and
+	// returns its bytes.
+	storeFile := func(t *testing.T) []byte {
+		src := &countingSource{size: 96}
+		d2 := t.TempDir()
+		r2 := newStoreRegistry(t, src.source(t), 1, d2, core.Options{})
+		submitRetry(t, r2, "seed", 16, 96)
+		r2.spills.Wait()
+		ents, err := os.ReadDir(d2)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("seed store: %d entries, %v", len(ents), err)
+		}
+		buf, err := os.ReadFile(filepath.Join(d2, ents[0].Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
 	cases := []struct {
 		name string
 		file func(t *testing.T, path string)
@@ -146,31 +167,32 @@ func TestRegistryStoreBadFileFallsBack(t *testing.T) {
 			}
 		}},
 		{"truncated", func(t *testing.T, path string) {
-			src := &countingSource{size: 96}
-			d2 := t.TempDir()
-			r2 := newStoreRegistry(t, src.source(t), 1, d2, core.Options{})
-			submitRetry(t, r2, "seed", 16, 96)
-			r2.spills.Wait()
-			ents, err := os.ReadDir(d2)
-			if err != nil || len(ents) != 1 {
-				t.Fatalf("seed store: %d entries, %v", len(ents), err)
-			}
-			buf, err := os.ReadFile(filepath.Join(d2, ents[0].Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
+			buf := storeFile(t)
 			if err := os.WriteFile(path, buf[:len(buf)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
+		{"previous-version", func(t *testing.T, path string) {
+			writeVersionPatched(t, path, storeFile(t), store.Version-1)
+		}},
+		{"next-version", func(t *testing.T, path string) {
+			writeVersionPatched(t, path, storeFile(t), store.Version+1)
+		}},
 	}
+	// Misses are counted only while telemetry collects.
+	prev := telemetry.Activate(telemetry.NewCollector())
+	t.Cleanup(func() { telemetry.Activate(prev) })
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src := &countingSource{size: 96}
 			dir := t.TempDir()
 			r := newStoreRegistry(t, src.source(t), 1, dir, core.Options{})
 			tc.file(t, r.storePath(Key("a", 16)))
+			misses := cStoreMisses.Value()
 			submitRetry(t, r, "a", 16, 96)
+			if n := cStoreMisses.Value() - misses; n != 1 {
+				t.Fatalf("bad file: %d store misses counted, want 1", n)
+			}
 			if n := src.count(Key("a", 16)); n != 1 {
 				t.Fatalf("bad file: matrix generated %d times, want 1 fallback build", n)
 			}
@@ -182,6 +204,23 @@ func TestRegistryStoreBadFileFallsBack(t *testing.T) {
 				t.Fatal("bad store file was served")
 			}
 		})
+	}
+}
+
+// writeVersionPatched writes a well-formed store file whose header
+// claims another format version: it patches the header's version word
+// and re-seals the header CRC (the last four header bytes, CRC32-C over
+// the first 60), so the version check is the only thing the loader can
+// trip on.
+func writeVersionPatched(t *testing.T, path string, buf []byte, version uint32) {
+	t.Helper()
+	binary.LittleEndian.PutUint32(buf[8:12], version)
+	binary.LittleEndian.PutUint32(buf[60:64], crc32.Checksum(buf[:60], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Load(path); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("file patched to version %d loads with %v, want ErrVersion", version, err)
 	}
 }
 

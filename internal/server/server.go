@@ -302,6 +302,12 @@ type matricesResponse struct {
 	Resident []matrixInfo `json:"resident"`
 }
 
+// MaxBodyBytes caps a /v1/multiply request body, at the worker and at
+// the fleet router alike, so a body that works direct also works
+// through the fleet. A scale-1 circuit5M x vector is ~45MB of JSON
+// floats; 256MB leaves headroom while still bounding a hostile body.
+const MaxBodyBytes = 256 << 20
+
 func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.cfg.RetryAfter))
@@ -335,11 +341,18 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	// A scale-1 circuit5M x vector is ~45MB of JSON floats; 256MB leaves
-	// headroom while still bounding a hostile body.
-	r.Body = http.MaxBytesReader(w, r.Body, 256<<20)
+	// A declared oversize body is refused before any of it is read.
+	if r.ContentLength > MaxBodyBytes {
+		s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
+		return
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	var req multiplyRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
+			return
+		}
 		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

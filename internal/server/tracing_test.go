@@ -315,7 +315,13 @@ func TestServeTracedStagesSumUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A handler records its trace after writing the response, so the
+	// last few records can trail the clients by a moment.
 	snap := rec.Snapshot("")
+	for deadline := time.Now().Add(2 * time.Second); int(snap.TotalTraces) < clients*perClient && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		snap = rec.Snapshot("")
+	}
 	if int(snap.TotalTraces) != clients*perClient {
 		t.Fatalf("recorded %d traces, want %d", snap.TotalTraces, clients*perClient)
 	}

@@ -88,20 +88,6 @@ func f64OfBytes(b []byte, n int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
 }
 
-func bytesOfF32(s []float32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-}
-
-func f32OfBytes(b []byte, n int) []float32 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
-}
-
 func bytesOfRuns(s []kernel.DiaRun) []byte {
 	if len(s) == 0 {
 		return nil

@@ -96,22 +96,6 @@ func f64OfBytes(b []byte, n int) []float64 {
 	return s
 }
 
-func bytesOfF32(s []float32) []byte {
-	b := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
-	}
-	return b
-}
-
-func f32OfBytes(b []byte, n int) []float32 {
-	s := make([]float32, n)
-	for i := range s {
-		s[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return s
-}
-
 func bytesOfRuns(s []kernel.DiaRun) []byte {
 	b := make([]byte, diaRunBytes*len(s))
 	for i, r := range s {

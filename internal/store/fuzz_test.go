@@ -40,10 +40,10 @@ func fuzzSeedCases() []struct {
 		{"u32-only", scattered, core.Options{Index: core.IndexU32}},
 		{"force-dia", banded, core.Options{Index: core.IndexForceDia}},
 		{"palette", palette, core.Options{}},
-		{"f32", scattered, core.Options{Value: core.ValueForceF32, AllowF32Values: true}},
 		{"segsum", skewed, core.Options{Exec: core.ExecSegSum}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
-		{"reorder-auto", skewed, core.Options{Reorder: core.ReorderAuto}},
+		{"natural-order", skewed, core.Options{DisableReorder: true}},
+		{"palette-as-reference", palette, core.Options{Value: core.ValueReference}},
 	}
 }
 

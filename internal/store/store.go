@@ -42,7 +42,7 @@ import (
 // Version is the on-disk format version. Bump it on any layout or
 // semantic change; Load rejects every other version with ErrVersion,
 // and the CI store cache keys on it so stale caches die with the bump.
-const Version = 1
+const Version = 2
 
 const (
 	headerSize  = 64
@@ -97,7 +97,6 @@ var elemWidth = map[string]int64{
 	"u16":   2,
 	"i32":   4,
 	"f64":   8,
-	"f32":   4,
 	"u8":    1,
 	"dia8":  diaRunBytes,
 	"seg12": segBytes,
@@ -142,7 +141,6 @@ func sectionsOf(s *core.PreparedSnapshot) ([]rawSection, int64) {
 	add("diainel", "i64", bytesOfInts(s.DiaInel), len(s.DiaInel), s.DiaInel != nil)
 	add("palidx", "u8", s.PalIdx, len(s.PalIdx), s.PalIdx != nil)
 	add("pal", "f64", bytesOfF64(s.Pal), len(s.Pal), s.Pal != nil)
-	add("val32", "f32", bytesOfF32(s.Val32), len(s.Val32), s.Val32 != nil)
 	add("segs", "seg12", bytesOfSegs(s.Segs), len(s.Segs), s.Segs != nil)
 	return secs, off
 }
@@ -616,11 +614,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 		return nil, e
 	} else if ok {
 		snap.PalIdx = nonNil(u8OfBytes(b, n), n)
-	}
-	if b, n, ok, e := sec("val32", "f32"); e != nil {
-		return nil, e
-	} else if ok {
-		snap.Val32 = nonNil(f32OfBytes(b, n), n)
 	}
 	if b, n, ok, e := sec("segs", "seg12"); e != nil {
 		return nil, e

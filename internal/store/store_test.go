@@ -19,7 +19,9 @@ import (
 
 // snapCases spans the format matrix: every index stream (reference,
 // u32, u16+dia mix, forced dia) crossed with every value stream
-// (reference f64, palette, f32), plus the degenerate shapes.
+// (reference f64, palette), plus the degenerate shapes, the natural
+// order, a one-level partition and a palette-eligible matrix pinned to
+// the f64 stream.
 func snapCases() []struct {
 	name string
 	a    *sparse.CSR
@@ -41,11 +43,12 @@ func snapCases() []struct {
 		{"u32-only", algtest.Matrix("medium-random"), core.Options{Index: core.IndexU32}},
 		{"force-dia", algtest.Matrix("banded-fem"), core.Options{Index: core.IndexForceDia}},
 		{"palette", palette, core.Options{}},
-		{"f32", algtest.Matrix("medium-random"), core.Options{Value: core.ValueForceF32, AllowF32Values: true}},
 		{"segsum", algtest.Matrix("powerlaw"), core.Options{Exec: core.ExecSegSum}},
 		{"empty-rows", algtest.Matrix("alternating-empty"), core.Options{}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
-		{"reorder-auto", algtest.Matrix("powerlaw"), core.Options{Reorder: core.ReorderAuto}},
+		{"natural-order", algtest.Matrix("powerlaw"), core.Options{DisableReorder: true}},
+		{"one-level", algtest.Matrix("powerlaw"), core.Options{OneLevel: true}},
+		{"palette-as-reference", palette, core.Options{Value: core.ValueReference}},
 	}
 }
 
