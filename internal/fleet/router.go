@@ -181,9 +181,10 @@ func (e *routeError) Error() string { return fmt.Sprintf("upstream status %d", e
 
 // forward POSTs body to one backend for key, walking the failover
 // candidates on transport errors and retryable statuses (429, and 503 —
-// the draining signal). A non-retryable upstream answer is returned as
-// a routeError so the caller can relay it verbatim.
-func (rt *Router) forward(ctx context.Context, key, path string, body []byte, reqID string) ([]byte, error) {
+// the draining signal). The 200 answer is read into wb and returned; a
+// non-retryable upstream answer is returned as a routeError so the
+// caller can relay it verbatim.
+func (rt *Router) forward(ctx context.Context, key, path string, body []byte, reqID string, wb *server.WireBuf) ([]byte, error) {
 	backends := rt.opts.Backends()
 	if len(backends) == 0 {
 		return nil, &routeError{status: http.StatusServiceUnavailable, body: []byte(`{"error":"no live workers"}`)}
@@ -196,8 +197,8 @@ func (rt *Router) forward(ctx context.Context, key, path string, body []byte, re
 	var lastErr error
 	for i, addr := range cands {
 		if err := ctx.Err(); err != nil {
-			// Cancelled (client gone, or a sibling shard failed): no
-			// candidate can succeed now.
+			// Cancelled (client gone, or a sibling shard failed) or past
+			// the deadline: no candidate can succeed now.
 			return nil, err
 		}
 		if i > 0 {
@@ -219,7 +220,7 @@ func (rt *Router) forward(ctx context.Context, key, path string, body []byte, re
 			lastErr = err
 			continue
 		}
-		respBody, err := io.ReadAll(resp.Body)
+		respBody, err := wb.ReadBody(resp.Body, resp.ContentLength)
 		resp.Body.Close()
 		if err != nil {
 			lastErr = err
@@ -233,8 +234,12 @@ func (rt *Router) forward(ctx context.Context, key, path string, body []byte, re
 			lastErr = fmt.Errorf("%s: status %d", addr, resp.StatusCode)
 			continue
 		default:
-			return nil, &routeError{status: resp.StatusCode, body: respBody, header: resp.Header}
+			// Cloned: wb goes back to its pool before the error is relayed.
+			return nil, &routeError{status: resp.StatusCode, body: bytes.Clone(respBody), header: resp.Header}
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("no candidates")
@@ -254,7 +259,9 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", server.MaxBodyBytes)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
+	// Not pooled: the client may still read a request body it was handed
+	// after Do returns, so a forwarded body must outlive the handler.
+	body, err := server.ReadBody(nil, http.MaxBytesReader(w, r.Body, server.MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", server.MaxBodyBytes)
@@ -263,25 +270,31 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	var req struct {
-		Matrix string    `json:"matrix"`
-		Scale  int       `json:"scale"`
-		X      []float64 `json:"x"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	// Routing needs only the header fields; x stays text until a scatter
+	// has to slice it.
+	var req server.MultiplyRequest
+	if err := server.DecodeRequestHeader(body, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
 		return
 	}
 	if req.Scale == 0 {
 		req.Scale = rt.opts.DefaultScale
 	}
+	ctx := r.Context()
+	if req.TimeoutMs > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+		defer cancel()
+	}
 	key := fmt.Sprintf("%s@%d", req.Matrix, req.Scale)
 	reqID := r.Header.Get("X-Request-ID")
 	if count := rt.opts.Shards[key]; count > 1 {
-		rt.scatterMultiply(w, r, key, count, req.Matrix, req.Scale, req.X, reqID)
+		rt.scatterMultiply(ctx, w, key, count, body, &req, reqID)
 		return
 	}
-	resp, err := rt.forward(r.Context(), key, "/v1/multiply", body, reqID)
+	wb := server.GetWireBuf()
+	defer wb.Release()
+	resp, err := rt.forward(ctx, key, "/v1/multiply", body, reqID, wb)
 	if err != nil {
 		rt.relayError(w, key, err)
 		return
@@ -291,14 +304,23 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 
 // scatterMultiply fans one multiply out across the matrix's row-shards:
 // shard i goes to the ring owner of "key#i/count" with the usual
-// failover, carrying only the x slice its column window needs, and the
-// returned fragments gather into the full y. Every column window is
-// checked against x before any sub-request starts; the first failing shard
+// failover, carrying only the x slice its column window needs and the
+// time left before ctx's deadline, and the returned fragments gather
+// into the full y. x is parsed and every column window is checked
+// against it before any sub-request starts; the first failing shard
 // cancels its siblings, and the handler returns only after every
 // sub-request has exited.
-func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key string, count int, matrix string, scale int, x []float64, reqID string) {
+func (rt *Router) scatterMultiply(ctx context.Context, w http.ResponseWriter, key string, count int, body []byte, req *server.MultiplyRequest, reqID string) {
 	cRouterScatter.Add(1)
-	plan, err := rt.shardPlan(r.Context(), key, matrix, scale, count)
+	wb := server.GetWireBuf()
+	defer wb.Release()
+	var full server.MultiplyRequest
+	if err := wb.DecodeRequest(body, &full); err != nil {
+		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		return
+	}
+	x := full.X
+	plan, err := rt.shardPlan(ctx, key, req.Matrix, req.Scale, count)
 	if err != nil {
 		rt.relayError(w, key, err)
 		return
@@ -313,7 +335,7 @@ func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key st
 			rows = d.Row1 + 1
 		}
 	}
-	ctx, cancel := context.WithCancel(r.Context())
+	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		failOnce sync.Once
@@ -326,31 +348,41 @@ func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key st
 			cancel()
 		})
 	}
+	// Each shard's response and fragment live in its own pooled buffer
+	// until the gather below has read them.
+	bufs := make([]*server.WireBuf, count)
+	for i := range bufs {
+		bufs[i] = server.GetWireBuf()
+	}
+	defer func() {
+		for _, b := range bufs {
+			b.Release()
+		}
+	}()
 	parts := make([][]float64, count)
+	frags := make([]server.MultiplyResponse, count)
 	for i, d := range plan {
 		wg.Add(1)
 		go func(i int, d shard.Desc) {
 			defer wg.Done()
-			sub, err := json.Marshal(map[string]any{
-				"matrix": matrix, "scale": scale,
-				"shard_index": i, "shard_count": count,
-				"x": x[d.ColLo:d.ColHi],
+			sub, err := server.AppendRequest(nil, &server.MultiplyRequest{
+				Matrix: req.Matrix, Scale: req.Scale,
+				X:          x[d.ColLo:d.ColHi],
+				TimeoutMs:  remainingMs(ctx),
+				ShardIndex: i, ShardCount: count,
 			})
+			var respBody []byte
+			if err == nil {
+				respBody, err = rt.forward(ctx, fmt.Sprintf("%s#%d/%d", key, i, count), "/v1/multiply", sub, reqID, bufs[i])
+			}
+			if err == nil {
+				err = bufs[i].DecodeResponse(respBody, &frags[i])
+			}
 			if err != nil {
 				fail(err)
 				return
 			}
-			respBody, err := rt.forward(ctx, fmt.Sprintf("%s#%d/%d", key, i, count), "/v1/multiply", sub, reqID)
-			if err == nil {
-				var frag struct {
-					Y []float64 `json:"y"`
-				}
-				err = json.Unmarshal(respBody, &frag)
-				parts[i] = frag.Y
-			}
-			if err != nil {
-				fail(err)
-			}
+			parts[i] = frags[i].Y
 		}(i, d)
 	}
 	wg.Wait()
@@ -358,18 +390,37 @@ func (rt *Router) scatterMultiply(w http.ResponseWriter, r *http.Request, key st
 		rt.relayError(w, key, failErr)
 		return
 	}
-	y := make([]float64, rows)
+	// Cleared: a plan need not cover every row, and the buffer is reused.
+	y := wb.Floats(rows)
+	clear(y)
 	if err := shard.Gather(y, plan, parts); err != nil {
 		rt.relayError(w, key, err)
 		return
 	}
-	out, _ := json.Marshal(map[string]any{
-		"matrix": matrix, "scale": scale,
-		"rows": rows, "cols": len(x),
-		"shard_count": count,
-		"y":           y,
-	})
+	resp := server.MultiplyResponse{
+		Matrix: req.Matrix, Scale: req.Scale,
+		Rows: rows, Cols: len(x), ShardCount: count, Y: y,
+	}
+	for _, f := range frags {
+		resp.BatchNV = max(resp.BatchNV, f.BatchNV)
+	}
+	out, err := wb.EncodeResponse(&resp)
+	if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
 	writeJSONBytes(w, reqID, out)
+}
+
+// remainingMs is the time left before ctx's deadline in whole
+// milliseconds, at least 1, or 0 (the worker's default) when ctx has no
+// deadline.
+func remainingMs(ctx context.Context) int {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0
+	}
+	return int(max(time.Until(dl).Milliseconds(), 1))
 }
 
 // shardPlan fetches (and caches) the matrix's shard plan from any
@@ -475,6 +526,10 @@ func (rt *Router) relayError(w http.ResponseWriter, key string, err error) {
 		w.Write(re.body)
 		return
 	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		httpError(w, http.StatusGatewayTimeout, "deadline expired: %v", err)
+		return
+	}
 	httpError(w, http.StatusBadGateway, "%v", err)
 }
 
@@ -485,9 +540,8 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func writeJSONBytes(w http.ResponseWriter, reqID string, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
 	if reqID != "" {
 		w.Header().Set("X-Request-ID", reqID)
 	}
-	w.Write(body)
+	server.WriteJSON(w, body)
 }

@@ -576,3 +576,100 @@ func TestRouterBodyLimitMatchesWorker(t *testing.T) {
 		t.Fatalf("%d rejected bodies were forwarded", n)
 	}
 }
+
+// A stalled shard cannot hold a request past its timeout_ms: the router
+// runs the scatter under that deadline, hands each shard the time that
+// is left, answers 504 when it runs out, and leaves no goroutine behind.
+func TestRouterScatterForwardsDeadline(t *testing.T) {
+	var forwarded sync.Map // shard index -> timeout_ms the shard was sent
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/shardplan", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{"shards": []shard.Desc{
+			{Index: 0, Count: 2, Row0: 0, Row1: 0, ColLo: 0, ColHi: 10},
+			{Index: 1, Count: 2, Row0: 1, Row1: 1, ColLo: 10, ColHi: 20},
+		}})
+	})
+	mux.HandleFunc("/v1/multiply", func(w http.ResponseWriter, r *http.Request) {
+		var req struct {
+			TimeoutMs  int `json:"timeout_ms"`
+			ShardIndex int `json:"shard_index"`
+		}
+		json.NewDecoder(r.Body).Decode(&req)
+		forwarded.Store(req.ShardIndex, req.TimeoutMs)
+		select {
+		case <-r.Context().Done():
+		case <-time.After(5 * time.Second):
+		}
+	})
+	worker := httptest.NewServer(mux)
+	defer worker.Close()
+	rt, err := NewRouter(RouterOptions{
+		Backends: func() []string { return []string{workerAddr(worker)} },
+		Shards:   map[string]int{"m@1": 2},
+		Client:   &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+		Logf:     t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.shardPlan(context.Background(), "m@1", "m", 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+
+	t0 := time.Now()
+	w, _ := postMultiply(t, rt, `{"matrix":"m","scale":1,"timeout_ms":100,"x":[`+strings.Repeat("1,", 19)+`1]}`)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("router answered after %v: the 100ms deadline did not bound the scatter", d)
+	}
+	settleGoroutines(t, base)
+	for i := 0; i < 2; i++ {
+		ms, ok := forwarded.Load(i)
+		if !ok || ms.(int) < 1 || ms.(int) > 100 {
+			t.Fatalf("shard %d was sent timeout_ms %v, want the remaining 1..100", i, ms)
+		}
+	}
+}
+
+// A y that JSON cannot carry fails loudly instead of arriving as an
+// empty 200: a worker's non-finite y is relayed as its 422, and a
+// gather whose split-row partial sums overflow is the router's own 422.
+func TestRouterNonFiniteYIs422(t *testing.T) {
+	check := func(t *testing.T, w *httptest.ResponseRecorder, out map[string]any) {
+		t.Helper()
+		if w.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d (%d-byte body), want 422", w.Code, w.Body.Len())
+		}
+		if msg, _ := out["error"].(string); !strings.Contains(msg, "row") {
+			t.Fatalf("422 body %s does not name the row", w.Body.String())
+		}
+	}
+	t.Run("worker", func(t *testing.T) {
+		worker := newWorker(t)
+		rt, err := NewRouter(RouterOptions{Backends: func() []string { return []string{workerAddr(worker)} }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, gen.Representative("dawson5", 16).Cols)
+		for i := range x {
+			x[i] = 1.7e308
+		}
+		w, out := postMultiply(t, rt, mustBody(t, "dawson5", 16, x))
+		check(t, w, out)
+	})
+	t.Run("gather", func(t *testing.T) {
+		// Both shards hold part of row 0; each partial sum is finite.
+		worker := newPlanWorker(t, []shard.Desc{
+			{Index: 0, Count: 2, Row0: 0, Row1: 0, ColLo: 0, ColHi: 10},
+			{Index: 1, Count: 2, Row0: 0, Row1: 0, ColLo: 10, ColHi: 20},
+		}, func(w http.ResponseWriter, r *http.Request, i int) {
+			json.NewEncoder(w).Encode(map[string]any{"y": []float64{1.7e308}})
+		})
+		rt := scatterRouter(t, worker)
+		w, out := postMultiply(t, rt, mustBody(t, "m", 1, make([]float64, 20)))
+		check(t, w, out)
+	})
+}

@@ -232,33 +232,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-type multiplyRequest struct {
-	Matrix    string    `json:"matrix"`
-	Scale     int       `json:"scale"`
-	X         []float64 `json:"x"`
-	TimeoutMs int       `json:"timeout_ms"`
-	// ShardIndex/ShardCount select one row-shard of a ShardCount-way
-	// split (the fleet router's scatter path). Zero count (or 1) is a
-	// whole-matrix request; x must then have the shard's column-window
-	// width instead of the full column count.
-	ShardIndex int `json:"shard_index,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
-}
-
-type multiplyResponse struct {
-	Matrix  string    `json:"matrix"`
-	Scale   int       `json:"scale"`
-	Rows    int       `json:"rows"`
-	Cols    int       `json:"cols"`
-	BatchNV int       `json:"batch_nv"`
-	Y       []float64 `json:"y"`
-	// Shard echo: which row range the fragment in Y covers (the gather
-	// epilogue's sanity check). Present only on shard requests.
-	ShardIndex int `json:"shard_index,omitempty"`
-	ShardCount int `json:"shard_count,omitempty"`
-	Row0       int `json:"row0,omitempty"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -321,8 +294,8 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	var tr *tracing.Trace
 	if s.cfg.Recorder != nil {
 		// One span record per request, allocated at admission on the
-		// handler path (which already allocates the decode and response
-		// buffers); the flush path only fills preallocated fields. It is
+		// handler path (which already allocates the request's matrix
+		// name); the flush path only fills preallocated fields. It is
 		// handed to the recorder exactly once, after the status is known —
 		// never mutated afterwards, as the lock-free snapshot reader
 		// requires.
@@ -346,13 +319,19 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	var req multiplyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	wb := GetWireBuf()
+	defer wb.Release()
+	body, err := wb.ReadBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength)
+	if err != nil {
 		if errors.As(err, new(*http.MaxBytesError)) {
 			s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", MaxBodyBytes))
 			return
 		}
+		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return
+	}
+	var req MultiplyRequest
+	if err := wb.DecodeRequest(body, &req); err != nil {
 		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -409,7 +388,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	y := make([]float64, e.Rows)
+	y := wb.Floats(e.Rows)
 	nv, err := e.Batcher.SubmitTraced(ctx, y, req.X, tr)
 	if err != nil {
 		if tr != nil {
@@ -430,7 +409,7 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := multiplyResponse{
+	resp := MultiplyResponse{
 		Matrix: req.Matrix, Scale: req.Scale,
 		Rows: e.Rows, Cols: e.Cols, BatchNV: nv, Y: y,
 	}
@@ -439,8 +418,15 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		resp.ShardCount = e.Shard.Count
 		resp.Row0 = e.Shard.Row0
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	out, err := wb.EncodeResponse(&resp)
+	if err != nil {
+		if tr != nil {
+			tr.Err = err.Error()
+		}
+		s.reject(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
+	WriteJSON(w, out)
 }
 
 // handleShardPlan serves the deterministic shard plan of a matrix:
