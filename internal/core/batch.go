@@ -35,8 +35,8 @@ type batchScratch struct {
 	pending []atomic.Int32
 	// sums is the per-core kernel output block (len(regions)*MaxBlock,
 	// strided by MaxBlock). It lives in the pooled scratch rather than on
-	// run's stack so that passing it to the generic compressed block
-	// kernels cannot cost a per-call heap allocation.
+	// run's stack so that passing it to the generic block kernels cannot
+	// cost a per-call heap allocation.
 	sums []float64
 	// durNs is each slot's kernel time for the current call (see
 	// computeScratch.durNs).
@@ -73,67 +73,15 @@ func (s *batchScratch) run(id int) {
 	if reg.Lo >= reg.Hi {
 		return
 	}
-	if reg.SegSum {
-		s.runSegSum(id, reg)
-		return
-	}
 	tel := s.tel
 	t0 := time.Now()
-	h, Y, X, nv := p.h, s.Y, s.X, s.nv
-	un := p.unroll[id]
-	extra := s.extraVal[id*s.nvCap : id*s.nvCap+nv]
-	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
-	nnzDone, frags := 0, 0
-	r := reg.StartRow
-	pos := reg.Lo
-	for pos < reg.Hi {
-		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
-		fragEnd := rowEnd
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
-		}
-		if fragEnd > pos {
-			o := h.RowBeginNNZ[r]
-			lo := o + (pos - rowStart)
-			hi := o + (fragEnd - rowStart)
-			orig := h.Perm[r]
-			first := pos == rowStart
-			// Tile the vector block into MaxBlock-wide pieces, each
-			// served by one bit-exact fused pass over the fragment's
-			// value and column streams (sums[j] carries exactly the bits
-			// a single-vector Compute would produce).
-			for v0 := 0; v0 < nv; {
-				w := nv - v0
-				if w > kernel.MaxBlock {
-					w = kernel.MaxBlock
-				}
-				// Per-region format dispatch, same arms for every fragment
-				// and block of the region (bit-exact across formats).
-				if w == 1 {
-					sums[0] = p.dotFragment(reg.Format, reg.Val, r, lo, hi, un, X[v0])
-				} else {
-					p.dotFragmentBlock(reg.Format, reg.Val, r, lo, hi, un, X[v0:], sums[:w])
-				}
-				if first {
-					for j := 0; j < w; j++ {
-						Y[v0+j][orig] = sums[j]
-					}
-				} else {
-					copy(extra[v0:v0+w], sums[:w])
-				}
-				v0 += w
-			}
-			if !first {
-				// Continuation fragment: only the first row of a region
-				// can start mid-row, so one conflict slot per core.
-				s.extraRow[id] = orig
-			}
-			nnzDone += hi - lo
-			frags++
-			pos = fragEnd
-		}
-		r++
+	var frags int
+	if reg.Val == ValF64 {
+		frags = batchRegion(s, id, reg, p.mat.Val, nil)
+	} else {
+		frags = batchRegion(s, id, reg, p.values.palIdx, p.values.tab)
 	}
+	nnzDone := reg.Hi - reg.Lo
 	dur := time.Since(t0)
 	p.accum[id].ns.Add(int64(dur))
 	p.accum[id].nnz.Add(int64(nnzDone))
@@ -142,7 +90,7 @@ func (s *batchScratch) run(id int) {
 	cNNZValue[reg.Val].Add(int64(nnzDone))
 	if tel != nil {
 		ex := 0
-		if s.extraRow[id] >= 0 {
+		if reg.PatchCont || s.extraRow[id] >= 0 {
 			ex = 1
 		}
 		tel.RecordSpan(telemetry.Span{
@@ -153,10 +101,70 @@ func (s *batchScratch) run(id int) {
 	}
 }
 
+// walkBatchFragments is walkFragments over the vector block: each
+// fragment's streams are walked once per MaxBlock-wide tile of the
+// block by the register-blocked kernel (a width-1 tile takes the
+// single-vector kernel), and sums[j] carries exactly the bits a
+// single-vector Compute would produce. Returns the fragments processed.
+func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
+	p := s.p
+	h, st, Y, X, nv := p.h, &p.streams, s.Y, s.X, s.nv
+	dia := reg.Format == IndexDia
+	un := p.unroll[id]
+	extra := s.extraVal[id*s.nvCap : id*s.nvCap+nv]
+	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
+	frags := 0
+	for pos := lo; pos < hi; r++ {
+		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
+		fragEnd := min(rowEnd, hi)
+		if fragEnd <= pos {
+			continue
+		}
+		o := h.RowBeginNNZ[r]
+		klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
+		orig := h.Perm[r]
+		first := pos == rowStart
+		diaRow := dia && st.rowRun[r+1] > st.rowRun[r]
+		base := 0
+		if bases != nil {
+			base = bases[r]
+		}
+		for v0 := 0; v0 < nv; {
+			w := min(nv-v0, kernel.MaxBlock)
+			switch {
+			case diaRow && w == 1:
+				sums[0] = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), X[v0], klo, khi, un)
+			case diaRow:
+				kernel.DotDiaBlock(vals, pal, st.runs, int(st.rowRun[r]), X[v0:], sums[:w], klo, khi, un)
+			case w == 1:
+				sums[0] = kernel.Dot(vals, pal, col, base, X[v0], klo, khi, un)
+			default:
+				kernel.DotBlock(vals, pal, col, base, X[v0:], sums[:w], klo, khi, un)
+			}
+			if first {
+				for j := 0; j < w; j++ {
+					Y[v0+j][orig] = sums[j]
+				}
+			} else {
+				copy(extra[v0:v0+w], sums[:w])
+			}
+			v0 += w
+		}
+		if !first {
+			// Continuation fragment: only the first row of a region can
+			// start mid-row, so one conflict slot per core.
+			s.extraRow[id] = orig
+		}
+		frags++
+		pos = fragEnd
+	}
+	return frags
+}
+
 // ComputeBatch performs Y[v] = A * X[v] for a block of vectors with one
 // sweep over the matrix structure: each row fragment's value and column
 // streams are walked once per block of kernel.MaxBlock vectors by the
-// register-blocked kernel (DotRangeBlock), amortizing the index stream
+// register-blocked kernels (kernel.DotBlock), amortizing the index stream
 // the way block Krylov solvers and multi-source graph traversals expect.
 // The partition, reorder and extraY conflict handling are identical to
 // Compute (Algorithm 5), generalized to a vector block, and the

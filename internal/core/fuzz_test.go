@@ -198,8 +198,10 @@ func adjacencyReferenceSeed() []byte {
 // and the pluggable-format shapes: a forced-diagonal banded matrix with
 // an off-band defect row and a 0/1 adjacency matrix whose single-entry
 // palette straddles a region boundary (also pinned to the f64 value
-// reference), plus a scrambled band the short/long sort permutes and
-// forced segsum over a forced-diagonal or one-level partition.
+// reference), plus a scrambled band the short/long sort permutes,
+// forced segsum over a forced-diagonal or one-level partition, and the
+// adjacency matrix under forced segsum, whose segmented interiors read
+// the palette (checked bit for bit against the []int/f64 reference).
 func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{7, 7, 0})                                                                                                                 // 8x8, all rows empty
 	f.Add([]byte{0, 15, 1, 0, 0, 8, 0, 5, 16, 0, 11, 200})                                                                                 // single row, reorder off
@@ -216,6 +218,7 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add(shuffledBandSeed())                                                                                                              // scrambled band of 1-6 entry rows, base 4: sorted vs natural order
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...))                                                                              // forced dia under forced segsum
 	f.Add(append([]byte{5, 31, 131}, segsumMegaRowSeed()[3:]...))                                                                          // forced segsum mega-row, one-level partition, reorder off
+	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...))                                                                             // 0/1 adjacency under forced segsum: palette segmented interiors
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return // keep Prepare cost bounded
@@ -384,6 +387,7 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add(adjacencyReferenceSeed(), byte(8))                                                                                                                                                                   // 0/1 adjacency pinned to the f64 value reference, full block
 	f.Add(shuffledBandSeed(), byte(7))                                                                                                                                                                         // scrambled band, base 4 sort, block kernels
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...), byte(5))                                                                                                                                         // forced dia under forced segsum, batched
+	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under forced segsum: palette segmented interiors, batched
 	f.Fuzz(func(t *testing.T, data []byte, nvByte byte) {
 		if len(data) > 1<<12 {
 			return

@@ -255,7 +255,7 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		},
 		values: valueStreams{
 			format: snap.Meta.ValFormat, palIdx: snap.PalIdx,
-			pal: snap.Pal, distinct: snap.Meta.Distinct,
+			pal: snap.Pal, tab: paletteTable(snap.Pal), distinct: snap.Meta.Distinct,
 		},
 		segs: snap.Segs,
 		skew: snap.Meta.Skew,
@@ -270,8 +270,8 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		return nil, err
 	}
 	p.accum = make([]coreAccum, len(regions))
-	p.assignFormats(regions)
 	p.assignModes(regions)
+	p.assignFormats(regions)
 	p.regions.Store(&regions)
 	p.scratch.Store(p.newScratch())
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)

@@ -95,8 +95,8 @@ func (p *Prepared) Repartition(plan Plan) error {
 	// move: each moved region just re-picks the narrowest format all its
 	// rows still support and its execution mode (which rows are cut, and
 	// whether their groups patch in parallel).
-	p.assignFormats(regions)
 	p.assignModes(regions)
+	p.assignFormats(regions)
 	planCopy := plan
 	if plan.Weights != nil {
 		planCopy.Weights = append([]float64(nil), plan.Weights...)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"haspmv/internal/costmodel"
 	"haspmv/internal/exec"
@@ -20,13 +19,13 @@ import (
 // per row, which dominates when the typical row holds a handful of
 // nonzeros. Segmented execution removes both: each core runs its whole
 // interior rows from a flat 12-byte descriptor stream (the row loop
-// lives inside kernel.SegSum*), and rows cut across cores are resolved
+// lives inside kernel.SegSum), and rows cut across cores are resolved
 // by a *parallel patch* — the last core of a cut-row group to finish
 // adds the group's fragments into the destination row, coordinated by
 // one atomic counter per group, so no serial section remains.
 //
 // Everything here is bit-exact with the serial-epilogue path: the
-// segmented kernels reuse DotRange's dispatch thresholds and
+// segmented kernels reuse Dot's dispatch thresholds and
 // accumulator chains, and the patch adds a group's fragments in the
 // same ascending-region order the serial epilogue would have used, so
 // the float64 sums associate identically. The fuzz bit-equality stage
@@ -218,37 +217,25 @@ func (p *Prepared) SegSumNNZ() int64 {
 	return n
 }
 
-// runSegSum is one core's share of a Compute call in segmented mode:
+// segSumRegion is one core's share of a Compute call in segmented mode:
 // an optional leading continuation fragment, the interior whole rows
 // from the descriptor stream, an optional direct-stored trailing
 // fragment of a cut row this region heads, then the group patch
-// signals. The caller has already reset extraRow/durNs and rejected
-// empty regions.
-func (s *computeScratch) runSegSum(id int, reg Region) {
+// signals. It returns the fragments (rows) processed. The caller has
+// already reset extraRow/durNs and rejected empty regions.
+func segSumRegion[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id int, reg Region, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
 	p := s.p
-	tel := s.tel
-	t0 := time.Now()
-	h, mat, y, x := p.h, p.mat, s.y, s.x
-	st := &p.streams
-	un := p.unroll[id]
+	h := p.h
 	frags := 0
 	r0, r1 := reg.StartRow, reg.EndRow
 	// Leading continuation: the region starts mid-row, so its partial
 	// sum is a fragment — patched in parallel when the whole group is
 	// segmented, merged by the serial epilogue otherwise.
 	if reg.Lo > h.RowPtr[r0] {
-		rowStart := h.RowPtr[r0]
-		fragEnd := h.RowPtr[r0+1]
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
+		frags += walkFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, vals, pal, col, bases)
+		if reg.PatchCont {
+			s.extraRow[id] = -1 // the patch, not the epilogue, adds extraVal[id]
 		}
-		o := h.RowBeginNNZ[r0]
-		klo, khi := o+(reg.Lo-rowStart), o+(fragEnd-rowStart)
-		s.extraVal[id] = p.dotFragment(reg.Format, reg.Val, r0, klo, khi, un, x)
-		if !reg.PatchCont {
-			s.extraRow[id] = h.Perm[r0]
-		}
-		frags++
 		r0++
 	}
 	// Trailing fragment exists when the region's last row continues
@@ -260,28 +247,17 @@ func (s *computeScratch) runSegSum(id int, reg Region) {
 		rLast = r1 - 1
 	}
 	if r0 <= rLast {
-		// Interior rows always stream the f64 values (bit-identical under
-		// a palette). A diagonal region's interior runs on the u32 stream
-		// — descriptors amortize over long rows, segmented regions are
-		// short-row by selection.
-		segs := p.segs[r0 : rLast+1]
-		switch reg.Format {
-		case Index32, IndexDia:
-			frags += kernel.SegSum32(mat.Val, st.col32, x, y, segs, un)
-		case Index16:
-			frags += kernel.SegSum16Delta(mat.Val, st.col16, st.rowBase[r0:rLast+1], x, y, segs, un)
-		default:
-			frags += kernel.SegSum(mat.Val, mat.ColIdx, x, y, segs, un)
+		var segBases []int
+		if bases != nil {
+			segBases = bases[r0 : rLast+1]
 		}
+		frags += kernel.SegSum(vals, pal, col, segBases, s.x, s.y, p.segs[r0:rLast+1], p.unroll[id])
 	}
 	if tailClip {
-		o := h.RowBeginNNZ[r1]
-		khi := o + (reg.Hi - h.RowPtr[r1])
 		// This region owns the cut row's first fragment: direct store,
 		// exactly like the serial walk's pos==rowStart arm. The patch
 		// (or the epilogue) adds the continuations on top.
-		y[h.Perm[r1]] = p.dotFragment(reg.Format, reg.Val, r1, o, khi, un, x)
-		frags++
+		frags += walkFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, vals, pal, col, bases)
 	}
 	if reg.PatchCont {
 		s.patch(reg.ContFirst)
@@ -289,24 +265,7 @@ func (s *computeScratch) runSegSum(id int, reg Region) {
 	if reg.PatchHead {
 		s.patch(id)
 	}
-	nnzDone := reg.Hi - reg.Lo
-	dur := time.Since(t0)
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
-	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
-		extra := 0
-		if reg.PatchCont || s.extraRow[id] >= 0 {
-			extra = 1
-		}
-		tel.RecordSpan(telemetry.Span{
-			Name: "core", Core: reg.Core,
-			Start: t0.Sub(tel.Start()), Dur: dur,
-			NNZ: nnzDone, Fragments: frags, ExtraY: extra,
-		})
-	}
+	return frags
 }
 
 // patch is the parallel cut-row rendezvous for group g (the head
@@ -333,46 +292,21 @@ func (s *computeScratch) patch(g int) {
 	s.y[dst] = v
 }
 
-// runSegSum is the batch analogue: the same fragment skeleton with
-// every piece widened to the register-blocked kernels, tiled MaxBlock
-// vectors at a time (a width-1 tile takes the single-vector path, as
-// ComputeBatch's fragment walk does).
-func (s *batchScratch) runSegSum(id int, reg Region) {
+// batchSegSumRegion is the batch analogue of segSumRegion: the same
+// fragment skeleton with every piece widened to the register-blocked
+// kernels, tiled MaxBlock vectors at a time (a width-1 tile takes the
+// single-vector path, as ComputeBatch's fragment walk does).
+func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
 	p := s.p
-	tel := s.tel
-	t0 := time.Now()
-	h, mat, Y, X, nv := p.h, p.mat, s.Y, s.X, s.nv
-	st := &p.streams
-	un := p.unroll[id]
-	extra := s.extraVal[id*s.nvCap : id*s.nvCap+nv]
+	h, nv := p.h, s.nv
 	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
 	frags := 0
 	r0, r1 := reg.StartRow, reg.EndRow
 	if reg.Lo > h.RowPtr[r0] {
-		rowStart := h.RowPtr[r0]
-		fragEnd := h.RowPtr[r0+1]
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
+		frags += walkBatchFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, vals, pal, col, bases)
+		if reg.PatchCont {
+			s.extraRow[id] = -1 // the patch, not the epilogue, adds the slots
 		}
-		o := h.RowBeginNNZ[r0]
-		klo, khi := o+(reg.Lo-rowStart), o+(fragEnd-rowStart)
-		for v0 := 0; v0 < nv; {
-			w := nv - v0
-			if w > kernel.MaxBlock {
-				w = kernel.MaxBlock
-			}
-			if w == 1 {
-				sums[0] = p.dotFragment(reg.Format, reg.Val, r0, klo, khi, un, X[v0])
-			} else {
-				p.dotFragmentBlock(reg.Format, reg.Val, r0, klo, khi, un, X[v0:], sums[:w])
-			}
-			copy(extra[v0:v0+w], sums[:w])
-			v0 += w
-		}
-		if !reg.PatchCont {
-			s.extraRow[id] = h.Perm[r0]
-		}
-		frags++
 		r0++
 	}
 	tailClip := r0 <= r1 && reg.Hi < h.RowPtr[r1+1]
@@ -381,21 +315,14 @@ func (s *batchScratch) runSegSum(id int, reg Region) {
 		rLast = r1 - 1
 	}
 	if r0 <= rLast {
+		var segBases []int
+		if bases != nil {
+			segBases = bases[r0 : rLast+1]
+		}
 		segs := p.segs[r0 : rLast+1]
 		for v0 := 0; v0 < nv; {
-			w := nv - v0
-			if w > kernel.MaxBlock {
-				w = kernel.MaxBlock
-			}
-			var done int
-			switch reg.Format {
-			case Index32, IndexDia:
-				done = kernel.SegSumBlock32(mat.Val, st.col32, X[v0:], Y[v0:], sums[:w], segs, un)
-			case Index16:
-				done = kernel.SegSumBlock16Delta(mat.Val, st.col16, st.rowBase[r0:rLast+1], X[v0:], Y[v0:], sums[:w], segs, un)
-			default:
-				done = kernel.SegSumBlock(mat.Val, mat.ColIdx, X[v0:], Y[v0:], sums[:w], segs, un)
-			}
+			w := min(nv-v0, kernel.MaxBlock)
+			done := kernel.SegSumBlock(vals, pal, col, segBases, s.X[v0:], s.Y[v0:], sums[:w], segs, p.unroll[id])
 			if v0 == 0 {
 				frags += done
 			}
@@ -403,25 +330,7 @@ func (s *batchScratch) runSegSum(id int, reg Region) {
 		}
 	}
 	if tailClip {
-		o := h.RowBeginNNZ[r1]
-		khi := o + (reg.Hi - h.RowPtr[r1])
-		orig := h.Perm[r1]
-		for v0 := 0; v0 < nv; {
-			w := nv - v0
-			if w > kernel.MaxBlock {
-				w = kernel.MaxBlock
-			}
-			if w == 1 {
-				sums[0] = p.dotFragment(reg.Format, reg.Val, r1, o, khi, un, X[v0])
-			} else {
-				p.dotFragmentBlock(reg.Format, reg.Val, r1, o, khi, un, X[v0:], sums[:w])
-			}
-			for j := 0; j < w; j++ {
-				Y[v0+j][orig] = sums[j]
-			}
-			v0 += w
-		}
-		frags++
+		frags += walkBatchFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, vals, pal, col, bases)
 	}
 	if reg.PatchCont {
 		s.patch(reg.ContFirst)
@@ -429,24 +338,7 @@ func (s *batchScratch) runSegSum(id int, reg Region) {
 	if reg.PatchHead {
 		s.patch(id)
 	}
-	nnzDone := reg.Hi - reg.Lo
-	dur := time.Since(t0)
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
-	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
-		ex := 0
-		if reg.PatchCont || s.extraRow[id] >= 0 {
-			ex = 1
-		}
-		tel.RecordSpan(telemetry.Span{
-			Name: "batch-core", Core: reg.Core,
-			Start: t0.Sub(tel.Start()), Dur: dur,
-			NNZ: nnzDone, Fragments: frags, ExtraY: ex,
-		})
-	}
+	return frags
 }
 
 // patch is the batch-call group rendezvous: per vector, the same

@@ -234,3 +234,71 @@ func TestComputeSegSumZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// A segmented region walks its interior rows on a column stream and the
+// palette value stream, so it must be stamped and priced as exactly
+// that: never IndexDia (whose run descriptors no segmented kernel
+// reads), and with the 1-byte palette it actually streams. A 0/1
+// power-law matrix has enough runs of consecutive columns that the
+// cheapest-bytes choice would pick dia for some of its regions.
+func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
+	a := gen.ZipfSpec{Rows: 200000, Cols: 200000, TargetNNZ: 600000, Seed: 1}.Generate()
+	for i := range a.Val {
+		a.Val[i] = 1
+	}
+	m := amp.IntelI912900KF()
+	pp, err := New(Options{}).Prepare(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pp.(*Prepared)
+	if vs := p.ValueStats(); vs.Format != ValPalette {
+		t.Fatalf("value format %v, want palette", vs.Format)
+	}
+	var segRegions, wantIdx int
+	for i, r := range p.Regions() {
+		if !r.SegSum {
+			continue
+		}
+		segRegions++
+		if r.Format == IndexDia {
+			t.Errorf("segmented region %d stamped %v", i, r.Format)
+		}
+		if r.Val != ValPalette {
+			t.Errorf("segmented region %d value format %v, want palette", i, r.Val)
+		}
+	}
+	if segRegions == 0 {
+		t.Fatal("auto picked no segmented region on a power-law matrix")
+	}
+	s := p.IndexStats()
+	if s.NNZByFormat[IndexDia] != 0 {
+		t.Errorf("%d nonzeros priced as dia", s.NNZByFormat[IndexDia])
+	}
+	for _, r := range p.Regions() {
+		wantIdx += (r.Hi - r.Lo) * r.Format.BytesPerIndex()
+	}
+	if s.StreamIndexBytes != wantIdx {
+		t.Errorf("StreamIndexBytes %d, want %d", s.StreamIndexBytes, wantIdx)
+	}
+
+	// The palette interiors reproduce the []int/f64 serial oracle's bits.
+	rp, err := New(Options{Index: IndexReference, Value: ValueReference, Exec: ExecSerial,
+		PProportion: p.Plan().PProportion}).Prepare(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, a.Cols)
+	for i := range x {
+		x[i] = 1 + float64(i%7)/7
+	}
+	y := make([]float64, a.Rows)
+	want := make([]float64, a.Rows)
+	p.Compute(y, x)
+	rp.Compute(want, x)
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("y[%d] = %x, reference %x", i, math.Float64bits(y[i]), math.Float64bits(want[i]))
+		}
+	}
+}

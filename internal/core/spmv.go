@@ -156,8 +156,8 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	}
 	p.skew = costmodel.ComputeRowSkew(mat.RowPtr)
 	p.buildSegments()
-	p.assignFormats(regions)
 	p.assignModes(regions)
+	p.assignFormats(regions)
 	p.regions.Store(&regions)
 	p.scratch.Store(p.newScratch())
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
@@ -371,45 +371,15 @@ func (s *computeScratch) run(id int) {
 	if reg.Lo >= reg.Hi {
 		return
 	}
-	if reg.SegSum {
-		s.runSegSum(id, reg)
-		return
-	}
 	tel := s.tel
 	t0 := time.Now()
-	h, y, x := p.h, s.y, s.x
-	un := p.unroll[id]
-	nnzDone, frags := 0, 0
-	r := reg.StartRow
-	pos := reg.Lo
-	for pos < reg.Hi {
-		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
-		fragEnd := rowEnd
-		if fragEnd > reg.Hi {
-			fragEnd = reg.Hi
-		}
-		if fragEnd > pos {
-			o := h.RowBeginNNZ[r]
-			klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
-			// Per-region format dispatch: the branches take the same arm
-			// for every fragment of the region, so they predict perfectly.
-			sum := p.dotFragment(reg.Format, reg.Val, r, klo, khi, un, x)
-			if pos == rowStart {
-				// This core owns the row's first fragment: direct
-				// store (Algorithm 5's y[pl[id]] = kernel(...)).
-				y[h.Perm[r]] = sum
-			} else {
-				// Continuation fragment: only the first row of a
-				// region can start mid-row.
-				s.extraRow[id] = h.Perm[r]
-				s.extraVal[id] = sum
-			}
-			nnzDone += fragEnd - pos
-			frags++
-			pos = fragEnd
-		}
-		r++
+	var frags int
+	if reg.Val == ValF64 {
+		frags = computeRegion(s, id, reg, p.mat.Val, nil)
+	} else {
+		frags = computeRegion(s, id, reg, p.values.palIdx, p.values.tab)
 	}
+	nnzDone := reg.Hi - reg.Lo
 	dur := time.Since(t0)
 	// Always-on signal for the adapter: per-slot busy nanoseconds and
 	// nonzeros, independent of the gated telemetry collector.
@@ -420,7 +390,7 @@ func (s *computeScratch) run(id int) {
 	cNNZValue[reg.Val].Add(int64(nnzDone))
 	if tel != nil {
 		extra := 0
-		if s.extraRow[id] >= 0 {
+		if reg.PatchCont || s.extraRow[id] >= 0 {
 			extra = 1
 		}
 		tel.RecordSpan(telemetry.Span{
@@ -429,6 +399,52 @@ func (s *computeScratch) run(id int) {
 			NNZ: nnzDone, Fragments: frags, ExtraY: extra,
 		})
 	}
+}
+
+// walkFragments is the per-fragment walk of Algorithm 5 over reordered
+// positions [lo, hi), starting at row r, through the region's value and
+// column streams: one dot product per row fragment, stored directly
+// when the fragment starts its row and into the core's conflict slot
+// otherwise (only a region's first row can start mid-row). bases holds
+// the per-row u16 delta base columns (nil for other streams); in a dia
+// region the rows with run descriptors take the descriptor kernel and
+// the others the u32 stream in col. Returns the fragments processed.
+func walkFragments[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id int, reg Region, lo, hi, r int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
+	p := s.p
+	h, st, y, x := p.h, &p.streams, s.y, s.x
+	dia := reg.Format == IndexDia
+	un := p.unroll[id]
+	frags := 0
+	for pos := lo; pos < hi; r++ {
+		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
+		fragEnd := min(rowEnd, hi)
+		if fragEnd <= pos {
+			continue
+		}
+		o := h.RowBeginNNZ[r]
+		klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
+		var sum float64
+		if dia && st.rowRun[r+1] > st.rowRun[r] {
+			sum = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), x, klo, khi, un)
+		} else {
+			base := 0
+			if bases != nil {
+				base = bases[r]
+			}
+			sum = kernel.Dot(vals, pal, col, base, x, klo, khi, un)
+		}
+		if pos == rowStart {
+			// This core owns the row's first fragment: direct store
+			// (Algorithm 5's y[pl[id]] = kernel(...)).
+			y[h.Perm[r]] = sum
+		} else {
+			s.extraRow[id] = h.Perm[r]
+			s.extraVal[id] = sum
+		}
+		frags++
+		pos = fragEnd
+	}
+	return frags
 }
 
 // Format exposes the HACSR view.

@@ -33,8 +33,9 @@ import (
 //
 // The []int stream is kept as the fallback and as the reference oracle
 // the fuzz bit-equality stage compares against; results are
-// bit-identical across formats because the compressed kernels reproduce
-// the []int accumulator chains over the same operand values.
+// bit-identical across formats because every stream runs the same
+// kernel body, instantiated per column type, over the same operand
+// values.
 
 // Stream-build telemetry (no-ops while telemetry is disabled).
 var (
@@ -129,9 +130,9 @@ const (
 	// narrower formats.
 	IndexU32
 	// IndexForceDia builds the same streams as IndexAuto but assigns
-	// IndexDia to every region whenever any row qualified (ineligible
-	// rows still take the per-row u32 fallback); used by the fuzz
-	// targets and benchmarks to pin the diagonal path.
+	// IndexDia to every region not running segmented whenever any row
+	// qualified (ineligible rows still take the per-row u32 fallback);
+	// used by the fuzz targets and benchmarks to pin the diagonal path.
 	IndexForceDia
 )
 
@@ -161,7 +162,7 @@ const maxSpan16 = math.MaxUint16
 // does not see, and how much depends on the row's run structure:
 //
 //   - A single-run row executes through the branch-free contiguous
-//     kernels of diag_contig.go; its only overhead is the per-row
+//     contiguous path of kernel/diag.go; its only overhead is the per-row
 //     skip-and-reslice preamble, which a 4-nonzero row cannot amortize.
 //     Measured on short-banded matrices (single runs of ~5), the byte
 //     bound picked dia and ran ~25% slower than the u16 stream; runs of
@@ -467,7 +468,11 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 	if r.Lo >= r.Hi {
 		return Index32
 	}
-	if p.opts.Index == IndexForceDia && st.runs != nil {
+	// Segmented regions walk their interior rows on a column stream (the
+	// segmented kernels have no descriptor decoder), so they never take
+	// IndexDia: it would price run descriptors no kernel reads.
+	dia := st.runs != nil && !r.SegSum
+	if p.opts.Index == IndexForceDia && dia {
 		return IndexDia
 	}
 	last := rowOfPosition(p.h, r.Hi-1)
@@ -478,7 +483,7 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 			best, bestBytes = Index16, b
 		}
 	}
-	if st.runs != nil {
+	if dia {
 		runsIn := int64(st.rowRun[last+1] - st.rowRun[r.StartRow])
 		inel := int64(st.diaInel[last+1] - st.diaInel[r.StartRow])
 		if runsIn > 0 {
@@ -492,7 +497,8 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 
 // assignFormats stamps every region with its index format and the
 // instance's value format, and refreshes the partition-level stream
-// gauges. It runs at Prepare and after every Repartition, before the
+// gauges. It runs at Prepare and after every Repartition, after
+// assignModes (a segmented region never takes IndexDia) and before the
 // regions slice is published: boundary moves never rebuild streams,
 // they only re-pick formats, and a region that comes to straddle a
 // u16-ineligible row falls back to the cheapest format its new row set
@@ -536,10 +542,7 @@ func (p *Prepared) assignFormats(regions []Region) {
 	// built stream's width plus the palette table, indexes at the
 	// assigned widths, row pointers) for the per-multiply
 	// effective-bandwidth gauge; runs before the regions are published,
-	// so multiplies always see a price matching their formats. SegSum
-	// interiors keep streaming f64 values under a palette (the table
-	// entry is the stored float64, so both reads are the same number) —
-	// the narrower width is the modeled approximation there.
+	// so multiplies always see a price matching their formats.
 	pm := costmodel.DefaultParams()
 	valBytes := int64(p.mat.NNZ()) * int64(pm.ValBytes)
 	if vf != ValF64 {

@@ -87,9 +87,11 @@ func (m ValueMode) String() string {
 type valueStreams struct {
 	format ValueFormat
 	// palIdx/pal are the palette stream (format ValPalette): Val[k] ==
-	// pal[palIdx[k]] bit for bit.
+	// pal[palIdx[k]] bit for bit. tab is pal padded to PaletteMax
+	// entries, the form the kernels index without a bounds check.
 	palIdx []uint8
 	pal    []float64
+	tab    *[PaletteMax]float64
 	// distinct counts the distinct value bit patterns discovered;
 	// PaletteMax+1 means the count aborted (more than PaletteMax).
 	distinct int
@@ -134,6 +136,7 @@ func buildValues(a *sparse.CSR, mode ValueMode) valueStreams {
 	// map lookups are safe; the table is complete).
 	vs.format = ValPalette
 	vs.pal = pal
+	vs.tab = paletteTable(pal)
 	vs.palIdx = make([]uint8, nnz)
 	exec.ParallelRanges(nnz, prepWidth(), prepGrain, func(_, lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -141,6 +144,17 @@ func buildValues(a *sparse.CSR, mode ValueMode) valueStreams {
 		}
 	})
 	return vs
+}
+
+// paletteTable pads a palette to the PaletteMax-entry table the kernels
+// read (nil for no palette).
+func paletteTable(pal []float64) *[PaletteMax]float64 {
+	if len(pal) == 0 {
+		return nil
+	}
+	var tab [PaletteMax]float64
+	copy(tab[:], pal)
+	return &tab
 }
 
 // ValueStats summarizes the value stream of the instance.

