@@ -18,8 +18,8 @@
 // a palette entry is the very float64 the matrix stores, so all of them
 // produce the same IEEE-754 bits as DotRange over the decoded columns
 // and values. That order is the bit-identity contract the serving
-// batcher and the fuzz oracles depend on; TestKernelsMatchChainOracle
-// pins every instantiation against an independent statement of it.
+// batcher and the fuzz oracles depend on; the tests in oracle_test.go
+// pin every instantiation against an independent statement of it.
 package kernel
 
 import "unsafe"

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// The differential test below runs every kernel instantiation — index
+// The differential tests below run every kernel instantiation — index
 // stream {int, u32, u16 delta, dia runs} × value stream {f64, palette} ×
 // {single, block} × {fragment, segsum} — against chainOracle, an
 // independent statement of Algorithm 6's accumulation order that shares
-// no code with the kernels, and demands equal float64 bits. The kernels
+// no code with the kernels, and demand equal float64 bits. Each test
+// takes one family of instantiations (see family). The kernels
 // themselves share one body per shape, so comparing one instantiation
 // with another would only compare the code with itself.
 
@@ -287,13 +288,75 @@ func oracleData() []*kernelData {
 	}
 }
 
-// TestKernelsMatchChainOracle checks every kernel instantiation bit for
-// bit against chainOracle, over lengths 0-3, 4, unrollLen-1..unrollLen+1
-// and past one block tile, fragments that start mid-run or span several
-// runs, and every block width.
-func TestKernelsMatchChainOracle(t *testing.T) {
+// family names the test that checks kernel table entry e against the
+// oracle. Every entry has exactly one family, and each family below is
+// one test, so the tests together cover the whole table.
+func family(e kernelEntry) string {
+	suffix := "BitIdentical"
+	if e.block {
+		suffix = "BlockBitIdentical"
+	}
+	switch {
+	case e.valBytes == 1:
+		return "TestValueStreams" + suffix
+	case e.seg != nil:
+		return "TestSegSum" + suffix
+	case e.idx == "dia":
+		return "TestDiag" + suffix
+	case e.idx == "u32" || e.idx == "u16":
+		return "TestCompressed" + suffix
+	case e.block:
+		return "TestBlockKernelBitIdenticalToDotRange"
+	}
+	return "TestKernelsMatchChainOracle"
+}
+
+// TestKernelsMatchChainOracle checks the []int × float64 single-vector
+// gather (DotRange's instantiation) against chainOracle.
+func TestKernelsMatchChainOracle(t *testing.T) { checkFamily(t) }
+
+// TestBlockKernelBitIdenticalToDotRange checks the []int × float64 block
+// gather against chainOracle, and so against DotRange's bits, at every
+// block width.
+func TestBlockKernelBitIdenticalToDotRange(t *testing.T) { checkFamily(t) }
+
+// TestCompressedBitIdentical and TestCompressedBlockBitIdentical check
+// the u32 and u16-delta gathers over float64 values.
+func TestCompressedBitIdentical(t *testing.T)      { checkFamily(t) }
+func TestCompressedBlockBitIdentical(t *testing.T) { checkFamily(t) }
+
+// TestDiagBitIdentical and TestDiagBlockBitIdentical check the diagonal
+// run walkers over float64 values, including fragments that start
+// mid-run and fragments inside one run.
+func TestDiagBitIdentical(t *testing.T)      { checkFamily(t) }
+func TestDiagBlockBitIdentical(t *testing.T) { checkFamily(t) }
+
+// TestSegSumBitIdentical and TestSegSumBlockBitIdentical check the
+// segmented kernels over float64 values on every column stream.
+func TestSegSumBitIdentical(t *testing.T)      { checkFamily(t) }
+func TestSegSumBlockBitIdentical(t *testing.T) { checkFamily(t) }
+
+// TestValueStreamsBitIdentical and TestValueStreamsBlockBitIdentical
+// check every palette instantiation: gathers, dia runs and segments.
+func TestValueStreamsBitIdentical(t *testing.T)      { checkFamily(t) }
+func TestValueStreamsBlockBitIdentical(t *testing.T) { checkFamily(t) }
+
+// checkFamily checks the kernel table entries of the calling test's
+// family bit for bit against chainOracle, over lengths 0-3, 4,
+// unrollLen-1..unrollLen+1 and past one block tile, fragments that start
+// mid-run or span several runs, and every block width.
+func checkFamily(t *testing.T) {
+	t.Helper()
+	var tab []kernelEntry
+	for _, e := range kernelTable() {
+		if family(e) == t.Name() {
+			tab = append(tab, e)
+		}
+	}
+	if len(tab) == 0 {
+		t.Fatalf("no kernel table entries in family %s", t.Name())
+	}
 	data := oracleData()
-	tab := kernelTable()
 	unrolls := []int{4, 32, DefaultUnrollThreshold, 1 << 30}
 	for di, d := range data {
 		for _, un := range unrolls {
