@@ -281,9 +281,9 @@ func (rt *Router) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		req.Scale = rt.opts.DefaultScale
 	}
 	ctx := r.Context()
-	if req.TimeoutMs > 0 {
+	if t := req.Timeout(); t > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
 	key := fmt.Sprintf("%s@%d", req.Matrix, req.Scale)

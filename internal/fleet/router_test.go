@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -630,6 +631,38 @@ func TestRouterScatterForwardsDeadline(t *testing.T) {
 		ms, ok := forwarded.Load(i)
 		if !ok || ms.(int) < 1 || ms.(int) > 100 {
 			t.Fatalf("shard %d was sent timeout_ms %v, want the remaining 1..100", i, ms)
+		}
+	}
+}
+
+// A timeout_ms too large to be a time.Duration in nanoseconds bounds a
+// routed request by a long deadline, unsharded and scattered, where an
+// overflowed one would expire at once (504).
+func TestRouterLargeTimeoutIsALongDeadline(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("timeout_ms past the int range of a 32-bit build is a 400")
+	}
+	const name, scale = "dawson5", 16
+	backends := []string{workerAddr(newWorker(t)), workerAddr(newWorker(t))}
+	x := make([]float64, gen.Representative(name, scale).Cols)
+	xs, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		rt, err := NewRouter(RouterOptions{
+			Backends: func() []string { return backends },
+			Shards:   map[string]int{fmt.Sprintf("%s@%d", name, scale): shards},
+			Logf:     t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ms := range []string{"9223372036854775", "4611686018427387904"} {
+			body := fmt.Sprintf(`{"matrix":%q,"scale":%d,"timeout_ms":%s,"x":%s}`, name, scale, ms, xs)
+			if w, _ := postMultiply(t, rt, body); w.Code != http.StatusOK {
+				t.Fatalf("%d shard(s), timeout_ms %s: status %d (%.80s), want 200", shards, ms, w.Code, w.Body.String())
+			}
 		}
 	}
 }

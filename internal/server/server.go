@@ -347,8 +347,8 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 		req.Scale = s.cfg.DefaultScale
 	}
 	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMs > 0 {
-		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
+	if t := req.Timeout(); t > 0 {
+		timeout = t
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

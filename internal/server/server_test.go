@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -308,6 +309,26 @@ func TestServeDeadlineExpiresInQueue(t *testing.T) {
 	}
 	if got := <-first; got != http.StatusOK {
 		t.Fatalf("held request finished with %d, want 200", got)
+	}
+}
+
+// A timeout_ms too large to be a time.Duration in nanoseconds is a
+// long deadline, not an overflowed one that expires at once (504).
+func TestServeLargeTimeoutIsALongDeadline(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("timeout_ms past the int range of a 32-bit build is a 400")
+	}
+	_, ts := newTestServer(t, Config{DefaultScale: 64})
+	x := make([]float64, gen.Representative("dawson5", 64).Cols)
+	xs, err := json.Marshal(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ms := range []string{"9223372036854775", "4611686018427387904"} {
+		body := `{"matrix":"dawson5","timeout_ms":` + ms + `,"x":` + string(xs) + `}`
+		if resp, out := postMultiplyRaw(t, ts.URL, []byte(body)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("timeout_ms %s: status %d (%.80s), want 200", ms, resp.StatusCode, out)
+		}
 	}
 }
 

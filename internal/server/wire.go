@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // This file is the only code that knows the /v1/multiply body format;
@@ -17,14 +18,15 @@ import (
 // Decoding runs one forward scan over the buffered body that handles the
 // shape clients send: an object of the known keys, each at most once,
 // exact lower-case names, escape-free ASCII strings and numbers in the
-// strict JSON grammar, parsed by the same strconv calls encoding/json
-// makes. Anything else — an escape, an unknown or differently-cased key,
-// a duplicate, null, a number strconv rejects — falls back to
-// json.Decoder on the same bytes, so every body gets exactly the values
-// and the accept/reject decision that encoding/json gives it, error
-// text included. Encoding writes the bytes json.Encoder would write,
-// trailing newline included; a non-finite value, which JSON cannot
-// carry, is an error naming its row.
+// strict JSON grammar, converted to the values encoding/json's strconv
+// calls give (float.go does the floats in the same pass). Anything else
+// — an escape, an unknown or differently-cased key, a duplicate, null,
+// a number strconv rejects — falls back to json.Decoder on the same
+// bytes, so every body gets exactly the values and the accept/reject
+// decision that encoding/json gives it, error text included. Encoding
+// writes the bytes json.Encoder would write, trailing newline included;
+// a non-finite value, which JSON cannot carry, is an error naming its
+// row.
 
 // MultiplyRequest is the /v1/multiply request body.
 type MultiplyRequest struct {
@@ -38,6 +40,21 @@ type MultiplyRequest struct {
 	// width instead of the full column count.
 	ShardIndex int `json:"shard_index,omitempty"`
 	ShardCount int `json:"shard_count,omitempty"`
+}
+
+// Timeout returns timeout_ms as a duration, 0 when it is not positive.
+// A value past the largest time.Duration saturates there instead of
+// overflowing into an already-expired deadline. The worker and the
+// router both bound a request by it.
+func (r *MultiplyRequest) Timeout() time.Duration {
+	ms := int64(r.TimeoutMs)
+	switch {
+	case ms <= 0:
+		return 0
+	case ms > math.MaxInt64/int64(time.Millisecond):
+		return math.MaxInt64
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // MultiplyResponse is the /v1/multiply response body.
@@ -258,33 +275,16 @@ func appendFloats(b []byte, vs []float64) ([]byte, int) {
 	}
 	b = append(b, '[')
 	for i, v := range vs {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
+		bits := math.Float64bits(v)
+		if bits>>52&0x7FF == 0x7FF { // Inf or NaN
 			return b, i
 		}
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(b, v)
+		b = appendFloat(b, bits)
 	}
 	return append(b, ']'), -1
-}
-
-// appendFloat is encoding/json's float64 rule: the shortest round-trip
-// digits, in 'f' form unless |v| < 1e-6 or |v| >= 1e21, whose 'e' form
-// drops the exponent's leading zero (e-09 becomes e-9).
-func appendFloat(b []byte, v float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // scanner is the decode fast path. Every method reports false, leaving
@@ -491,9 +491,9 @@ func (s *scanner) int(dst *int) bool {
 }
 
 // floats scans an array of numbers. With parse set it appends each,
-// parsed by strconv.ParseFloat as encoding/json does, to dst; an empty
-// array then yields an empty, non-nil slice, as it does for
-// encoding/json. Without it the numbers are only grammar-checked.
+// converted to the value encoding/json's strconv.ParseFloat gives, to
+// dst; an empty array then yields an empty, non-nil slice, as it does
+// for encoding/json. Without it the numbers are only grammar-checked.
 func (s *scanner) floats(dst []float64, parse bool) ([]float64, bool) {
 	if !s.lit('[') {
 		return nil, false
@@ -505,16 +505,14 @@ func (s *scanner) floats(dst []float64, parse bool) ([]float64, bool) {
 		return dst, true
 	}
 	for {
-		tok, ok := s.number()
-		if !ok {
-			return nil, false
-		}
 		if parse {
-			v, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
+			v, ok := s.float()
+			if !ok {
 				return nil, false
 			}
 			dst = append(dst, v)
+		} else if _, ok := s.number(); !ok {
+			return nil, false
 		}
 		if !s.lit(',') {
 			return dst, s.lit(']')

@@ -65,6 +65,9 @@ func FuzzMultiplyCodec(f *testing.F) {
 		" { \"matrix\" :\t\"dawson5\" ,\r\n \"scale\" : 16 , \"x\" : [ 1 , 2 ] } ",
 		// Signed zero, subnormals, and both sides of each float-format cutoff.
 		`{"matrix":"m","x":[-0,5e-324,2.2250738585072014e-308,1e-7,1e-6,9.99e20,1e21,1e308,-1E+2]}`,
+		// Fraction runs of eight digits and more, 19 and 20 significant
+		// digits, and an exponent past strconv's saturation point.
+		`{"matrix":"m","x":[0.12345678901234567,1.2345678901234567e-5,0.0000000012345678901234567,1234567890.123456789,1.00000000000000000001,0e10000]}`,
 		// Out of float64 range: rejected.
 		`{"matrix":"m","x":[1e999]}`,
 		// An escaped name and a raw HTML-character name.
@@ -219,4 +222,67 @@ func TestServeNonFiniteYIs422(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, "row") {
 		t.Fatalf("422 body %q does not name the row", body)
 	}
+}
+
+var wireSink int
+
+// BenchmarkWireCodec prices the codec on a serve-json-shaped body: 125k
+// x values 0.5+rng.Float64(), about 2.35 MB of JSON. decode is the
+// worker's DecodeRequest, encode its EncodeResponse of the same values
+// as y, and header the router's DecodeRequestHeader.
+func BenchmarkWireCodec(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := make([]float64, 125_000)
+	for i := range x {
+		x[i] = 0.5 + rng.Float64()
+	}
+	body, err := json.Marshal(MultiplyRequest{Matrix: "webbase-1M", Scale: 8, X: x, TimeoutMs: 500})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := MultiplyResponse{Matrix: "webbase-1M", Scale: 8, Rows: len(x), Cols: len(x), BatchNV: 1, Y: x}
+	b.Run("decode", func(b *testing.B) {
+		wb := new(WireBuf)
+		var req MultiplyRequest
+		if err := wb.DecodeRequest(body, &req); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := wb.DecodeRequest(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			wireSink += len(req.X)
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		wb := new(WireBuf)
+		enc, err := wb.EncodeResponse(&resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(enc)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			enc, err := wb.EncodeResponse(&resp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wireSink += len(enc)
+		}
+	})
+	b.Run("header", func(b *testing.B) {
+		var req MultiplyRequest
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := DecodeRequestHeader(body, &req); err != nil {
+				b.Fatal(err)
+			}
+			wireSink += req.Scale
+		}
+	})
 }
