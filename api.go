@@ -246,7 +246,7 @@ func (h *Handle) Matrix() *Matrix { return h.matrix }
 
 // MultiplyBatch computes Y[v] = A*X[v] for a block of vectors, using the
 // fused multi-vector path when the algorithm provides one. HASpMV walks
-// each row fragment's value and index streams once per block of up to 8
+// each region's value and index streams once per block of up to 8
 // vectors through register-blocked kernels (one accumulator per vector),
 // and pools its workspace on the handle so the steady-state path is
 // allocation-free for any batch size. Every X[v] must have length Cols()

@@ -358,6 +358,10 @@ func BenchmarkComputeTraced(b *testing.B) {
 // (register-blocked kernels walking the index stream once per block of
 // vectors) against nv independent Multiply calls on a banded matrix,
 // where the value/index streams dominate and amortizing them pays most.
+// The fused-nv1 and fused-nv9 rows run webbase-1M@2, whose auto
+// dispatch segments its regions, so the width-1 tile a lone vector or a
+// 9-vector batch's remainder takes (SegSum rather than SegSumBlock) is
+// priced on the segmented path.
 func BenchmarkComputeBatch(b *testing.B) {
 	m := haspmv.IntelI912900KF()
 	a := haspmv.Representative("shipsec1", 16)
@@ -393,6 +397,38 @@ func BenchmarkComputeBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(flops(nv)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+		})
+	}
+
+	web := haspmv.Representative("webbase-1M", 2)
+	prep, err := haspmvcore.New(haspmvcore.Options{}).Prepare(m, web)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hp := prep.(*haspmvcore.Prepared)
+	if hp.SegSumNNZ() == 0 {
+		b.Fatal("webbase-1M@2 auto dispatch segmented no region")
+	}
+	for _, nv := range []int{1, 9} {
+		X := make([][]float64, nv)
+		Y := make([][]float64, nv)
+		for v := range X {
+			X[v] = make([]float64, web.Cols)
+			for i := range X[v] {
+				X[v][i] = 1 + float64((i+v)%7)/7
+			}
+			Y[v] = make([]float64, web.Rows)
+		}
+		b.Run(fmt.Sprintf("fused-nv%d", nv), func(b *testing.B) {
+			hp.ComputeBatch(Y, X) // warm the batch scratch
+			if n := testing.AllocsPerRun(5, func() { hp.ComputeBatch(Y, X) }); n != 0 {
+				b.Fatalf("nv=%d ComputeBatch allocates %.1f/op, want 0", nv, n)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hp.ComputeBatch(Y, X)
+			}
+			b.ReportMetric(2*float64(web.NNZ())*float64(nv)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 		})
 	}
 }

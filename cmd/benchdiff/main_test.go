@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -101,7 +102,7 @@ func TestGateFilterAndNewBenchmarks(t *testing.T) {
 	if err := run([]string{"-old", oldPath, "-new", newPath, "-threshold", "15", "-filter", "Hot"}, &out); err != nil {
 		t.Fatalf("filtered comparison failed: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "ungated") || !strings.Contains(out.String(), "BenchmarkNovel") {
+	if !strings.Contains(out.String(), "ungated") || !regexp.MustCompile(`(?m)^\s+new\s+BenchmarkNovel\s`).MatchString(out.String()) {
 		t.Fatalf("report missing ungated/new annotations:\n%s", out.String())
 	}
 }

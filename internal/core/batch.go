@@ -16,30 +16,40 @@ var (
 	cBatchVectors  = telemetry.NewCounter("core_batch_vectors")
 )
 
-// batchScratch is ComputeBatch's reusable workspace, pooled on
-// Prepared.batch under the same atomic-swap discipline as computeScratch.
-// The extraY conflict values for all vectors of all cores live in one
-// flat slice sized to nvCap, so a steady stream of batch calls with a
-// stable (or shrinking) vector count allocates nothing.
+// batchScratch is the multiply workspace shared by Compute and
+// ComputeBatch, pooled on Prepared.batch: a call claims it with an
+// atomic swap and puts it back, so serial repeated multiplication is
+// allocation-free, and concurrent calls on the same Prepared fall back
+// to a fresh workspace. The extraY conflict values for all vectors of
+// all cores live in one flat slice sized to nvCap, so a steady stream of
+// calls with a stable (or shrinking) vector count allocates nothing.
 type batchScratch struct {
-	p        *Prepared
-	Y, X     [][]float64
+	p    *Prepared
+	Y, X [][]float64
+	// y1 and x1 hold a single-vector Compute's y and x, so its one-vector
+	// Y and X need no allocation.
+	y1, x1 [1][]float64
+	// batch marks a ComputeBatch call, which records "batch-core" spans
+	// and the batch counters; a Compute call records "core" spans.
+	batch    bool
 	tel      *telemetry.Collector
 	regs     []Region
-	nv       int
 	nvCap    int
 	extraRow []int
 	extraVal []float64 // len(regions)*nvCap, core id strided by nvCap
-	// pending holds the segmented-sum patch rendezvous counters (see
-	// computeScratch.pending).
+	// pending holds one rendezvous counter per region slot for the
+	// segmented-sum parallel patch (indexed by the group head's slot);
+	// counters are zero between calls (the patching member resets its
+	// group's counter), so the pooled scratch needs no per-call sweep.
 	pending []atomic.Int32
 	// sums is the per-core kernel output block (len(regions)*MaxBlock,
 	// strided by MaxBlock). It lives in the pooled scratch rather than on
 	// run's stack so that passing it to the generic block kernels cannot
 	// cost a per-call heap allocation.
 	sums []float64
-	// durNs is each slot's kernel time for the current call (see
-	// computeScratch.durNs).
+	// durNs is each slot's kernel time for the current call — one plain
+	// store per core, read by the traced path to surface the critical-path
+	// core without touching the always-on cumulative accumulators.
 	durNs []int64
 	body  func(id int)
 }
@@ -62,9 +72,12 @@ func (p *Prepared) newBatchScratch(nv int) *batchScratch {
 	return s
 }
 
-// run is one core's share of a batch call: the same fragment walk as
-// computeScratch.run, with each fragment's index stream walked once by
-// the widest register-blocked kernel that still has vectors to feed.
+// run is one core's share of a multiply (the body Algorithm 5 gives
+// each thread), plus optional span recording: nonzeros processed, row
+// fragments walked, and whether this core produced an extraY entry. The
+// region is walked once per MaxBlock-wide tile of the vectors, each tile
+// by the widest kernel that still has vectors to feed; the cut-row patch
+// signals follow the last tile.
 func (s *batchScratch) run(id int) {
 	p := s.p
 	s.extraRow[id] = -1
@@ -75,14 +88,30 @@ func (s *batchScratch) run(id int) {
 	}
 	tel := s.tel
 	t0 := time.Now()
-	var frags int
-	if reg.Val == ValF64 {
-		frags = batchRegion(s, id, reg, p.mat.Val, nil)
-	} else {
-		frags = batchRegion(s, id, reg, p.values.palIdx, p.values.tab)
+	frags := 0
+	for v0, nv := 0, len(s.X); v0 < nv; v0 += kernel.MaxBlock {
+		w := min(nv-v0, kernel.MaxBlock)
+		var f int
+		if reg.Val == ValF64 {
+			f = batchRegion(s, id, reg, v0, w, p.mat.Val, nil)
+		} else {
+			f = batchRegion(s, id, reg, v0, w, p.values.palIdx, p.values.tab)
+		}
+		if v0 == 0 {
+			frags = f
+		}
+	}
+	if reg.PatchCont {
+		s.extraRow[id] = -1 // the patch, not the epilogue, adds the slots
+		s.patch(reg.ContFirst)
+	}
+	if reg.PatchHead {
+		s.patch(id)
 	}
 	nnzDone := reg.Hi - reg.Lo
 	dur := time.Since(t0)
+	// Always-on signal for the adapter: per-slot busy nanoseconds and
+	// nonzeros, independent of the gated telemetry collector.
 	p.accum[id].ns.Add(int64(dur))
 	p.accum[id].nnz.Add(int64(nnzDone))
 	s.durNs[id] = int64(dur)
@@ -93,26 +122,38 @@ func (s *batchScratch) run(id int) {
 		if reg.PatchCont || s.extraRow[id] >= 0 {
 			ex = 1
 		}
+		name := "core"
+		if s.batch {
+			name = "batch-core"
+		}
 		tel.RecordSpan(telemetry.Span{
-			Name: "batch-core", Core: reg.Core,
+			Name: name, Core: reg.Core,
 			Start: t0.Sub(tel.Start()), Dur: dur,
 			NNZ: nnzDone, Fragments: frags, ExtraY: ex,
 		})
 	}
 }
 
-// walkBatchFragments is walkFragments over the vector block: each
-// fragment's streams are walked once per MaxBlock-wide tile of the
-// block by the register-blocked kernel (a width-1 tile takes the
-// single-vector kernel), and sums[j] carries exactly the bits a
-// single-vector Compute would produce. Returns the fragments processed.
-func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
+// walkBatchFragments is the per-fragment walk of Algorithm 5 over
+// reordered positions [lo, hi), starting at row r, for the vector tile
+// [v0, v0+w): one dot product per row fragment and vector, stored
+// directly when the fragment starts its row and into the core's conflict
+// slots otherwise (only a region's first row can start mid-row). A
+// width-1 tile takes the single-vector kernels (Dot, DotDia) and stores
+// their sums straight to y, wider tiles the register-blocked ones
+// through sums; both produce Dot's bits. bases holds the per-row u16
+// delta base columns (nil for other streams); in a dia region the rows
+// with run descriptors take the descriptor kernels and the others the
+// u32 stream in col. Returns the fragments processed.
+func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r, v0, w int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
 	p := s.p
-	h, st, Y, X, nv := p.h, &p.streams, s.Y, s.X, s.nv
+	h, st := p.h, &p.streams
+	X, Y := s.X[v0:v0+w], s.Y[v0:v0+w]
+	x, y := X[0], Y[0]
 	dia := reg.Format == IndexDia
 	un := p.unroll[id]
-	extra := s.extraVal[id*s.nvCap : id*s.nvCap+nv]
-	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
+	extra := s.extraVal[id*s.nvCap+v0 : id*s.nvCap+v0+w]
+	sums := s.sums[id*kernel.MaxBlock : id*kernel.MaxBlock+w]
 	frags := 0
 	for pos := lo; pos < hi; r++ {
 		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
@@ -122,38 +163,41 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 		}
 		o := h.RowBeginNNZ[r]
 		klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
-		orig := h.Perm[r]
-		first := pos == rowStart
 		diaRow := dia && st.rowRun[r+1] > st.rowRun[r]
 		base := 0
 		if bases != nil {
 			base = bases[r]
 		}
-		for v0 := 0; v0 < nv; {
-			w := min(nv-v0, kernel.MaxBlock)
-			switch {
-			case diaRow && w == 1:
-				sums[0] = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), X[v0], klo, khi, un)
-			case diaRow:
-				kernel.DotDiaBlock(vals, pal, st.runs, int(st.rowRun[r]), X[v0:], sums[:w], klo, khi, un)
-			case w == 1:
-				sums[0] = kernel.Dot(vals, pal, col, base, X[v0], klo, khi, un)
-			default:
-				kernel.DotBlock(vals, pal, col, base, X[v0:], sums[:w], klo, khi, un)
+		if w == 1 {
+			var sum float64
+			if diaRow {
+				sum = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), x, klo, khi, un)
+			} else {
+				sum = kernel.Dot(vals, pal, col, base, x, klo, khi, un)
 			}
-			if first {
-				for j := 0; j < w; j++ {
-					Y[v0+j][orig] = sums[j]
+			if pos == rowStart {
+				// This core owns the row's first fragment: direct store
+				// (Algorithm 5's y[pl[id]] = kernel(...)).
+				y[h.Perm[r]] = sum
+			} else {
+				s.extraRow[id] = h.Perm[r]
+				extra[0] = sum
+			}
+		} else {
+			if diaRow {
+				kernel.DotDiaBlock(vals, pal, st.runs, int(st.rowRun[r]), X, sums, klo, khi, un)
+			} else {
+				kernel.DotBlock(vals, pal, col, base, X, sums, klo, khi, un)
+			}
+			orig := h.Perm[r]
+			if pos == rowStart {
+				for j, sum := range sums {
+					Y[j][orig] = sum
 				}
 			} else {
-				copy(extra[v0:v0+w], sums[:w])
+				s.extraRow[id] = orig
+				copy(extra, sums)
 			}
-			v0 += w
-		}
-		if !first {
-			// Continuation fragment: only the first row of a region can
-			// start mid-row, so one conflict slot per core.
-			s.extraRow[id] = orig
 		}
 		frags++
 		pos = fragEnd
@@ -162,44 +206,36 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 }
 
 // ComputeBatch performs Y[v] = A * X[v] for a block of vectors with one
-// sweep over the matrix structure: each row fragment's value and column
-// streams are walked once per block of kernel.MaxBlock vectors by the
-// register-blocked kernels (kernel.DotBlock), amortizing the index stream
-// the way block Krylov solvers and multi-source graph traversals expect.
-// The partition, reorder and extraY conflict handling are identical to
-// Compute (Algorithm 5), generalized to a vector block, and the
-// steady-state path performs zero heap allocations for any nv (the
-// workspace is pooled on Prepared.batch).
+// sweep over the matrix structure per block of kernel.MaxBlock vectors:
+// each region's value and column streams are walked once per block by
+// the register-blocked kernels (kernel.DotBlock), amortizing the index
+// stream the way block Krylov solvers and multi-source graph traversals
+// expect. It is the one multiply path: Compute runs it on a single
+// vector. The steady-state path performs zero heap allocations for any
+// nv (the workspace is pooled on Prepared.batch and exec.Parallel
+// dispatches to a persistent worker pool).
 //
 // ComputeBatch is bit-exact with respect to Compute: Y[v] carries exactly
 // the float64 bits that Compute(Y[v], X[v]) would have produced, for any
-// nv. The fused kernel keeps per-vector accumulator chains identical to
-// the single-vector dispatch, and the empty-row zeroing, direct stores
-// and serial extraY epilogue run in the same order. The serving layer's
-// dynamic batcher relies on this to coalesce concurrent requests without
-// changing any response.
-func (p *Prepared) ComputeBatch(Y, X [][]float64) { p.computeBatchWith(Y, X, nil) }
+// nv. The block kernels keep per-vector accumulator chains identical to
+// the single-vector dispatch, and the empty-row zeroing, direct stores,
+// cut-row patch and serial extraY epilogue add in the same order. The
+// serving layer's dynamic batcher relies on this to coalesce concurrent
+// requests without changing any response.
+func (p *Prepared) ComputeBatch(Y, X [][]float64) { p.ComputeBatchTraced(Y, X, nil) }
 
 // ComputeBatchTraced is ComputeBatch plus the same stage breakdown
 // ComputeTraced produces, with the batch's traffic priced at one
 // structure sweep per register block of vectors. bd is caller-owned and
-// reused; the traced path allocates nothing beyond ComputeBatch.
+// reused (nil records none); the traced path allocates nothing beyond
+// ComputeBatch.
 func (p *Prepared) ComputeBatchTraced(Y, X [][]float64, bd *tracing.ComputeBreakdown) {
-	p.computeBatchWith(Y, X, bd)
-}
-
-func (p *Prepared) computeBatchWith(Y, X [][]float64, bd *tracing.ComputeBreakdown) {
 	nv := len(X)
 	if len(Y) != nv {
 		panic(fmt.Sprintf("core: batch size mismatch %d vs %d", len(Y), nv))
 	}
 	if nv == 0 {
 		return
-	}
-	tel := telemetry.Active()
-	var tBatch time.Time
-	if tel != nil || bd != nil {
-		tBatch = time.Now()
 	}
 	for _, x := range X {
 		if len(x) != p.mat.Cols {
@@ -211,15 +247,35 @@ func (p *Prepared) computeBatchWith(Y, X [][]float64, bd *tracing.ComputeBreakdo
 			panic(fmt.Sprintf("core: batch y length %d, want %d", len(y), p.mat.Rows))
 		}
 	}
+	p.multiply(p.claimScratch(nv), Y, X, true, bd)
+}
+
+// claimScratch takes the pooled workspace, or a fresh one when another
+// call holds it or it is too narrow for nv vectors.
+func (p *Prepared) claimScratch(nv int) *batchScratch {
 	s := p.batch.Swap(nil)
 	if s == nil || s.nvCap < nv {
 		s = p.newBatchScratch(nv)
 	}
-	s.Y, s.X, s.tel, s.nv, s.regs = Y, X, tel, nv, *p.regions.Load()
-	for _, r := range p.emptyRows {
-		for v := 0; v < nv; v++ {
-			Y[v][r] = 0
-		}
+	return s
+}
+
+// multiply runs Y[v] = A * X[v] on the claimed workspace s and returns
+// it to the pool: Algorithm 5's parallel region bodies, then its serial
+// extraY epilogue. batch selects ComputeBatch's span name, phase and
+// counters over Compute's.
+func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *tracing.ComputeBreakdown) {
+	tel := telemetry.Active()
+	var t0 time.Time
+	if tel != nil || bd != nil {
+		t0 = time.Now()
+	}
+	nv := len(X)
+	// One regions snapshot per call: every worker of this multiply walks
+	// the same tiling even if Repartition swaps the partition mid-flight.
+	s.Y, s.X, s.batch, s.tel, s.regs = Y, X, batch, tel, *p.regions.Load()
+	for _, y := range Y {
+		zeroRows(y, p.emptyRows)
 	}
 	n := len(s.regs)
 	exec.Parallel(n, s.body)
@@ -227,27 +283,59 @@ func (p *Prepared) computeBatchWith(Y, X [][]float64, bd *tracing.ComputeBreakdo
 	if bd != nil {
 		tKernel = time.Now()
 	}
-	// Serial epilogue (Algorithm 5 lines 15-17) across the vector block.
+	// Serial epilogue (Algorithm 5 lines 15-17) across the vectors.
 	for id := 0; id < n; id++ {
-		if s.extraRow[id] >= 0 {
+		if r := s.extraRow[id]; r >= 0 {
 			extra := s.extraVal[id*s.nvCap:]
-			for v := 0; v < nv; v++ {
-				Y[v][s.extraRow[id]] += extra[v]
+			for v, y := range Y {
+				y[r] += extra[v]
 			}
 		}
 	}
 	if bd != nil {
-		bd.KernelNs = int64(tKernel.Sub(tBatch))
+		// The executor-side fields of a traced multiply: stage split,
+		// fan-out width, critical-path core, per-format nonzero split and
+		// the modeled traffic of the call.
+		bd.KernelNs = int64(tKernel.Sub(t0))
 		bd.MergeNs = int64(time.Since(tKernel))
-		p.fillBreakdown(bd, s.regs, s.durNs, p.batchTrafficBytes(nv))
+		bd.Cores = n
+		bd.MaxCoreNs = 0
+		bd.NNZByFormat = [4]int64{}
+		for i, r := range s.regs {
+			bd.MaxCoreNs = max(bd.MaxCoreNs, s.durNs[i])
+			bd.NNZByFormat[r.Format] += int64(r.Hi - r.Lo)
+		}
+		bd.Bytes = p.batchTrafficBytes(nv)
 	}
 	s.Y, s.X, s.tel, s.regs = nil, nil, nil, nil
+	s.y1[0], s.x1[0] = nil, nil
 	p.batch.Store(s)
-	cBatchComputes.Add(1)
-	cBatchVectors.Add(int64(nv))
+	if batch {
+		cBatchComputes.Add(1)
+		cBatchVectors.Add(int64(nv))
+	} else {
+		cComputes.Add(1)
+	}
 	if tel != nil {
-		d := time.Since(tBatch)
-		tel.RecordPhase(telemetry.PhaseBatch, d)
+		d := time.Since(t0)
+		if batch {
+			tel.RecordPhase(telemetry.PhaseBatch, d)
+		} else {
+			tel.RecordPhase(telemetry.PhaseCompute, d)
+			computeHist.Observe(d)
+		}
 		p.recordBandwidth(p.batchTrafficBytes(nv), d)
+	}
+}
+
+// zeroRows stores 0 to y[r] for every r in rows: the empty rows, which
+// no fragment walk visits. It stays out of line because, inlined into
+// multiply, the loop index spills to the stack on every row (go1.24),
+// which shows on matrices with many empty rows such as the zipf class.
+//
+//go:noinline
+func zeroRows(y []float64, rows []int) {
+	for _, r := range rows {
+		y[r] = 0
 	}
 }

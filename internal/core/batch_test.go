@@ -1,14 +1,18 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"haspmv/internal/algtest"
 	"haspmv/internal/amp"
 	"haspmv/internal/exec"
 	"haspmv/internal/gen"
+	"haspmv/internal/sparse"
 )
 
 func TestComputeBatchMatchesCompute(t *testing.T) {
@@ -47,16 +51,32 @@ func TestComputeBatchMatchesCompute(t *testing.T) {
 	}
 }
 
-// TestComputeBatchMatchesComputeAcrossNV sweeps the vector-tiling
-// dispatch: every remainder class of the 8/4/2/1 block cascade (nv = 17
-// exercises 8+8+1, 5 exercises 4+1, ...) must agree with per-vector
-// Compute, including on rows cut across regions (hub-row's giant row) and
-// after shrinking nv below a previous call's capacity (scratch reuse).
+// TestComputeBatchMatchesComputeAcrossNV sweeps the vector tiling:
+// a call walks each region once per min(nv, MaxBlock)-wide tile (nv = 17
+// is 8+8+1, nv = 9 is 8+1, nv = 5 one 5-wide tile), and every tile width
+// must agree with per-vector Compute, including on rows cut across
+// regions (hub-row's giant row), on the width-1 remainder tile of a
+// segmented and of a palette region, and after shrinking nv below a
+// previous call's capacity (scratch reuse).
 func TestComputeBatchMatchesComputeAcrossNV(t *testing.T) {
 	m := amp.IntelI912900KF()
-	for _, name := range []string{"powerlaw", "hub-row", "alternating-empty"} {
-		a := algtest.Matrix(name)
-		prep, err := New(Options{}).Prepare(m, a)
+	ones := algtest.Matrix("hub-row")
+	for k := range ones.Val {
+		ones.Val[k] = 1 // a 0/1 matrix: auto picks the palette stream
+	}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		opts Options
+	}{
+		{"powerlaw", algtest.Matrix("powerlaw"), Options{}},
+		{"hub-row", algtest.Matrix("hub-row"), Options{}},
+		{"alternating-empty", algtest.Matrix("alternating-empty"), Options{}},
+		{"hub-row/segsum", algtest.Matrix("hub-row"), Options{Exec: ExecSegSum}},
+		{"hub-row-01/palette", ones, Options{}},
+	} {
+		name, a := tc.name, tc.a
+		prep, err := New(tc.opts).Prepare(m, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,13 +87,19 @@ func TestComputeBatchMatchesComputeAcrossNV(t *testing.T) {
 				cut = true
 			}
 		}
-		if name == "hub-row" && !cut {
-			t.Fatal("hub-row partition produced no mid-row cut; batch epilogue untested")
+		if strings.HasPrefix(name, "hub-row") && !cut {
+			t.Fatalf("%s partition produced no mid-row cut; batch epilogue untested", name)
+		}
+		if tc.opts.Exec == ExecSegSum && p.SegSumNNZ() != int64(a.NNZ()) {
+			t.Fatalf("%s: %d of %d nonzeros segmented", name, p.SegSumNNZ(), a.NNZ())
+		}
+		if a == ones && p.ValueStats().Format != ValPalette {
+			t.Fatalf("%s: value stream %v, want palette", name, p.ValueStats().Format)
 		}
 		r := rand.New(rand.NewSource(42))
 		// Descending order makes later iterations reuse a scratch whose
 		// capacity exceeds nv.
-		for _, nv := range []int{17, 8, 5, 3, 2, 1} {
+		for _, nv := range []int{17, 9, 8, 5, 3, 2, 1} {
 			X := make([][]float64, nv)
 			Y := make([][]float64, nv)
 			for v := range X {
@@ -183,4 +209,64 @@ func TestComputeBatchValidation(t *testing.T) {
 	expectPanic("short y", func() { p.ComputeBatch([][]float64{make([]float64, 2)}, good) })
 	// Empty batch is a no-op.
 	p.ComputeBatch(nil, nil)
+}
+
+// Compute and ComputeBatch claim one pooled workspace. Concurrent calls
+// of both kinds and of different widths on one Prepared (segmented, so
+// the pooled patch counters are in play) must each get a workspace of
+// their own and produce the serial bits.
+func TestComputeAndBatchShareScratchConcurrently(t *testing.T) {
+	a := algtest.Matrix("hub-row")
+	prep, err := New(Options{Exec: ExecSegSum}).Prepare(amp.IntelI912900KF(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := prep.(*Prepared)
+	r := rand.New(rand.NewSource(5))
+	const maxNV = 9
+	X := make([][]float64, maxNV)
+	want := make([][]float64, maxNV)
+	for v := range X {
+		X[v] = make([]float64, a.Cols)
+		for i := range X[v] {
+			X[v][i] = r.NormFloat64()
+		}
+		want[v] = make([]float64, a.Rows)
+		p.Compute(want[v], X[v])
+	}
+	const workers, iters = 4, 30
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			Y := make([][]float64, maxNV)
+			for v := range Y {
+				Y[v] = make([]float64, a.Rows)
+			}
+			for it := 0; it < iters; it++ {
+				nv := 1
+				if w%2 == 0 {
+					p.Compute(Y[0], X[0])
+				} else {
+					nv = []int{1, maxNV, 3}[it%3]
+					p.ComputeBatch(Y[:nv], X[:nv])
+				}
+				for v := 0; v < nv; v++ {
+					for i := range Y[v] {
+						if Y[v][i] != want[v][i] {
+							errs <- fmt.Errorf("worker %d nv=%d: y[%d][%d] = %v, want %v (bitwise)", w, nv, v, i, Y[v][i], want[v][i])
+							return
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

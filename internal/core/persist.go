@@ -18,9 +18,8 @@ import (
 // them back with zero-copy aliasing) without importing any of the
 // package internals, and RestorePrepared rebuilds a servable instance
 // from the arrays in O(rows-touched-by-boundaries) time: the partition
-// binary searches, format/mode re-picks and scratch allocation — the
-// same work Repartition does — instead of the O(nnz) analysis sweeps
-// Prepare runs.
+// binary searches and format/mode re-picks — the same work Repartition
+// does — instead of the O(nnz) analysis sweeps Prepare runs.
 
 // SnapshotMeta is the scalar part of a snapshot (everything that is
 // not a flat array). It round-trips through JSON in the store's meta
@@ -202,8 +201,8 @@ func checkSnapshot(s *PreparedSnapshot) error {
 // snapshot, reusing every stored array as-is (the snapshot's slices —
 // typically an mmap window — become the instance's live streams). Only
 // the derived state is recomputed: the partition boundaries from the
-// stored cost prefix sums, per-region formats and modes, scratch, and
-// the triad calibration — O(cores·log nnz) work, no O(nnz) sweep.
+// stored cost prefix sums, per-region formats and modes, and the triad
+// calibration — O(cores·log nnz) work, no O(nnz) sweep.
 func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) {
 	if m == nil {
 		return nil, fmt.Errorf("core: restore needs a machine")
@@ -273,7 +272,6 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 	p.assignModes(regions)
 	p.assignFormats(regions)
 	p.regions.Store(&regions)
-	p.scratch.Store(p.newScratch())
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
 	cPrepares.Add(1)
 	gRegions.Set(int64(len(regions)))

@@ -217,13 +217,14 @@ func (p *Prepared) SegSumNNZ() int64 {
 	return n
 }
 
-// segSumRegion is one core's share of a Compute call in segmented mode:
-// an optional leading continuation fragment, the interior whole rows
-// from the descriptor stream, an optional direct-stored trailing
-// fragment of a cut row this region heads, then the group patch
-// signals. It returns the fragments (rows) processed. The caller has
-// already reset extraRow/durNs and rejected empty regions.
-func segSumRegion[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id int, reg Region, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
+// batchSegSumRegion is one core's share of a multiply in segmented
+// mode, for the vector tile [v0, v0+w): an optional leading continuation
+// fragment, the interior whole rows from the descriptor stream, then an
+// optional direct-stored trailing fragment of a cut row this region
+// heads. It returns the fragments (rows) processed. The caller has
+// already reset extraRow/durNs, rejected empty regions, and sends the
+// group patch signals after the last tile.
+func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, v0, w int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
 	p := s.p
 	h := p.h
 	frags := 0
@@ -232,10 +233,7 @@ func segSumRegion[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id i
 	// sum is a fragment — patched in parallel when the whole group is
 	// segmented, merged by the serial epilogue otherwise.
 	if reg.Lo > h.RowPtr[r0] {
-		frags += walkFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, vals, pal, col, bases)
-		if reg.PatchCont {
-			s.extraRow[id] = -1 // the patch, not the epilogue, adds extraVal[id]
-		}
+		frags += walkBatchFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, v0, w, vals, pal, col, bases)
 		r0++
 	}
 	// Trailing fragment exists when the region's last row continues
@@ -251,19 +249,19 @@ func segSumRegion[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id i
 		if bases != nil {
 			segBases = bases[r0 : rLast+1]
 		}
-		frags += kernel.SegSum(vals, pal, col, segBases, s.x, s.y, p.segs[r0:rLast+1], p.unroll[id])
+		segs := p.segs[r0 : rLast+1]
+		if w == 1 {
+			frags += kernel.SegSum(vals, pal, col, segBases, s.X[v0], s.Y[v0], segs, p.unroll[id])
+		} else {
+			sums := s.sums[id*kernel.MaxBlock : id*kernel.MaxBlock+w]
+			frags += kernel.SegSumBlock(vals, pal, col, segBases, s.X[v0:], s.Y[v0:], sums, segs, p.unroll[id])
+		}
 	}
 	if tailClip {
 		// This region owns the cut row's first fragment: direct store,
-		// exactly like the serial walk's pos==rowStart arm. The patch
+		// exactly like the fragment walk's pos==rowStart arm. The patch
 		// (or the epilogue) adds the continuations on top.
-		frags += walkFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, vals, pal, col, bases)
-	}
-	if reg.PatchCont {
-		s.patch(reg.ContFirst)
-	}
-	if reg.PatchHead {
-		s.patch(id)
+		frags += walkBatchFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, v0, w, vals, pal, col, bases)
 	}
 	return frags
 }
@@ -271,79 +269,11 @@ func segSumRegion[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id i
 // patch is the parallel cut-row rendezvous for group g (the head
 // region's slot). Every non-empty member signals once after its writes;
 // the member whose signal completes the group adds all continuation
-// fragments into the destination row in ascending region order — the
-// same left-associated chain the serial epilogue would have produced —
-// then resets the counter for the next call on this pooled scratch.
-// The atomic counter's RMW chain orders every member's plain writes
-// before the patcher's reads.
-func (s *computeScratch) patch(g int) {
-	regs := s.regs
-	if int(s.pending[g].Add(1)) != regs[g].HeadSpan {
-		return
-	}
-	s.pending[g].Store(0)
-	dst := s.p.h.Perm[regs[g].EndRow]
-	v := s.y[dst]
-	for id := g + 1; id <= regs[g].HeadLast; id++ {
-		if regs[id].Lo < regs[id].Hi {
-			v += s.extraVal[id]
-		}
-	}
-	s.y[dst] = v
-}
-
-// batchSegSumRegion is the batch analogue of segSumRegion: the same
-// fragment skeleton with every piece widened to the register-blocked
-// kernels, tiled MaxBlock vectors at a time (a width-1 tile takes the
-// single-vector path, as ComputeBatch's fragment walk does).
-func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
-	p := s.p
-	h, nv := p.h, s.nv
-	sums := s.sums[id*kernel.MaxBlock : (id+1)*kernel.MaxBlock]
-	frags := 0
-	r0, r1 := reg.StartRow, reg.EndRow
-	if reg.Lo > h.RowPtr[r0] {
-		frags += walkBatchFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, vals, pal, col, bases)
-		if reg.PatchCont {
-			s.extraRow[id] = -1 // the patch, not the epilogue, adds the slots
-		}
-		r0++
-	}
-	tailClip := r0 <= r1 && reg.Hi < h.RowPtr[r1+1]
-	rLast := r1
-	if tailClip {
-		rLast = r1 - 1
-	}
-	if r0 <= rLast {
-		var segBases []int
-		if bases != nil {
-			segBases = bases[r0 : rLast+1]
-		}
-		segs := p.segs[r0 : rLast+1]
-		for v0 := 0; v0 < nv; {
-			w := min(nv-v0, kernel.MaxBlock)
-			done := kernel.SegSumBlock(vals, pal, col, segBases, s.X[v0:], s.Y[v0:], sums[:w], segs, p.unroll[id])
-			if v0 == 0 {
-				frags += done
-			}
-			v0 += w
-		}
-	}
-	if tailClip {
-		frags += walkBatchFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, vals, pal, col, bases)
-	}
-	if reg.PatchCont {
-		s.patch(reg.ContFirst)
-	}
-	if reg.PatchHead {
-		s.patch(id)
-	}
-	return frags
-}
-
-// patch is the batch-call group rendezvous: per vector, the same
-// ascending-region chain as the batched serial epilogue's per-element
-// order, so Y[v] carries identical bits either way.
+// fragments into the destination row in ascending region order, per
+// vector — the same left-associated chain the serial epilogue would have
+// produced — then resets the counter for the next call on this pooled
+// scratch. The atomic counter's RMW chain orders every member's plain
+// writes before the patcher's reads.
 func (s *batchScratch) patch(g int) {
 	regs := s.regs
 	if int(s.pending[g].Add(1)) != regs[g].HeadSpan {
@@ -351,14 +281,13 @@ func (s *batchScratch) patch(g int) {
 	}
 	s.pending[g].Store(0)
 	dst := s.p.h.Perm[regs[g].EndRow]
-	nv, nvCap := s.nv, s.nvCap
-	for v := 0; v < nv; v++ {
-		val := s.Y[v][dst]
+	for v, y := range s.Y {
+		val := y[dst]
 		for id := g + 1; id <= regs[g].HeadLast; id++ {
 			if regs[id].Lo < regs[id].Hi {
-				val += s.extraVal[id*nvCap+v]
+				val += s.extraVal[id*s.nvCap+v]
 			}
 		}
-		s.Y[v][dst] = val
+		y[dst] = val
 	}
 }

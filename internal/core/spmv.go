@@ -159,7 +159,6 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	p.assignModes(regions)
 	p.assignFormats(regions)
 	p.regions.Store(&regions)
-	p.scratch.Store(p.newScratch())
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
 	gTriadPeak.Set(p.triadMBps)
 	cPrepares.Add(1)
@@ -253,12 +252,8 @@ type Prepared struct {
 	repBounds  []float64
 	repCuts    []int
 	rebalances atomic.Int64
-	// scratch is the reusable per-call workspace. Compute claims it with
-	// an atomic swap and puts it back, so serial repeated multiplication
-	// is allocation-free; concurrent calls on the same Prepared fall back
-	// to a fresh workspace.
-	scratch atomic.Pointer[computeScratch]
-	// batch is ComputeBatch's workspace under the same swap discipline.
+	// batch is the pooled multiply workspace Compute and ComputeBatch
+	// claim with an atomic swap (see batchScratch).
 	batch atomic.Pointer[batchScratch]
 	// structBytes is the modeled memory traffic of one sweep over the
 	// matrix structure (values, column indices at the cost model's widths,
@@ -270,21 +265,17 @@ type Prepared struct {
 	triadMBps   int64
 }
 
-// vectorBytes is the modeled x-load plus y-store traffic of one
-// single-vector multiply.
-func (p *Prepared) vectorBytes() int64 { return int64(p.mat.Rows+p.mat.Cols) * 8 }
-
 // TrafficBytes returns the modeled memory traffic of one Compute call at
 // the cost model's stream widths: values, per-region column indexes, row
 // pointers, and the dense vectors.
-func (p *Prepared) TrafficBytes() int64 { return p.structBytes.Load() + p.vectorBytes() }
+func (p *Prepared) TrafficBytes() int64 { return p.batchTrafficBytes(1) }
 
-// batchTrafficBytes prices a fused nv-vector multiply: the structure is
-// streamed once per register block of vectors, the dense vectors once
+// batchTrafficBytes prices an nv-vector multiply: the structure is
+// streamed once per register block of vectors, the dense x and y once
 // each.
 func (p *Prepared) batchTrafficBytes(nv int) int64 {
 	sweeps := int64((nv + kernel.MaxBlock - 1) / kernel.MaxBlock)
-	return p.structBytes.Load()*sweeps + int64(nv)*p.vectorBytes()
+	return p.structBytes.Load()*sweeps + int64(nv)*int64(p.mat.Rows+p.mat.Cols)*8
 }
 
 // TriadPeakMBps returns the calibrated stream-triad peak (MB/s) for this
@@ -324,129 +315,6 @@ func (p *Prepared) drainSpanNs(ns []int64) {
 	}
 }
 
-// computeScratch is Compute's per-call workspace: the extraY conflict
-// slots, the parallel body closure (built once so the hot path does not
-// re-allocate it), and the per-call vectors and telemetry collector the
-// body reads.
-type computeScratch struct {
-	p        *Prepared
-	y, x     []float64
-	tel      *telemetry.Collector
-	regs     []Region
-	extraRow []int
-	extraVal []float64
-	// pending holds one rendezvous counter per region slot for the
-	// segmented-sum parallel patch (indexed by the group head's slot);
-	// counters are zero between calls (the patching member resets its
-	// group's counter), so the pooled scratch needs no per-call sweep.
-	pending []atomic.Int32
-	// durNs is each slot's kernel time for the current call — one plain
-	// store per core, read by the traced path to surface the critical-path
-	// core without touching the always-on cumulative accumulators.
-	durNs []int64
-	body  func(id int)
-}
-
-func (p *Prepared) newScratch() *computeScratch {
-	n := len(*p.regions.Load())
-	s := &computeScratch{
-		p:        p,
-		extraRow: make([]int, n),
-		extraVal: make([]float64, n),
-		pending:  make([]atomic.Int32, n),
-		durNs:    make([]int64, n),
-	}
-	s.body = s.run
-	return s
-}
-
-// run is one core's share of a Compute call (the body Algorithm 5 gives
-// each thread), plus optional span recording: nonzeros processed, row
-// fragments walked, and whether this core produced an extraY entry.
-func (s *computeScratch) run(id int) {
-	p := s.p
-	s.extraRow[id] = -1
-	s.durNs[id] = 0
-	reg := s.regs[id]
-	if reg.Lo >= reg.Hi {
-		return
-	}
-	tel := s.tel
-	t0 := time.Now()
-	var frags int
-	if reg.Val == ValF64 {
-		frags = computeRegion(s, id, reg, p.mat.Val, nil)
-	} else {
-		frags = computeRegion(s, id, reg, p.values.palIdx, p.values.tab)
-	}
-	nnzDone := reg.Hi - reg.Lo
-	dur := time.Since(t0)
-	// Always-on signal for the adapter: per-slot busy nanoseconds and
-	// nonzeros, independent of the gated telemetry collector.
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
-	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
-		extra := 0
-		if reg.PatchCont || s.extraRow[id] >= 0 {
-			extra = 1
-		}
-		tel.RecordSpan(telemetry.Span{
-			Name: "core", Core: reg.Core,
-			Start: t0.Sub(tel.Start()), Dur: dur,
-			NNZ: nnzDone, Fragments: frags, ExtraY: extra,
-		})
-	}
-}
-
-// walkFragments is the per-fragment walk of Algorithm 5 over reordered
-// positions [lo, hi), starting at row r, through the region's value and
-// column streams: one dot product per row fragment, stored directly
-// when the fragment starts its row and into the core's conflict slot
-// otherwise (only a region's first row can start mid-row). bases holds
-// the per-row u16 delta base columns (nil for other streams); in a dia
-// region the rows with run descriptors take the descriptor kernel and
-// the others the u32 stream in col. Returns the fragments processed.
-func walkFragments[V kernel.ValSource, C kernel.ColIndex](s *computeScratch, id int, reg Region, lo, hi, r int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
-	p := s.p
-	h, st, y, x := p.h, &p.streams, s.y, s.x
-	dia := reg.Format == IndexDia
-	un := p.unroll[id]
-	frags := 0
-	for pos := lo; pos < hi; r++ {
-		rowStart, rowEnd := h.RowPtr[r], h.RowPtr[r+1]
-		fragEnd := min(rowEnd, hi)
-		if fragEnd <= pos {
-			continue
-		}
-		o := h.RowBeginNNZ[r]
-		klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
-		var sum float64
-		if dia && st.rowRun[r+1] > st.rowRun[r] {
-			sum = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), x, klo, khi, un)
-		} else {
-			base := 0
-			if bases != nil {
-				base = bases[r]
-			}
-			sum = kernel.Dot(vals, pal, col, base, x, klo, khi, un)
-		}
-		if pos == rowStart {
-			// This core owns the row's first fragment: direct store
-			// (Algorithm 5's y[pl[id]] = kernel(...)).
-			y[h.Perm[r]] = sum
-		} else {
-			s.extraRow[id] = h.Perm[r]
-			s.extraVal[id] = sum
-		}
-		frags++
-		pos = fragEnd
-	}
-	return frags
-}
-
 // Format exposes the HACSR view.
 func (p *Prepared) Format() *HACSR { return p.h }
 
@@ -459,82 +327,23 @@ func (p *Prepared) Regions() []Region { return *p.regions.Load() }
 func (p *Prepared) Repartitions() int64 { return p.rebalances.Load() }
 
 // Compute implements Algorithm 5: per-core fragment kernels with the
-// extraY epilogue resolving rows that are cut across cores. The
-// steady-state path performs zero heap allocations (the workspace is
-// reused via Prepared.scratch and exec.Parallel dispatches to a
-// persistent worker pool); with telemetry enabled it additionally records
-// one span per core and the whole-call compute phase.
-func (p *Prepared) Compute(y, x []float64) { p.computeWith(y, x, nil) }
+// extraY epilogue resolving rows that are cut across cores. It is
+// ComputeBatch on one vector, so it performs zero heap allocations in
+// the steady state; with telemetry enabled it additionally records one
+// "core" span per non-empty region and the whole-call compute phase.
+func (p *Prepared) Compute(y, x []float64) { p.ComputeTraced(y, x, nil) }
 
 // ComputeTraced is Compute plus a stage breakdown: it splits the call
 // into the parallel kernel phase and the serial extraY merge, records the
 // critical-path core and the per-format nonzero split, and prices the
 // multiply's modeled traffic — everything the serving layer's per-request
 // traces attribute. bd is caller-owned and reused (see
-// tracing.ComputeBreakdown), so the traced path allocates exactly as much
-// as Compute: nothing.
+// tracing.ComputeBreakdown; nil records none), so the traced path
+// allocates exactly as much as Compute: nothing.
 func (p *Prepared) ComputeTraced(y, x []float64, bd *tracing.ComputeBreakdown) {
-	p.computeWith(y, x, bd)
-}
-
-func (p *Prepared) computeWith(y, x []float64, bd *tracing.ComputeBreakdown) {
-	tel := telemetry.Active()
-	var t0 time.Time
-	if tel != nil || bd != nil {
-		t0 = time.Now()
-	}
-	s := p.scratch.Swap(nil)
-	if s == nil {
-		s = p.newScratch()
-	}
-	// One regions snapshot per call: every worker of this multiply walks
-	// the same tiling even if Repartition swaps the partition mid-flight.
-	s.y, s.x, s.tel, s.regs = y, x, tel, *p.regions.Load()
-	for _, r := range p.emptyRows {
-		y[r] = 0
-	}
-	n := len(s.regs)
-	exec.Parallel(n, s.body)
-	var tKernel time.Time
-	if bd != nil {
-		tKernel = time.Now()
-	}
-	// Serial epilogue (Algorithm 5 lines 15-17): add the tail conflicts.
-	for id := 0; id < n; id++ {
-		if s.extraRow[id] >= 0 {
-			y[s.extraRow[id]] += s.extraVal[id]
-		}
-	}
-	if bd != nil {
-		bd.KernelNs = int64(tKernel.Sub(t0))
-		bd.MergeNs = int64(time.Since(tKernel))
-		p.fillBreakdown(bd, s.regs, s.durNs, p.TrafficBytes())
-	}
-	s.y, s.x, s.tel, s.regs = nil, nil, nil, nil
-	p.scratch.Store(s)
-	cComputes.Add(1)
-	if tel != nil {
-		d := time.Since(t0)
-		tel.RecordPhase(telemetry.PhaseCompute, d)
-		computeHist.Observe(d)
-		p.recordBandwidth(p.TrafficBytes(), d)
-	}
-}
-
-// fillBreakdown completes the executor-side fields of a traced multiply:
-// fan-out width, critical-path core, per-format nonzero split, and the
-// modeled traffic of the call. KernelNs/MergeNs are set by the caller.
-func (p *Prepared) fillBreakdown(bd *tracing.ComputeBreakdown, regs []Region, durNs []int64, bytes int64) {
-	bd.Cores = len(regs)
-	bd.MaxCoreNs = 0
-	bd.NNZByFormat = [4]int64{}
-	for i := range regs {
-		if durNs[i] > bd.MaxCoreNs {
-			bd.MaxCoreNs = durNs[i]
-		}
-		bd.NNZByFormat[regs[i].Format] += int64(regs[i].Hi - regs[i].Lo)
-	}
-	bd.Bytes = bytes
+	s := p.claimScratch(1)
+	s.y1[0], s.x1[0] = y, x
+	p.multiply(s, s.y1[:], s.x1[:], false, bd)
 }
 
 // rowOfPosition returns the reordered row containing reordered-nnz

@@ -199,3 +199,55 @@ func TestExecTracedFallback(t *testing.T) {
 		t.Fatalf("batch fallback breakdown %+v", bd)
 	}
 }
+
+// Compute and ComputeBatch run one path but keep their own names in the
+// trace: Compute records one "core" span per non-empty region plus the
+// compute phase and counter, ComputeBatch "batch-core" spans plus the
+// batch phase and counters.
+func TestComputeSpanNames(t *testing.T) {
+	p, y, x := tracedFixture(t, "hub-row")
+	nonEmpty := 0
+	for _, r := range p.Regions() {
+		if r.Lo < r.Hi {
+			nonEmpty++
+		}
+	}
+	check := func(call, span string, phase telemetry.Phase, counters map[string]int64, run func()) {
+		t.Helper()
+		c := telemetry.NewCollector()
+		prev := telemetry.Activate(c)
+		before := telemetry.Snapshot().Counters
+		run()
+		after := telemetry.Snapshot().Counters
+		telemetry.Activate(prev)
+		for _, name := range []string{"core_computes", "core_batch_computes", "core_batch_vectors"} {
+			if d := after[name] - before[name]; d != counters[name] {
+				t.Fatalf("%s moved counter %s by %d, want %d", call, name, d, counters[name])
+			}
+		}
+		spans := c.Spans()
+		if len(spans) != nonEmpty {
+			t.Fatalf("%s recorded %d spans, want %d (one per non-empty region)", call, len(spans), nonEmpty)
+		}
+		for _, s := range spans {
+			if s.Name != span {
+				t.Fatalf("%s recorded span %q, want %q", call, s.Name, span)
+			}
+		}
+		for _, ph := range []telemetry.Phase{telemetry.PhaseCompute, telemetry.PhaseBatch} {
+			want := int64(0)
+			if ph == phase {
+				want = 1
+			}
+			if _, n := c.PhaseSeconds(ph); n != want {
+				t.Fatalf("%s recorded phase %v %d times, want %d", call, ph, n, want)
+			}
+		}
+	}
+	check("Compute", "core", telemetry.PhaseCompute,
+		map[string]int64{"core_computes": 1},
+		func() { p.Compute(y, x) })
+	check("ComputeBatch", "batch-core", telemetry.PhaseBatch,
+		map[string]int64{"core_batch_computes": 1, "core_batch_vectors": 2},
+		func() { p.ComputeBatch([][]float64{y, make([]float64, len(y))}, [][]float64{x, x}) })
+}

@@ -227,8 +227,9 @@ type kernelEntry struct {
 
 // kernelTable enumerates every kernel instantiation: each (index, value)
 // stream pair as a single-vector call and as a block of 1..MaxBlock
-// vectors, over fragments and (except dia, which segmented regions
-// never use) over segments.
+// vectors over fragments, and (except dia, which segmented regions
+// never use) as a single-vector call and a block of 2..MaxBlock vectors
+// over segments.
 func kernelTable() []kernelEntry {
 	pairs := []struct {
 		idx, val string
@@ -264,7 +265,9 @@ func kernelTable() []kernelEntry {
 			e.name = fmt.Sprintf("%s/%s/%s/fragment", p.idx, p.val, s.name)
 			e.frag = p.frag
 			tab = append(tab, e)
-			if p.seg != nil {
+			// A width-1 segmented tile takes SegSum (the single entry),
+			// never SegSumBlock.
+			if p.seg != nil && (!s.block || s.w > 1) {
 				e.name = fmt.Sprintf("%s/%s/%s/segsum", p.idx, p.val, s.name)
 				e.frag, e.seg = nil, p.seg
 				tab = append(tab, e)

@@ -90,13 +90,11 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases
 // SegSumBlock is the register-blocked segmented kernel: Y[j][s.Dst] =
 // Dot(vals, pal, col, base, X[j], s.K0, s.K1, unrollLen) for j in
 // [0, len(sums)), bit-identical per vector to SegSum. sums is the
-// caller's pooled per-core block buffer (its length selects the block
-// width). It mirrors the batch fragment walk's block dispatch: a width-1
-// block takes the single-vector path (as ComputeBatch does for its last
-// odd vector), wider blocks take DotBlock. Returns the number of
-// non-empty segments processed.
+// caller's pooled per-core block buffer; its length, between 2 and
+// MaxBlock, selects the block width (a width-1 tile takes SegSum, whose
+// straight-line short-row cases a one-vector DotBlock call would skip).
+// Returns the number of non-empty segments processed.
 func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
-	w := len(sums)
 	done := 0
 	for i := range segs {
 		s := segs[i]
@@ -108,13 +106,9 @@ func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, 
 		if bases != nil {
 			base = bases[i]
 		}
-		if w == 1 {
-			Y[0][s.Dst] = Dot(vals, pal, col, base, X[0], lo, hi, unrollLen)
-		} else {
-			DotBlock(vals, pal, col, base, X, sums, lo, hi, unrollLen)
-			for j := 0; j < w; j++ {
-				Y[j][s.Dst] = sums[j]
-			}
+		DotBlock(vals, pal, col, base, X, sums, lo, hi, unrollLen)
+		for j, sum := range sums {
+			Y[j][s.Dst] = sum
 		}
 		done++
 	}

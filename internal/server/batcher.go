@@ -364,7 +364,7 @@ func (b *Batcher) linger() {
 }
 
 // execute drops expired calls, serves the survivors with one fused call
-// (or a plain Compute for a lone request), attributes each request's
+// (a lone request is a batch of one), attributes each request's
 // latency to its four stages, and releases every waiter.
 //
 // Stage attribution partitions the queue-to-release lifetime exactly:
@@ -412,19 +412,18 @@ func (b *Batcher) execute(batch []*call, lingerNs int64, cause string) {
 	if nv == 1 {
 		b.solo.Add(1)
 		cServeSolo.Add(1)
-		exec.ComputeTraced(b.prep, live[0].y, live[0].x, bd)
 	} else {
 		b.coalesced.Add(int64(nv))
 		cServeCoalesced.Add(int64(nv))
-		X := b.xs[:0]
-		Y := b.ys[:0]
-		for _, c := range live {
-			X = append(X, c.x)
-			Y = append(Y, c.y)
-		}
-		b.xs, b.ys = X[:0], Y[:0]
-		exec.ComputeBatchTraced(b.prep, Y, X, bd)
 	}
+	X := b.xs[:0]
+	Y := b.ys[:0]
+	for _, c := range live {
+		X = append(X, c.x)
+		Y = append(Y, c.y)
+	}
+	b.xs, b.ys = X[:0], Y[:0]
+	exec.ComputeBatchTraced(b.prep, Y, X, bd)
 	// Link the flush into every traced request before the observer runs,
 	// so the adapter's epoch stamp completes the trace pre-release.
 	trs := b.trs[:0]
