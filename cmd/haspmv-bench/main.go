@@ -14,11 +14,6 @@
 //	haspmv-bench -exp phases          # telemetry phase timers (Fig. 7 style)
 //	haspmv-bench -exp selfcheck       # verify every method on the battery
 //	haspmv-bench -exp breakdown       # per-core time/traffic decomposition
-//	haspmv-bench -exp host            # real host wall-clock (caveats apply)
-//	haspmv-bench -exp batch           # fused multi-vector SpMV vs repeated (host)
-//	haspmv-bench -exp index           # compressed index streams vs []int reference (host)
-//	haspmv-bench -exp format          # execution formats: int/u32/auto/dia/palette (host)
-//	haspmv-bench -exp segsum          # segmented-sum vs serial-epilogue execution (host)
 //	haspmv-bench -exp serve           # closed-loop serving: batcher vs solo (host)
 //	haspmv-bench -exp adapt           # online repartitioning recovery from miscalibration
 //	haspmv-bench -exp all             # table1 through phases, in paper order
@@ -26,8 +21,13 @@
 // Scale knobs: -corpus N (matrices standing in for the 2888 SuiteSparse
 // sweep), -maxnnz (largest corpus matrix), -scale S (divisor on the
 // published sizes of the representative matrices), -machines a,b,...,
-// -nvs 1,2,4,8 (batch widths for -exp batch), -clients/-perclient/-lingers
-// (load shape and coalescing windows for -exp serve)
+// -clients/-perclient/-lingers (load shape and coalescing windows for
+// -exp serve)
+//
+// Host wall-clock timings of the multiply kernels live in the
+// repository-root Go benchmarks (BenchmarkSpMVCompute, BenchmarkCompute,
+// BenchmarkComputeSegSum, BenchmarkComputeBatch) and in perfbench's
+// per-layer kernel.* and core.* rows, not here.
 //
 // Observability knobs: -telemetry enables instrumentation for the run,
 // -metrics-addr ADDR serves /metrics (Prometheus text), /debug/vars
@@ -78,22 +78,6 @@ func parseDurations(s string) ([]time.Duration, error) {
 	return out, nil
 }
 
-// parseInts parses a comma-separated list of positive integers.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 {
-			return nil, fmt.Errorf("width %d must be positive", v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "haspmv-bench:", err)
@@ -103,14 +87,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("haspmv-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, host, batch, index, format, segsum, serve, adapt, selfcheck, all)")
+	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, serve, adapt, selfcheck, all)")
 	corpus := fs.Int("corpus", 0, "corpus size (default from harness)")
 	maxNNZ := fs.Int("maxnnz", 0, "largest corpus matrix nnz")
 	scale := fs.Int("scale", 0, "representative matrix scale divisor (1 = published size)")
 	machines := fs.String("machines", "", "comma-separated machine names (default: all four)")
 	points := fs.Int("points", 24, "stream sweep points per curve (fig3)")
-	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown, host, batch, index, format, segsum, serve and adapt experiments")
-	nvs := fs.String("nvs", "1,2,4,8,16", "comma-separated batch widths for the batch experiment")
+	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown, serve and adapt experiments and the -trace run")
 	clients := fs.Int("clients", 64, "concurrent closed-loop clients for the serve experiment")
 	perClient := fs.Int("perclient", 6, "requests per client for the serve experiment")
 	lingers := fs.String("lingers", "0,50us,200us,1ms", "comma-separated coalescing windows for the serve experiment")
@@ -126,6 +109,17 @@ func run(args []string) error {
 			return nil
 		}
 		return err
+	}
+	if _, ok := gen.RepresentativeInfo(*matrix); !ok {
+		return fmt.Errorf("unknown matrix %q (have %s)", *matrix, strings.Join(gen.RepresentativeNames(), ", "))
+	}
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"-clients", *clients}, {"-perclient", *perClient}, {"-adapt-steps", *adaptSteps}} {
+		if p.v < 1 {
+			return fmt.Errorf("%s: %d must be positive", p.name, p.v)
+		}
 	}
 	writeCSV := func(name string, emit func(io.Writer) error) error {
 		if *csvDir == "" {
@@ -309,57 +303,6 @@ func run(args []string) error {
 					return err
 				}
 				bench.PrintBreakdown(out, m, *matrix, rows)
-			}
-		case "host":
-			m := cfg.Machines[0]
-			rows, err := bench.HostCompare(cfg, m, *matrix, 5)
-			if err != nil {
-				return err
-			}
-			bench.PrintHostCompare(out, m, *matrix, rows)
-		case "batch":
-			widths, err := parseInts(*nvs)
-			if err != nil {
-				return fmt.Errorf("-nvs: %w", err)
-			}
-			m := cfg.Machines[0]
-			rows, err := bench.BatchThroughput(cfg, m, *matrix, widths, 5)
-			if err != nil {
-				return err
-			}
-			bench.PrintBatch(out, m, *matrix, rows)
-			if err := writeCSV("batch", func(w io.Writer) error { return bench.BatchCSV(w, m.Name, *matrix, rows) }); err != nil {
-				return err
-			}
-		case "index":
-			m := cfg.Machines[0]
-			rows, err := bench.IndexSweep(cfg, m, *matrix, 5)
-			if err != nil {
-				return err
-			}
-			bench.PrintIndex(out, m, *matrix, rows)
-			if err := writeCSV("index", func(w io.Writer) error { return bench.IndexCSV(w, m.Name, *matrix, rows) }); err != nil {
-				return err
-			}
-		case "format":
-			m := cfg.Machines[0]
-			rows, err := bench.FormatSweep(cfg, m, *matrix, 5)
-			if err != nil {
-				return err
-			}
-			bench.PrintFormat(out, m, rows)
-			if err := writeCSV("format", func(w io.Writer) error { return bench.FormatCSV(w, m.Name, rows) }); err != nil {
-				return err
-			}
-		case "segsum":
-			m := cfg.Machines[0]
-			rows, err := bench.SegSumSweep(cfg, m, *matrix, 5)
-			if err != nil {
-				return err
-			}
-			bench.PrintSegSum(out, m, rows)
-			if err := writeCSV("segsum", func(w io.Writer) error { return bench.SegSumCSV(w, m.Name, rows) }); err != nil {
-				return err
 			}
 		case "serve":
 			windows, err := parseDurations(*lingers)

@@ -35,45 +35,32 @@ func TestRunFlagsAndErrors(t *testing.T) {
 	if err := run([]string{"-exp", "table1", "-machines", "apple-m2-like,7950X"}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunBatchExperiment(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-exp", "batch", "-scale", "64", "-matrix", "dawson5", "-nvs", "1,4", "-csv", dir}); err != nil {
-		t.Fatal(err)
+	// Host timings are the root Go benchmarks, not experiments.
+	for _, exp := range []string{"batch", "index", "format", "segsum", "host"} {
+		t.Run("removed-"+exp, func(t *testing.T) {
+			if err := run([]string{"-exp", exp}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+				t.Fatalf("-exp %s: %v", exp, err)
+			}
+		})
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "batch.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "machine,matrix,nv,") {
-		t.Fatalf("csv header: %q", string(data[:40]))
-	}
-	if err := run([]string{"-exp", "batch", "-nvs", "2,zero"}); err == nil || !strings.Contains(err.Error(), "-nvs") {
-		t.Fatalf("bad -nvs accepted: %v", err)
-	}
-	if err := run([]string{"-exp", "batch", "-nvs", "0"}); err == nil || !strings.Contains(err.Error(), "positive") {
-		t.Fatalf("non-positive -nvs accepted: %v", err)
-	}
-}
-
-func TestRunFormatExperiment(t *testing.T) {
-	dir := t.TempDir()
-	if err := run([]string{"-exp", "format", "-scale", "256", "-matrix", "dawson5", "-csv", dir}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "format.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	if !strings.HasPrefix(s, "machine,matrix,config,") {
-		t.Fatalf("csv header: %q", s[:40])
-	}
-	for _, want := range []string{"stencil9", "graph01", "dawson5", ",dia,", ",palette,"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("format CSV missing %q:\n%s", want, s)
+	// An unknown matrix is an error naming the known ones, not a panic
+	// inside the generator.
+	t.Run("unknown-matrix", func(t *testing.T) {
+		if err := run([]string{"-exp", "breakdown", "-matrix", "nope"}); err == nil ||
+			!strings.Contains(err.Error(), "nope") || !strings.Contains(err.Error(), "rma10") {
+			t.Fatalf("unknown matrix: %v", err)
 		}
+	})
+	for _, args := range [][]string{
+		{"-exp", "serve", "-clients", "0"},
+		{"-exp", "serve", "-perclient", "-1"},
+		{"-exp", "adapt", "-adapt-steps", "0"},
+	} {
+		t.Run("nonpositive"+args[2], func(t *testing.T) {
+			if err := run(args); err == nil || !strings.Contains(err.Error(), args[2]) || !strings.Contains(err.Error(), "positive") {
+				t.Fatalf("%v: %v", args, err)
+			}
+		})
 	}
 }
 

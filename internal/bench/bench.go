@@ -71,7 +71,7 @@ func (c Config) corpus() []gen.Spec {
 	})
 }
 
-// intelAMD splits the configured machines by vendor flavour: the Intel
+// isAMD splits the configured machines by vendor flavour: the Intel
 // parts compare against oneMKL, the AMD parts against AOCL.
 func isAMD(m *amp.Machine) bool {
 	return !m.PGroup().L3SharedWithOtherGroup
@@ -83,7 +83,8 @@ func isAMD(m *amp.Machine) bool {
 // index mode: the paper's algorithm has no compressed execution streams,
 // and the baselines are all priced at the paper's 4-byte CSR indices, so
 // the figure reproductions compare like with like (the compressed-stream
-// win is measured separately by IndexSweep / -exp index).
+// win is measured separately by the root BenchmarkCompute int/u32/auto
+// rows and perfbench's kernel.bytes_per_nnz rows).
 func AlgorithmsFor(m *amp.Machine) []exec.Algorithm {
 	vendor := vendorlike.New(vendorlike.MKL, amp.PAndE)
 	if isAMD(m) {

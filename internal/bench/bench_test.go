@@ -456,54 +456,3 @@ func TestTraceRunNeedsTelemetry(t *testing.T) {
 		t.Fatalf("trace run recorded %d spans, want one per core (%d)", len(c.Spans()), m.TotalCores())
 	}
 }
-
-func TestBatchThroughputMeasures(t *testing.T) {
-	cfg := TestConfig()
-	m := amp.IntelI912900KF()
-	rows, err := BatchThroughput(cfg, m, "dawson5", []int{1, 3, 8}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.FusedUs <= 0 || r.RepeatedUs <= 0 || r.FusedGFlops <= 0 || r.Speedup <= 0 {
-			t.Fatalf("degenerate measurement: %+v", r)
-		}
-	}
-	var buf bytes.Buffer
-	PrintBatch(&buf, m, "dawson5", rows)
-	if !strings.Contains(buf.String(), "index-stream amortization") {
-		t.Fatal("batch print missing caveat")
-	}
-	buf.Reset()
-	if err := BatchCSV(&buf, m.Name, "dawson5", rows); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 4 {
-		t.Fatalf("batch csv has %d lines, want header + 3 rows", lines)
-	}
-}
-
-func TestHostCompareMeasures(t *testing.T) {
-	cfg := TestConfig()
-	m := amp.IntelI912900KF()
-	rows, err := HostCompare(cfg, m, "dawson5", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.MultiplyUs <= 0 || r.GFlops <= 0 || r.PrepMs < 0 {
-			t.Fatalf("degenerate measurement: %+v", r)
-		}
-	}
-	var buf bytes.Buffer
-	PrintHostCompare(&buf, m, "dawson5", rows)
-	if !strings.Contains(buf.String(), "algorithmic overheads") {
-		t.Fatal("host print missing caveat")
-	}
-}

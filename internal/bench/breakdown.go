@@ -3,10 +3,8 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"haspmv/internal/amp"
-	"haspmv/internal/exec"
 	"haspmv/internal/gen"
 	"haspmv/internal/telemetry"
 
@@ -156,70 +154,4 @@ func TraceRun(cfg Config, m *amp.Machine, matrix string) error {
 	}
 	prep.Compute(make([]float64, a.Rows), x)
 	return nil
-}
-
-// HostRow is one method's real wall-clock measurement on this host.
-type HostRow struct {
-	Algorithm string
-	PrepMs    float64
-	// MultiplyUs is the best-of-k time of one y = A*x.
-	MultiplyUs float64
-	GFlops     float64
-}
-
-// HostCompare measures real host wall-clock for every method on one
-// matrix: Prepare once, then best-of-reps Multiply. Host numbers reflect
-// algorithmic overheads only — Go cannot pin goroutines to P/E cores, so
-// AMP asymmetry is invisible here (the honest caveat of DESIGN.md §2);
-// the modeled numbers are the reproduction's performance results.
-func HostCompare(cfg Config, m *amp.Machine, matrix string, reps int) ([]HostRow, error) {
-	if reps < 1 {
-		reps = 5
-	}
-	a := gen.Representative(matrix, cfg.RepScale)
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%7)/7
-	}
-	y := make([]float64, a.Rows)
-	var rows []HostRow
-	for _, alg := range AlgorithmsFor(m) {
-		prep, prepTime, err := exec.TimePrepare(alg, m, a)
-		if err != nil {
-			return nil, err
-		}
-		prep.Compute(y, x) // warm up
-		best := time.Duration(1 << 62)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			prep.Compute(y, x)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		sec := best.Seconds()
-		gf := 0.0
-		if sec > 0 {
-			gf = 2 * float64(a.NNZ()) / sec / 1e9
-		}
-		rows = append(rows, HostRow{
-			Algorithm:  alg.Name(),
-			PrepMs:     float64(prepTime.Microseconds()) / 1e3,
-			MultiplyUs: float64(best.Nanoseconds()) / 1e3,
-			GFlops:     gf,
-		})
-	}
-	return rows, nil
-}
-
-// PrintHostCompare renders the host measurements.
-func PrintHostCompare(w io.Writer, m *amp.Machine, matrix string, rows []HostRow) {
-	fmt.Fprintf(w, "\n# Host wall-clock on %s (machine model %s used for partitioning only)\n", matrix, m.Name)
-	fmt.Fprintln(w, "note: host cores are symmetric; these numbers show algorithmic overheads, not AMP behaviour")
-	tw := newTable(w)
-	fmt.Fprintln(tw, "method\tprep(ms)\tmultiply(us)\thost GFlops")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.3f\t%.1f\t%.2f\n", r.Algorithm, r.PrepMs, r.MultiplyUs, r.GFlops)
-	}
-	tw.Flush()
 }

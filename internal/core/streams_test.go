@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"haspmv/internal/amp"
+	"haspmv/internal/gen"
 	"haspmv/internal/sparse"
 )
 
@@ -55,6 +56,65 @@ func TestIndexStatsPerMode(t *testing.T) {
 	}
 	if ref.Eligible16NNZ != 0 {
 		t.Errorf("reference mode computed delta analysis: %+v", ref)
+	}
+}
+
+// Auto format selection on the two shapes the per-region formats exist
+// for: a 9-diagonal stencil with a trace of off-band defect rows, where
+// diagonal run descriptors carry almost every nonzero (the defect rows
+// ride the u32 fallback) and continuous values keep the palette out,
+// and a 0/1 random graph, where the one-entry palette engages and the
+// scattered columns keep the diagonal format out.
+func TestAutoFormatSelection(t *testing.T) {
+	sten := gen.StencilSpec{
+		Name: "stencil9", Rows: 4096, Cols: 4096,
+		Diagonals: 9, NoiseFrac: 0.002, Seed: 20260801,
+	}.Generate()
+	graph := gen.Spec{
+		Name: "graph01", Rows: 2048, Cols: 2048,
+		Dist:  gen.NormalLen{Mean: 16, Std: 4, Min: 1, Max: 32},
+		Place: gen.Random, Seed: 20260802,
+	}.Generate()
+	for k := range graph.Val {
+		graph.Val[k] = 1 // adjacency: every stored value exactly 1.0
+	}
+	for _, tc := range []struct {
+		name           string
+		a              *sparse.CSR
+		opts           Options
+		minDia, maxDia float64 // share of nnz on IndexDia
+		val            ValueFormat
+		// Index and value bytes per nnz stay below these; 0 skips the check.
+		maxIdxBytes, maxValBytes float64
+	}{
+		{"stencil9/auto", sten, Options{}, 0.9, 1, ValF64, 2, 0},
+		{"stencil9/dia", sten, Options{Index: IndexForceDia, Value: ValueReference}, 0.9, 1, ValF64, 2, 0},
+		{"graph01/auto", graph, Options{}, 0, 0.05, ValPalette, 4, 1.5},
+		{"graph01/u32-palette", graph, Options{Index: IndexU32}, 0, 0, ValPalette, 0, 1.5},
+		{"graph01/reference", graph, Options{Index: IndexReference, Value: ValueReference}, 0, 0, ValF64, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prep, err := New(tc.opts).Prepare(amp.IntelI912900KF(), tc.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := prep.(*Prepared)
+			ist, vst := p.IndexStats(), p.ValueStats()
+			nnz := float64(tc.a.NNZ())
+			if dia := float64(ist.NNZByFormat[IndexDia]) / nnz; dia < tc.minDia || dia > tc.maxDia {
+				t.Errorf("dia nnz share = %.3f, want within [%v, %v] (split %v)",
+					dia, tc.minDia, tc.maxDia, ist.NNZByFormat)
+			}
+			if idx := float64(ist.StreamIndexBytes) / nnz; tc.maxIdxBytes > 0 && (idx <= 0 || idx >= tc.maxIdxBytes) {
+				t.Errorf("index bytes/nnz = %.3f, want within (0, %v)", idx, tc.maxIdxBytes)
+			}
+			if vst.Format != tc.val {
+				t.Errorf("value stream = %s, want %s", vst.Format, tc.val)
+			}
+			if val := float64(vst.StreamValueBytes) / nnz; tc.maxValBytes > 0 && val >= tc.maxValBytes {
+				t.Errorf("value bytes/nnz = %.3f, want below %v", val, tc.maxValBytes)
+			}
+		})
 	}
 }
 
