@@ -21,8 +21,7 @@
 // Scale knobs: -corpus N (matrices standing in for the 2888 SuiteSparse
 // sweep), -maxnnz (largest corpus matrix), -scale S (divisor on the
 // published sizes of the representative matrices), -machines a,b,...,
-// -clients/-perclient/-lingers (load shape and coalescing windows for
-// -exp serve)
+// -clients/-perclient (load shape for -exp serve)
 //
 // Host wall-clock timings of the multiply kernels live in the
 // repository-root Go benchmarks (BenchmarkSpMVCompute, BenchmarkCompute,
@@ -47,7 +46,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"haspmv/internal/amp"
 	"haspmv/internal/bench"
@@ -55,28 +53,6 @@ import (
 	"haspmv/internal/telemetry"
 	"haspmv/internal/verify"
 )
-
-// parseDurations parses a comma-separated list of non-negative Go
-// durations ("0,50us,200us,1ms").
-func parseDurations(s string) ([]time.Duration, error) {
-	var out []time.Duration
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "0" {
-			out = append(out, 0)
-			continue
-		}
-		v, err := time.ParseDuration(part)
-		if err != nil {
-			return nil, err
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("window %s must not be negative", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -96,7 +72,6 @@ func run(args []string) error {
 	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown, serve and adapt experiments and the -trace run")
 	clients := fs.Int("clients", 64, "concurrent closed-loop clients for the serve experiment")
 	perClient := fs.Int("perclient", 6, "requests per client for the serve experiment")
-	lingers := fs.String("lingers", "0,50us,200us,1ms", "comma-separated coalescing windows for the serve experiment")
 	perturbs := fs.String("perturb", "0.5,2,4", "comma-separated P-group miscalibration factors for the adapt experiment")
 	adaptSteps := fs.Int("adapt-steps", 10, "multiplies the adapt experiment lets the feedback loop observe")
 	seed := fs.Int64("seed", 0, "corpus seed override")
@@ -305,12 +280,8 @@ func run(args []string) error {
 				bench.PrintBreakdown(out, m, *matrix, rows)
 			}
 		case "serve":
-			windows, err := parseDurations(*lingers)
-			if err != nil {
-				return fmt.Errorf("-lingers: %w", err)
-			}
 			m := cfg.Machines[0]
-			rows, err := bench.ServeSweep(cfg, m, *matrix, *clients, *perClient, windows)
+			rows, err := bench.ServeSweep(cfg, m, *matrix, *clients, *perClient)
 			if err != nil {
 				return err
 			}

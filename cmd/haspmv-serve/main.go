@@ -13,10 +13,11 @@
 //	GET  /debug/pprof/            Go profiler
 //
 // Concurrent requests against the same matrix are coalesced into one
-// fused ComputeBatch pass over the matrix (flush at -max-batch requests
-// or after the -linger window); responses are bit-identical to a solo
-// multiply. Overload is shed with 429 + Retry-After, and SIGINT/SIGTERM
-// trigger a graceful drain bounded by -drain-timeout.
+// fused ComputeBatch pass over the matrix: whenever a matrix's dispatcher
+// is free it flushes whatever has queued, up to -max-batch requests;
+// responses are bit-identical to a solo multiply. Overload is shed with
+// 429 + Retry-After, and SIGINT/SIGTERM trigger a graceful drain bounded
+// by -drain-timeout.
 package main
 
 import (
@@ -55,8 +56,7 @@ func run(args []string, ready func(addr string), shutdown <-chan struct{}) error
 	fs := flag.NewFlagSet("haspmv-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address (\":0\" picks a port)")
 	machineName := fs.String("machine", "i9-12900KF", "AMP model to partition for (i9-12900KF, i9-13900KF, 7950X3D, 7950X)")
-	maxBatch := fs.Int("max-batch", 0, "coalescing flush size (default 8, the register-block width)")
-	linger := fs.Duration("linger", 200*time.Microsecond, "how long an under-full batch waits for company; 0 disables coalescing")
+	maxBatch := fs.Int("max-batch", 0, "widest coalesced flush (default 8, the register-block width)")
 	queueCap := fs.Int("queue", 256, "per-matrix queue bound; beyond it requests are shed with 429")
 	cache := fs.Int("cache", 8, "prepared matrices kept resident (LRU beyond this)")
 	defaultScale := fs.Int("scale", 16, "default scale divisor for requests that omit one")
@@ -87,10 +87,6 @@ func run(args []string, ready func(addr string), shutdown <-chan struct{}) error
 		defer telemetry.Activate(prev)
 	}
 
-	lingerOpt := *linger
-	if lingerOpt == 0 {
-		lingerOpt = server.ExplicitZeroLinger
-	}
 	var adaptOpts *core.AdapterOptions
 	if *adapt {
 		adaptOpts = &core.AdapterOptions{Every: *adaptEvery}
@@ -120,7 +116,6 @@ func run(args []string, ready func(addr string), shutdown <-chan struct{}) error
 			MaxEntries: *cache,
 			Batcher: server.BatcherOptions{
 				MaxBatch: *maxBatch,
-				Linger:   lingerOpt,
 				QueueCap: *queueCap,
 			},
 			Adapt:    adaptOpts,

@@ -12,6 +12,7 @@ import (
 	"haspmv/internal/amp"
 	"haspmv/internal/gen"
 	"haspmv/internal/server"
+	"haspmv/internal/telemetry/tracing"
 
 	haspmvcore "haspmv/internal/core"
 )
@@ -19,10 +20,9 @@ import (
 // ServeRow is one closed-loop serving measurement: a fixed population of
 // clients, each issuing its next request as soon as the previous answer
 // arrives, against either uncoordinated per-request Computes ("solo") or
-// the dynamic batcher ("coalesced", one row per linger setting).
+// the dynamic batcher ("coalesced").
 type ServeRow struct {
 	Mode     string // "solo" or "coalesced"
-	LingerUs float64
 	Clients  int
 	Requests int
 	WallMs   float64
@@ -33,34 +33,31 @@ type ServeRow struct {
 	P99Us float64
 	// MeanBatch is the average flush width (1 for solo serving).
 	MeanBatch float64
-	// QueueUs/LingerStageUs/ComputeUs/MergeUs are the batcher's mean
-	// per-request stage attribution (zero for solo serving, which has no
-	// batcher): the four stages partition each served request's
-	// queue-to-release lifetime exactly.
-	QueueUs, LingerStageUs, ComputeUs, MergeUs float64
+	// QueueUs/ComputeUs/MergeUs are the mean per-request stage
+	// attribution from each request's tracing.Trace (zero for solo
+	// serving, which has no batcher): the three stages partition each
+	// served request's queue-to-release lifetime exactly.
+	QueueUs, ComputeUs, MergeUs float64
 }
 
 // StageSumUs is the mean stage-attributed request lifetime; for
 // coalesced rows it reconstructs the batcher-observed latency (client
 // observations add only submit/wakeup overhead on top).
 func (r ServeRow) StageSumUs() float64 {
-	return r.QueueUs + r.LingerStageUs + r.ComputeUs + r.MergeUs
+	return r.QueueUs + r.ComputeUs + r.MergeUs
 }
 
 // ServeSweep prepares one representative matrix, precomputes serial
-// Multiply references, and measures solo serving plus coalesced serving
-// at each linger. Every response is compared bit-for-bit against the
-// serial reference — a mismatch is an error, since the serving layer
-// promises coalescing never changes a result.
-func ServeSweep(cfg Config, m *amp.Machine, matrix string, clients, perClient int, lingers []time.Duration) ([]ServeRow, error) {
+// Multiply references, and measures solo serving against coalesced
+// serving through the batcher. Every response is compared bit-for-bit
+// against the serial reference — a mismatch is an error, since the
+// serving layer promises coalescing never changes a result.
+func ServeSweep(cfg Config, m *amp.Machine, matrix string, clients, perClient int) ([]ServeRow, error) {
 	if clients < 1 {
 		clients = 64
 	}
 	if perClient < 1 {
 		perClient = 6
-	}
-	if len(lingers) == 0 {
-		lingers = []time.Duration{200 * time.Microsecond}
 	}
 	a := gen.Representative(matrix, cfg.RepScale)
 	prep, err := haspmvcore.New(haspmvcore.Options{}).Prepare(m, a)
@@ -82,9 +79,11 @@ func ServeSweep(cfg Config, m *amp.Machine, matrix string, clients, perClient in
 
 	// run drives the closed loop: clients goroutines, each submitting
 	// perClient requests back to back through submit and checking every
-	// answer against the serial reference.
-	run := func(submit func(y, x []float64) error) (wall time.Duration, lat []time.Duration, err error) {
+	// answer against the serial reference. Each client reuses one trace
+	// for all its requests and sums its queue/compute/merge stages.
+	run := func(submit func(tr *tracing.Trace, y, x []float64) error) (wall time.Duration, lat []time.Duration, stageNs [3]int64, err error) {
 		lat = make([]time.Duration, clients*perClient)
+		stages := make([][3]int64, clients)
 		errCh := make(chan error, clients)
 		start := make(chan struct{})
 		var wg sync.WaitGroup
@@ -93,15 +92,19 @@ func ServeSweep(cfg Config, m *amp.Machine, matrix string, clients, perClient in
 			go func(g int) {
 				defer wg.Done()
 				y := make([]float64, a.Rows)
+				var tr tracing.Trace
 				<-start
 				for j := 0; j < perClient; j++ {
 					p := (g + j) % patterns
 					t0 := time.Now()
-					if err := submit(y, X[p]); err != nil {
+					if err := submit(&tr, y, X[p]); err != nil {
 						errCh <- err
 						return
 					}
 					lat[g*perClient+j] = time.Since(t0)
+					stages[g][0] += tr.QueueNs
+					stages[g][1] += tr.ComputeNs
+					stages[g][2] += tr.MergeNs
 					for i := range y {
 						if y[i] != refs[p][i] {
 							errCh <- fmt.Errorf("client %d request %d: y[%d] = %x, serial Multiply gives %x",
@@ -116,22 +119,31 @@ func ServeSweep(cfg Config, m *amp.Machine, matrix string, clients, perClient in
 		close(start)
 		wg.Wait()
 		wall = time.Since(t0)
+		for _, s := range stages {
+			for i := range stageNs {
+				stageNs[i] += s[i]
+			}
+		}
 		select {
 		case err = <-errCh:
 		default:
 		}
-		return wall, lat, err
+		return wall, lat, stageNs, err
 	}
 
-	row := func(mode string, lingerUs float64, wall time.Duration, lat []time.Duration, meanBatch float64) ServeRow {
+	row := func(mode string, wall time.Duration, lat []time.Duration, stageNs [3]int64, meanBatch float64) ServeRow {
 		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		n := len(lat)
+		us := func(ns int64) float64 { return float64(ns) / float64(n) / 1e3 }
 		r := ServeRow{
-			Mode: mode, LingerUs: lingerUs, Clients: clients, Requests: n,
+			Mode: mode, Clients: clients, Requests: n,
 			WallMs:    float64(wall.Nanoseconds()) / 1e6,
 			P50Us:     float64(lat[n/2].Nanoseconds()) / 1e3,
 			P99Us:     float64(lat[n*99/100].Nanoseconds()) / 1e3,
 			MeanBatch: meanBatch,
+			QueueUs:   us(stageNs[0]),
+			ComputeUs: us(stageNs[1]),
+			MergeUs:   us(stageNs[2]),
 		}
 		if s := wall.Seconds(); s > 0 {
 			r.RPS = float64(n) / s
@@ -141,57 +153,39 @@ func ServeSweep(cfg Config, m *amp.Machine, matrix string, clients, perClient in
 
 	// Solo baseline: each client calls Compute directly, no coordination
 	// — what serving looks like without the batcher.
-	wall, lat, err := run(func(y, x []float64) error {
+	wall, lat, stageNs, err := run(func(_ *tracing.Trace, y, x []float64) error {
 		prep.Compute(y, x)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := []ServeRow{row("solo", 0, wall, lat, 1)}
+	solo := row("solo", wall, lat, stageNs, 1)
 
-	for _, linger := range lingers {
-		l := linger
-		if l <= 0 {
-			l = server.ExplicitZeroLinger
-		}
-		b := server.NewBatcher(prep, server.BatcherOptions{Linger: l})
-		wall, lat, err := run(func(y, x []float64) error {
-			_, err := b.Submit(context.Background(), y, x)
-			return err
-		})
-		st := b.Stats()
-		b.Close()
-		if err != nil {
-			return nil, err
-		}
-		r := row("coalesced", float64(linger.Nanoseconds())/1e3, wall, lat, st.MeanOccupancy())
-		means := st.StageMeans()
-		r.QueueUs, r.LingerStageUs, r.ComputeUs, r.MergeUs =
-			means[0]/1e3, means[1]/1e3, means[2]/1e3, means[3]/1e3
-		rows = append(rows, r)
+	b := server.NewBatcher(prep, server.BatcherOptions{})
+	wall, lat, stageNs, err = run(func(tr *tracing.Trace, y, x []float64) error {
+		_, err := b.SubmitTraced(context.Background(), y, x, tr)
+		return err
+	})
+	st := b.Stats()
+	b.Close()
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return []ServeRow{solo, row("coalesced", wall, lat, stageNs, st.MeanOccupancy())}, nil
 }
 
-// ServeSpeedup returns coalesced-over-solo throughput for the best
-// coalesced row of a sweep (0 if the sweep lacks either mode).
+// ServeSpeedup returns a sweep's coalesced-over-solo throughput (0 if
+// the sweep lacks either mode).
 func ServeSpeedup(rows []ServeRow) float64 {
-	solo, best := 0.0, 0.0
+	rps := map[string]float64{}
 	for _, r := range rows {
-		switch r.Mode {
-		case "solo":
-			solo = r.RPS
-		case "coalesced":
-			if r.RPS > best {
-				best = r.RPS
-			}
-		}
+		rps[r.Mode] = r.RPS
 	}
-	if solo == 0 {
+	if rps["solo"] == 0 {
 		return 0
 	}
-	return best / solo
+	return rps["coalesced"] / rps["solo"]
 }
 
 // PrintServe renders a serving sweep.
@@ -199,27 +193,27 @@ func PrintServe(w io.Writer, m *amp.Machine, matrix string, nnz int, rows []Serv
 	fmt.Fprintf(w, "\n# Closed-loop serving on %s (%d nnz, machine model %s used for partitioning only)\n", matrix, nnz, m.Name)
 	fmt.Fprintln(w, "note: solo = concurrent uncoordinated Computes; coalesced = dynamic batcher (bit-identical responses)")
 	tw := newTable(w)
-	fmt.Fprintln(tw, "mode\tlinger(us)\tclients\treq/s\tp50(us)\tp99(us)\tmean batch\tqueue(us)\tlingered(us)\tcompute(us)\tmerge(us)")
+	fmt.Fprintln(tw, "mode\tclients\treq/s\tp50(us)\tp99(us)\tmean batch\tqueue(us)\tcompute(us)\tmerge(us)")
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%.0f\t%d\t%.0f\t%.0f\t%.0f\t%.2f\t%.0f\t%.0f\t%.0f\t%.0f\n",
-			r.Mode, r.LingerUs, r.Clients, r.RPS, r.P50Us, r.P99Us, r.MeanBatch,
-			r.QueueUs, r.LingerStageUs, r.ComputeUs, r.MergeUs)
+		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.0f\t%.2f\t%.0f\t%.0f\t%.0f\n",
+			r.Mode, r.Clients, r.RPS, r.P50Us, r.P99Us, r.MeanBatch,
+			r.QueueUs, r.ComputeUs, r.MergeUs)
 	}
 	tw.Flush()
 	fmt.Fprintf(w, "coalesced/solo throughput: %.2fx\n", ServeSpeedup(rows))
 }
 
-// ServeCSV emits machine,matrix,mode,linger_us,clients,requests,wall_ms,
-// rps,p50_us,p99_us,mean_batch plus the mean per-request stage
-// attribution (queue_us,lingered_us,compute_us,merge_us) per row.
+// ServeCSV emits machine,matrix,mode,clients,requests,wall_ms,rps,
+// p50_us,p99_us,mean_batch plus the mean per-request stage attribution
+// (queue_us,compute_us,merge_us) per row.
 func ServeCSV(w io.Writer, machine, matrix string, rowsIn []ServeRow) error {
 	cw := csv.NewWriter(w)
-	rows := [][]string{{"machine", "matrix", "mode", "linger_us", "clients", "requests", "wall_ms", "rps", "p50_us", "p99_us", "mean_batch", "queue_us", "lingered_us", "compute_us", "merge_us"}}
+	rows := [][]string{{"machine", "matrix", "mode", "clients", "requests", "wall_ms", "rps", "p50_us", "p99_us", "mean_batch", "queue_us", "compute_us", "merge_us"}}
 	for _, r := range rowsIn {
 		rows = append(rows, []string{
-			machine, matrix, r.Mode, f(r.LingerUs), d(r.Clients), d(r.Requests),
+			machine, matrix, r.Mode, d(r.Clients), d(r.Requests),
 			f(r.WallMs), f(r.RPS), f(r.P50Us), f(r.P99Us), f(r.MeanBatch),
-			f(r.QueueUs), f(r.LingerStageUs), f(r.ComputeUs), f(r.MergeUs),
+			f(r.QueueUs), f(r.ComputeUs), f(r.MergeUs),
 		})
 	}
 	return writeAll(cw, rows)

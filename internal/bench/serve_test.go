@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-	"time"
 
 	"haspmv/internal/amp"
 	"haspmv/internal/gen"
@@ -16,15 +15,15 @@ import (
 func TestServeSweepSmall(t *testing.T) {
 	cfg := TestConfig()
 	m := amp.IntelI912900KF()
-	rows, err := ServeSweep(cfg, m, "dawson5", 8, 3, []time.Duration{0, 200 * time.Microsecond})
+	rows, err := ServeSweep(cfg, m, "dawson5", 8, 3)
 	if err != nil {
 		t.Fatalf("ServeSweep: %v", err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want solo + 2 coalesced", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want solo + coalesced", len(rows))
 	}
-	if rows[0].Mode != "solo" || rows[1].Mode != "coalesced" || rows[2].Mode != "coalesced" {
-		t.Fatalf("row modes %q %q %q", rows[0].Mode, rows[1].Mode, rows[2].Mode)
+	if rows[0].Mode != "solo" || rows[1].Mode != "coalesced" {
+		t.Fatalf("row modes %q %q", rows[0].Mode, rows[1].Mode)
 	}
 	for _, r := range rows {
 		if r.Requests != 8*3 {
@@ -34,7 +33,7 @@ func TestServeSweepSmall(t *testing.T) {
 			t.Fatalf("%s: implausible row %+v", r.Mode, r)
 		}
 		// Stage attribution: solo has no batcher so no stages; coalesced
-		// rows must attribute each request's lifetime to the four stages,
+		// rows must attribute each request's lifetime to the three stages,
 		// with a nonzero compute share and a sum that stays within the
 		// client-observed latency envelope (client observations add only
 		// submit/wakeup overhead on top of the batcher's accounting).
@@ -100,7 +99,7 @@ func TestServeCoalescingThroughputTarget(t *testing.T) {
 	// stream.
 	best := 0.0
 	for attempt := 0; attempt < 3; attempt++ {
-		rows, err := ServeSweep(cfg, m, "shipsec1", 64, 4, []time.Duration{200 * time.Microsecond})
+		rows, err := ServeSweep(cfg, m, "shipsec1", 64, 4)
 		if err != nil {
 			t.Fatalf("ServeSweep attempt %d: %v", attempt, err)
 		}

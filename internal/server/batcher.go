@@ -1,10 +1,11 @@
 // Package server is the HASpMV serving subsystem: an HTTP/JSON SpMV
 // service whose core is a per-matrix dynamic batcher. Concurrent
 // Multiply requests against the same prepared matrix are coalesced into
-// one fused ComputeBatch call using a size/time window — flush as soon
-// as kernel.MaxBlock requests are waiting, or after a short configurable
-// linger otherwise — so the matrix's value and column streams are walked
-// once for the whole batch instead of once per request.
+// one fused ComputeBatch call: whenever the dispatcher is free it
+// flushes whatever has queued, up to kernel.MaxBlock requests, with no
+// timer — so requests that arrive while a flush computes share the next
+// walk of the matrix's value and column streams instead of taking one
+// each, and a lone request on an idle matrix is computed at once.
 //
 // Coalescing is transparent: ComputeBatch is bit-exact with respect to
 // Compute (see internal/core/batch.go), so a response carries exactly
@@ -37,10 +38,9 @@ var (
 	gServeQueue     = telemetry.NewGauge("serve_queue_depth")
 	hServeOccupancy = telemetry.NewValueHistogram("serve_batch_occupancy")
 	hServeLatency   = telemetry.NewHistogram("serve_request")
-	// Stage-attributed latency histograms: the four stages partition each
+	// Stage-attributed latency histograms: the three stages partition each
 	// served request's queue-to-release lifetime exactly (see execute).
 	hStageQueue   = telemetry.NewHistogram("serve_stage_queue")
-	hStageLinger  = telemetry.NewHistogram("serve_stage_linger")
 	hStageCompute = telemetry.NewHistogram("serve_stage_compute")
 	hStageMerge   = telemetry.NewHistogram("serve_stage_merge")
 )
@@ -52,24 +52,16 @@ var (
 	ErrDraining  = errors.New("server: batcher draining")
 )
 
-// BatcherOptions tunes one matrix's coalescing window.
+// BatcherOptions tunes one matrix's batcher.
 type BatcherOptions struct {
-	// MaxBatch is the flush size: a batch is dispatched as soon as this
-	// many requests are waiting. Defaults to kernel.MaxBlock, the widest
-	// block the fused kernel serves in one pass over the index stream.
+	// MaxBatch is the widest flush: the dispatcher takes at most this
+	// many queued requests per fused call. Defaults to kernel.MaxBlock,
+	// the widest block the fused kernel serves in one pass over the
+	// index stream.
 	MaxBatch int
-	// Linger is how long the dispatcher holds an under-full batch open
-	// for more arrivals before flushing what it has. Zero flushes
-	// immediately (no coalescing window). Default 200µs.
-	Linger time.Duration
 	// QueueCap bounds the number of queued requests; Submit sheds with
 	// ErrQueueFull beyond it. Default 256.
 	QueueCap int
-	// AfterFlush, when set, runs on the dispatcher goroutine after every
-	// dispatched batch has been computed and its waiters released — the
-	// serving hook for the online repartitioning adapter (one fused batch
-	// counts as one observed multiply).
-	AfterFlush func()
 	// Observer, when set, runs on the dispatcher goroutine after every
 	// dispatched batch has been computed and *before* its waiters are
 	// released, receiving the flush's traced requests — so anything it
@@ -90,22 +82,11 @@ func (o BatcherOptions) withDefaults() BatcherOptions {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = kernel.MaxBlock
 	}
-	if o.Linger < 0 {
-		o.Linger = 0
-	} else if o.Linger == 0 {
-		o.Linger = 200 * time.Microsecond
-	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 256
 	}
 	return o
 }
-
-// ExplicitZeroLinger is the sentinel for "no coalescing window at all":
-// BatcherOptions.Linger values below one nanosecond are impossible to
-// request through withDefaults (0 means "default"), so callers that want
-// a pure size-window batcher pass this.
-const ExplicitZeroLinger = -1 * time.Nanosecond
 
 // call is one queued Multiply request.
 type call struct {
@@ -130,24 +111,6 @@ type BatcherStats struct {
 	Solo      int64 // requests served alone
 	Shed      int64 // calls rejected with ErrQueueFull
 	Expired   int64 // calls dropped because their context ended in queue
-	// Cumulative stage-attributed time across all served requests. For
-	// each request the four stages partition its queue-to-release
-	// lifetime exactly, so their sum equals the sum of served latencies.
-	QueueNs, LingerNs, ComputeNs, MergeNs int64
-}
-
-// StageMeans returns the average per-request time in each stage (queue,
-// linger, compute, merge), in nanoseconds, over all served requests.
-func (s BatcherStats) StageMeans() [4]float64 {
-	served := s.Coalesced + s.Solo
-	if served == 0 {
-		return [4]float64{}
-	}
-	d := float64(served)
-	return [4]float64{
-		float64(s.QueueNs) / d, float64(s.LingerNs) / d,
-		float64(s.ComputeNs) / d, float64(s.MergeNs) / d,
-	}
 }
 
 // MeanOccupancy is the average batch width over all flushes.
@@ -177,8 +140,7 @@ type Batcher struct {
 
 	// Lifetime counters, independent of the gated telemetry registry so
 	// the load generator can read occupancy with telemetry disabled.
-	requests, flushes, coalesced, solo, shed, expired         atomic.Int64
-	stageQueueNs, stageLingerNs, stageComputeNs, stageMergeNs atomic.Int64
+	requests, flushes, coalesced, solo, shed, expired atomic.Int64
 
 	// Dispatcher-owned scratch for gathering batch views, the flush's
 	// traced requests, and the reusable compute breakdown — all reused
@@ -210,10 +172,6 @@ func (b *Batcher) Stats() BatcherStats {
 		Solo:      b.solo.Load(),
 		Shed:      b.shed.Load(),
 		Expired:   b.expired.Load(),
-		QueueNs:   b.stageQueueNs.Load(),
-		LingerNs:  b.stageLingerNs.Load(),
-		ComputeNs: b.stageComputeNs.Load(),
-		MergeNs:   b.stageMergeNs.Load(),
 	}
 }
 
@@ -228,9 +186,9 @@ func (b *Batcher) Submit(ctx context.Context, y, x []float64) (nv int, err error
 }
 
 // SubmitTraced is Submit with a per-request span record: the dispatcher
-// fills tr's stage durations (queue, linger, compute, merge — summing
-// exactly to TotalNs), flush linkage (width, cause, per-core critical
-// path, format split) before SubmitTraced returns. tr is caller-owned;
+// fills tr's stage durations (queue, compute, merge — summing exactly
+// to TotalNs), flush linkage (width, cause, per-core critical path,
+// format split) before SubmitTraced returns. tr is caller-owned;
 // the batcher never retains it past the return. A nil tr is plain
 // Submit.
 func (b *Batcher) SubmitTraced(ctx context.Context, y, x []float64, tr *tracing.Trace) (nv int, err error) {
@@ -283,9 +241,10 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// loop is the dispatcher: wait for work, hold the linger window open
-// while the batch is under-full, then flush up to MaxBatch requests in
-// one fused call.
+// loop is the dispatcher: wait for work, then flush whatever has queued,
+// up to MaxBatch requests, in one fused call. Requests that arrive while
+// a flush computes form the next flush's backlog; nothing waits on a
+// timer.
 func (b *Batcher) loop() {
 	defer close(b.done)
 	var batch []*call
@@ -300,29 +259,13 @@ func (b *Batcher) loop() {
 			<-b.wake
 			b.mu.Lock()
 		}
-		var lingerNs int64
-		lingered := false
-		if len(b.queue) < b.opts.MaxBatch && !b.draining && b.opts.Linger > 0 {
-			b.mu.Unlock()
-			t0 := time.Now()
-			b.linger()
-			lingerNs = int64(time.Since(t0))
-			lingered = true
-			b.mu.Lock()
-		}
-		n := len(b.queue)
-		// The flush trigger: "full" when the size window tripped, "drain"
-		// when Close is flushing the tail, "linger" when the time window
-		// expired with the batch under-full.
-		cause := flushFull
+		n := min(len(b.queue), b.opts.MaxBatch)
+		cause := flushBacklog
 		switch {
 		case b.draining:
 			cause = flushDrain
-		case lingered && n < b.opts.MaxBatch:
-			cause = flushLinger
-		}
-		if n > b.opts.MaxBatch {
-			n = b.opts.MaxBatch
+		case n == b.opts.MaxBatch:
+			cause = flushFull
 		}
 		batch = append(batch[:0], b.queue[:n]...)
 		rest := copy(b.queue, b.queue[n:])
@@ -332,48 +275,29 @@ func (b *Batcher) loop() {
 		b.queue = b.queue[:rest]
 		gServeQueue.Set(int64(rest))
 		b.mu.Unlock()
-		b.execute(batch, lingerNs, cause)
+		b.execute(batch, cause)
 	}
 }
 
-// Flush causes, as reported in Trace.FlushCause.
+// Flush causes, as reported in Trace.FlushCause: "full" when MaxBatch
+// requests were waiting, "drain" when Close is flushing the tail, and
+// "backlog" for an under-full flush of whatever had queued.
 const (
-	flushFull   = "full"
-	flushLinger = "linger"
-	flushDrain  = "drain"
+	flushFull    = "full"
+	flushBacklog = "backlog"
+	flushDrain   = "drain"
 )
-
-// linger holds the coalescing window open: it returns when the window
-// expires, the batch fills, or the batcher starts draining.
-func (b *Batcher) linger() {
-	t := time.NewTimer(b.opts.Linger)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			return
-		case <-b.wake:
-			b.mu.Lock()
-			full := len(b.queue) >= b.opts.MaxBatch || b.draining
-			b.mu.Unlock()
-			if full {
-				return
-			}
-		}
-	}
-}
 
 // execute drops expired calls, serves the survivors with one fused call
 // (a lone request is a batch of one), attributes each request's
-// latency to its four stages, and releases every waiter.
+// latency to its three stages, and releases every waiter.
 //
 // Stage attribution partitions the queue-to-release lifetime exactly:
-// of the wait until the flush dispatched, up to lingerNs (the time this
-// flush held its window open) is "linger" and the rest is "queue"; the
-// fused kernel's parallel phase is "compute"; and everything after it —
-// extraY merge, flush observer, waiter release — is "merge". So
-// TotalNs == QueueNs + LingerNs + ComputeNs + MergeNs by construction.
-func (b *Batcher) execute(batch []*call, lingerNs int64, cause string) {
+// the wait until the flush dispatched is "queue"; the fused kernel's
+// parallel phase is "compute"; and everything after it — extraY merge,
+// flush observer, waiter release — is "merge". So TotalNs == QueueNs +
+// ComputeNs + MergeNs by construction, and LingerNs is never written.
+func (b *Batcher) execute(batch []*call, cause string) {
 	live := batch[:0]
 	var tDrop time.Time
 	for _, c := range batch {
@@ -386,9 +310,7 @@ func (b *Batcher) execute(batch []*call, lingerNs int64, cause string) {
 					tDrop = time.Now()
 				}
 				wait := int64(tDrop.Sub(c.enq))
-				ls := min64(lingerNs, wait)
-				c.tr.QueueNs = wait - ls
-				c.tr.LingerNs = ls
+				c.tr.QueueNs = wait
 				c.tr.TotalNs = wait
 			}
 			close(c.done)
@@ -444,37 +366,19 @@ func (b *Batcher) execute(batch []*call, lingerNs int64, cause string) {
 	now := time.Now()
 	for _, c := range live {
 		c.nv = nv
-		wait := int64(tFlush.Sub(c.enq))
-		ls := min64(lingerNs, wait)
-		queue := wait - ls
-		compute := min64(bd.KernelNs, int64(now.Sub(c.enq))-wait)
-		merge := int64(now.Sub(c.enq)) - wait - compute
-		b.stageQueueNs.Add(queue)
-		b.stageLingerNs.Add(ls)
-		b.stageComputeNs.Add(compute)
-		b.stageMergeNs.Add(merge)
+		queue := int64(tFlush.Sub(c.enq))
+		compute := min(bd.KernelNs, int64(now.Sub(c.enq))-queue)
+		merge := int64(now.Sub(c.enq)) - queue - compute
 		hStageQueue.Observe(time.Duration(queue))
-		hStageLinger.Observe(time.Duration(ls))
 		hStageCompute.Observe(time.Duration(compute))
 		hStageMerge.Observe(time.Duration(merge))
 		if tr := c.tr; tr != nil {
 			tr.QueueNs = queue
-			tr.LingerNs = ls
 			tr.ComputeNs = compute
 			tr.MergeNs = merge
-			tr.TotalNs = queue + ls + compute + merge
+			tr.TotalNs = queue + compute + merge
 		}
 		hServeLatency.Observe(now.Sub(c.enq))
 		close(c.done)
 	}
-	if b.opts.AfterFlush != nil {
-		b.opts.AfterFlush()
-	}
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -14,6 +14,7 @@ import (
 	"haspmv/internal/exec"
 	"haspmv/internal/gen"
 	"haspmv/internal/sparse"
+	"haspmv/internal/telemetry/tracing"
 )
 
 // prepareRepresentative prepares one Table II matrix with the real
@@ -48,7 +49,7 @@ func TestBatcherBitIdenticalUnderLoad(t *testing.T) {
 		prep.Compute(refs[p], X[p])
 	}
 
-	b := NewBatcher(prep, BatcherOptions{Linger: 200 * time.Microsecond})
+	b := NewBatcher(prep, BatcherOptions{})
 	defer b.Close()
 
 	const clients = 64
@@ -100,22 +101,62 @@ func TestBatcherBitIdenticalUnderLoad(t *testing.T) {
 	t.Logf("stats: %+v mean occupancy %.2f", st, st.MeanOccupancy())
 }
 
-// TestBatcherDeadlineExpiry: a request whose context is already dead
-// when its batch flushes is dropped with the context's error and never
-// computed.
+// TestBatcherDeadlineExpiry: a request whose context dies while it
+// waits behind a held flush is dropped with the context's error when
+// its batch flushes, and never computed.
 func TestBatcherDeadlineExpiry(t *testing.T) {
-	_, prep := prepareRepresentative(t, "dawson5", 64)
-	b := NewBatcher(prep, BatcherOptions{Linger: 30 * time.Millisecond})
+	prep := newBlockingPrep()
+	b := NewBatcher(prep, BatcherOptions{})
 	defer b.Close()
 
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	held := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), make([]float64, 2), []float64{1, 2})
+		held <- err
+	}()
+	<-prep.entered // the dispatcher is computing the held request
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	y := make([]float64, 123) // wrong length on purpose: must never reach Compute
-	if _, err := b.Submit(ctx, y, nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Submit with expired deadline: err = %v, want DeadlineExceeded", err)
+	expired := make(chan error, 1)
+	go func() {
+		y := make([]float64, 123) // wrong length on purpose: must never reach Compute
+		_, err := b.Submit(ctx, y, nil)
+		expired <- err
+	}()
+	waitQueued(t, b, 1)
+	<-ctx.Done()
+	close(prep.release)
+
+	if err := <-expired; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Submit past its deadline: err = %v, want DeadlineExceeded", err)
 	}
-	if st := b.Stats(); st.Expired != 1 || st.Flushes != 0 {
-		t.Fatalf("stats after expired call: %+v, want Expired=1 Flushes=0", st)
+	if err := <-held; err != nil {
+		t.Fatalf("held request: %v", err)
+	}
+	if st := b.Stats(); st.Expired != 1 || st.Flushes != 1 {
+		t.Fatalf("stats after expired call: %+v, want Expired=1 Flushes=1 (the held request alone)", st)
+	}
+	if n := len(prep.entered); n != 0 {
+		t.Fatalf("expired request reached Compute (%d extra entries)", n)
+	}
+}
+
+// waitQueued polls until b's queue holds n requests.
+func waitQueued(t *testing.T, b *Batcher, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		b.mu.Lock()
+		depth := len(b.queue)
+		b.mu.Unlock()
+		if depth == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", depth, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -144,7 +185,7 @@ func (p *blockingPrep) Assignments() []costmodel.Assignment { return nil }
 // the queue at capacity, Submit sheds immediately with ErrQueueFull.
 func TestBatcherQueueFullSheds(t *testing.T) {
 	prep := newBlockingPrep()
-	b := NewBatcher(prep, BatcherOptions{MaxBatch: 1, Linger: ExplicitZeroLinger, QueueCap: 2})
+	b := NewBatcher(prep, BatcherOptions{MaxBatch: 1, QueueCap: 2})
 	defer b.Close()
 
 	x := []float64{1, 2}
@@ -158,20 +199,7 @@ func TestBatcherQueueFullSheds(t *testing.T) {
 	<-prep.entered // dispatcher is now stuck computing request 1, queue empty
 	go submit()
 	go submit()
-	// Wait for both to be queued (they block in Submit, not in Compute).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		b.mu.Lock()
-		n := len(b.queue)
-		b.mu.Unlock()
-		if n == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached capacity (depth %d)", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, b, 2) // both block in Submit, not in Compute
 
 	y := make([]float64, 2)
 	if _, err := b.Submit(context.Background(), y, x); !errors.Is(err, ErrQueueFull) {
@@ -193,7 +221,7 @@ func TestBatcherQueueFullSheds(t *testing.T) {
 // rejects new ones with ErrDraining.
 func TestBatcherGracefulDrain(t *testing.T) {
 	prep := newBlockingPrep()
-	b := NewBatcher(prep, BatcherOptions{MaxBatch: 1, Linger: ExplicitZeroLinger, QueueCap: 16})
+	b := NewBatcher(prep, BatcherOptions{MaxBatch: 1, QueueCap: 16})
 
 	x := []float64{3, 4}
 	const queued = 5
@@ -240,5 +268,87 @@ func TestBatcherGracefulDrain(t *testing.T) {
 drained:
 	if _, err := b.Submit(context.Background(), make([]float64, 2), x); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit after Close: err = %v, want ErrDraining", err)
+	}
+}
+
+// TestBatcherFlushesBacklog: the dispatcher coalesces on backlog, not on
+// a timer. A lone request on an idle batcher is computed at once in a
+// batch of one; requests that queue while a flush computes are served
+// together as soon as it ends, MaxBatch at a time. Every trace's stages
+// sum to its total, with nothing attributed to lingering.
+func TestBatcherFlushesBacklog(t *testing.T) {
+	prep := newBlockingPrep()
+	const maxBatch = 4
+	b := NewBatcher(prep, BatcherOptions{MaxBatch: maxBatch})
+	defer b.Close()
+
+	type result struct {
+		nv  int
+		err error
+		y   []float64
+		tr  *tracing.Trace
+	}
+	x := []float64{1, 2}
+	submit := func(out chan<- result) {
+		y := make([]float64, 2)
+		tr := &tracing.Trace{}
+		nv, err := b.SubmitTraced(context.Background(), y, x, tr)
+		out <- result{nv, err, y, tr}
+	}
+	check := func(what string, r result, nv int, cause string) {
+		t.Helper()
+		if r.err != nil {
+			t.Fatalf("%s: %v", what, r.err)
+		}
+		if r.y[0] != 2 || r.y[1] != 4 {
+			t.Fatalf("%s: y = %v, want [2 4]", what, r.y)
+		}
+		tr := r.tr
+		if r.nv != nv || tr.BatchNV != nv || tr.FlushCause != cause {
+			t.Fatalf("%s: nv %d, trace BatchNV %d cause %q; want %d %q", what, r.nv, tr.BatchNV, tr.FlushCause, nv, cause)
+		}
+		if tr.LingerNs != 0 || tr.TotalNs <= 0 || tr.StageSumNs() != tr.TotalNs {
+			t.Fatalf("%s: stages %d+%d+%d+%d, total %d; want linger 0 and sum == total",
+				what, tr.QueueNs, tr.LingerNs, tr.ComputeNs, tr.MergeNs, tr.TotalNs)
+		}
+	}
+
+	lone := make(chan result, 1)
+	go submit(lone)
+	<-prep.entered
+	prep.release <- struct{}{}
+	check("lone request", <-lone, 1, "backlog")
+
+	// Hold the dispatcher in a flush while more than MaxBatch requests
+	// queue behind it.
+	held := make(chan result, 1)
+	go submit(held)
+	<-prep.entered
+	const queued = maxBatch + 2
+	backlog := make(chan result, queued)
+	for i := 0; i < queued; i++ {
+		go submit(backlog)
+	}
+	waitQueued(t, b, queued)
+	close(prep.release)
+	check("held request", <-held, 1, "backlog")
+
+	widths := map[int]int{}
+	for i := 0; i < queued; i++ {
+		r := <-backlog
+		switch r.nv {
+		case maxBatch:
+			check("first backlog flush", r, maxBatch, "full")
+		default:
+			check("second backlog flush", r, queued-maxBatch, "backlog")
+		}
+		widths[r.nv]++
+	}
+	if widths[maxBatch] != maxBatch || widths[queued-maxBatch] != queued-maxBatch {
+		t.Fatalf("backlog served in widths %v, want %d×%d and %d×%d", widths,
+			maxBatch, maxBatch, queued-maxBatch, queued-maxBatch)
+	}
+	if st := b.Stats(); st.Flushes != 4 || st.Solo != 2 || st.Coalesced != queued {
+		t.Fatalf("stats %+v, want 4 flushes: 2 solo, then %d coalesced", st, queued)
 	}
 }

@@ -332,12 +332,9 @@ func (r *Registry) GetShard(ctx context.Context, name string, scale, index, coun
 		if hp, ok := prep.(*haspmvcore.Prepared); ok {
 			ad := haspmvcore.NewAdapter(hp, *r.opts.Adapt)
 			e.Adapter = ad
-			// The adapter observes each flush pre-release (so its epoch
-			// decision lands in the flush's traces); any pre-existing
-			// observer still runs after the stamp.
-			bopts.Observer = &adapterObserver{
-				ad: ad, rec: r.opts.Recorder, matrix: key, next: bopts.Observer,
-			}
+			// The adapter observes each flush pre-release, so its epoch
+			// decision lands in the flush's traces.
+			bopts.Observer = &adapterObserver{ad: ad, rec: r.opts.Recorder, matrix: key}
 		}
 	}
 	e.Batcher = NewBatcher(prep, bopts)
@@ -521,7 +518,6 @@ type adapterObserver struct {
 	ad     *haspmvcore.Adapter
 	rec    *tracing.Recorder
 	matrix string
-	next   FlushObserver
 
 	lastRebalances, lastRollbacks int64
 }
@@ -548,9 +544,6 @@ func (o *adapterObserver) ObserveFlush(traces []*tracing.Trace) {
 		if event == "rollback" {
 			o.rec.Anomaly("adapter-rollback")
 		}
-	}
-	if o.next != nil {
-		o.next.ObserveFlush(traces)
 	}
 }
 

@@ -23,7 +23,6 @@ func newStoreRegistry(t testing.TB, src MatrixSource, maxEntries int, dir string
 	r := NewRegistry(amp.IntelI912900KF(), core.New(opts), RegistryOptions{
 		MaxEntries: maxEntries,
 		Source:     src,
-		Batcher:    BatcherOptions{Linger: ExplicitZeroLinger},
 		StoreDir:   dir,
 	})
 	t.Cleanup(r.Close)

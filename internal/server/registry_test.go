@@ -70,7 +70,6 @@ func newTestRegistry(t testing.TB, src MatrixSource, maxEntries int) *Registry {
 	r := NewRegistry(amp.IntelI912900KF(), core.New(core.Options{}), RegistryOptions{
 		MaxEntries: maxEntries,
 		Source:     src,
-		Batcher:    BatcherOptions{Linger: ExplicitZeroLinger},
 	})
 	t.Cleanup(r.Close)
 	return r
@@ -211,7 +210,6 @@ func TestRegistryAdaptationWiring(t *testing.T) {
 	r := NewRegistry(amp.IntelI912900KF(), core.New(core.Options{}), RegistryOptions{
 		MaxEntries: 4,
 		Source:     src,
-		Batcher:    BatcherOptions{Linger: ExplicitZeroLinger},
 		Adapt:      &core.AdapterOptions{Every: 1},
 	})
 	defer r.Close()
@@ -247,7 +245,6 @@ func TestRegistryAdaptationWiring(t *testing.T) {
 	rb := NewRegistry(amp.IntelI912900KF(), csrsimple.New(amp.PAndE, csrsimple.ByRows), RegistryOptions{
 		MaxEntries: 4,
 		Source:     src,
-		Batcher:    BatcherOptions{Linger: ExplicitZeroLinger},
 		Adapt:      &core.AdapterOptions{Every: 1},
 	})
 	defer rb.Close()
@@ -272,7 +269,6 @@ func TestRegistryShardKeysAndGetShard(t *testing.T) {
 
 	r := NewRegistry(amp.IntelI912900KF(), core.New(core.Options{}), RegistryOptions{
 		MaxEntries: 8,
-		Batcher:    BatcherOptions{Linger: ExplicitZeroLinger},
 	})
 	t.Cleanup(r.Close)
 	plan, err := r.ShardPlan("dawson5", 64, 3)

@@ -36,7 +36,7 @@ type Config struct {
 	// Default 1.
 	RetryAfter int
 	// Recorder enables per-request tracing: every multiply's span record
-	// (queue/linger/compute/merge stages, flush linkage, adapter epoch)
+	// (queue/compute/merge stages, flush linkage, adapter epoch)
 	// lands here on completion, retrievable at /v1/debug/flightrecorder
 	// and snapshotted automatically on anomaly. nil disables tracing;
 	// request IDs are still generated and echoed.
@@ -181,9 +181,9 @@ func (w *statusWriter) status() int {
 func (s *Server) writeAccessLog(sw *statusWriter, r *http.Request, reqID string, dur time.Duration) {
 	if tr := sw.tr; tr != nil {
 		fmt.Fprintf(s.cfg.AccessLog,
-			"method=%s path=%s status=%d id=%s dur_us=%d matrix=%s queue_us=%d linger_us=%d compute_us=%d merge_us=%d batch_nv=%d\n",
+			"method=%s path=%s status=%d id=%s dur_us=%d matrix=%s queue_us=%d compute_us=%d merge_us=%d batch_nv=%d\n",
 			r.Method, r.URL.Path, sw.status(), reqID, dur.Microseconds(),
-			tr.Matrix, tr.QueueNs/1e3, tr.LingerNs/1e3, tr.ComputeNs/1e3, tr.MergeNs/1e3, tr.BatchNV)
+			tr.Matrix, tr.QueueNs/1e3, tr.ComputeNs/1e3, tr.MergeNs/1e3, tr.BatchNV)
 		return
 	}
 	fmt.Fprintf(s.cfg.AccessLog, "method=%s path=%s status=%d id=%s dur_us=%d\n",

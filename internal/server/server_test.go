@@ -209,7 +209,7 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 		Algorithm: &slowAlg{prep: prep},
 		Registry: RegistryOptions{
 			Source:  func(string, int) (*sparse.CSR, error) { return diagCSR(t, 4), nil },
-			Batcher: BatcherOptions{MaxBatch: 1, Linger: ExplicitZeroLinger, QueueCap: 1},
+			Batcher: BatcherOptions{MaxBatch: 1, QueueCap: 1},
 		},
 	})
 
@@ -227,19 +227,7 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		e.Batcher.mu.Lock()
-		n := len(e.Batcher.queue)
-		e.Batcher.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, e.Batcher, 1)
 
 	resp, body := postMultiply(t, ts.URL, multiplyRequest{Matrix: "dawson5", X: x})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -265,7 +253,7 @@ func TestServeDeadlineExpiresInQueue(t *testing.T) {
 		Algorithm: &slowAlg{prep: prep},
 		Registry: RegistryOptions{
 			Source:  func(string, int) (*sparse.CSR, error) { return diagCSR(t, 4), nil },
-			Batcher: BatcherOptions{MaxBatch: 1, Linger: ExplicitZeroLinger, QueueCap: 8},
+			Batcher: BatcherOptions{MaxBatch: 1, QueueCap: 8},
 		},
 	})
 
@@ -288,19 +276,7 @@ func TestServeDeadlineExpiresInQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		e.Batcher.mu.Lock()
-		n := len(e.Batcher.queue)
-		e.Batcher.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, e.Batcher, 1)
 	time.Sleep(60 * time.Millisecond)
 
 	close(prep.release)

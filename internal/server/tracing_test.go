@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"haspmv/internal/gen"
+	"haspmv/internal/sparse"
 	"haspmv/internal/telemetry"
 	"haspmv/internal/telemetry/tracing"
 )
@@ -71,7 +72,7 @@ func TestBatcherTracingAddsNoAllocations(t *testing.T) {
 		t.Skip("telemetry enabled by another test")
 	}
 	a, prep := prepareRepresentative(t, "dawson5", 64)
-	b := NewBatcher(prep, BatcherOptions{Linger: ExplicitZeroLinger})
+	b := NewBatcher(prep, BatcherOptions{})
 	defer b.Close()
 
 	ctx := context.Background()
@@ -198,12 +199,15 @@ func TestServeAccessLog(t *testing.T) {
 	}
 	for _, want := range []string{
 		"method=POST", "status=200", "matrix=dawson5@64",
-		"queue_us=", "linger_us=", "compute_us=", "merge_us=", "batch_nv=1",
+		"queue_us=", "compute_us=", "merge_us=", "batch_nv=1",
 		"id=" + resp.Header.Get("X-Request-ID"),
 	} {
 		if !strings.Contains(multiplyLine, want) {
 			t.Fatalf("multiply access line %q missing %q", multiplyLine, want)
 		}
+	}
+	if strings.Contains(multiplyLine, "linger_us=") {
+		t.Fatalf("multiply access line %q still carries linger_us", multiplyLine)
 	}
 	if !strings.Contains(healthLine, "method=GET") || strings.Contains(healthLine, "matrix=") {
 		t.Fatalf("healthz access line %q: want method=GET and no stage fields", healthLine)
@@ -344,7 +348,7 @@ func TestServeTracedStagesSumUnderLoad(t *testing.T) {
 			coalesced++
 		}
 		switch tr.FlushCause {
-		case "full", "linger", "drain":
+		case "full", "backlog", "drain":
 		default:
 			t.Fatalf("trace %s: FlushCause %q", tr.ID, tr.FlushCause)
 		}
@@ -371,45 +375,58 @@ func TestServeTracedStagesSumUnderLoad(t *testing.T) {
 // the flight recorder, retrievable at ?anomaly=last with the pre-spike
 // traces intact.
 func TestShedSpikeAnomalySnapshot(t *testing.T) {
+	prep := newBlockingPrep()
 	rec := tracing.NewRecorder(tracing.RecorderOptions{})
 	srv, ts := newTestServer(t, Config{
-		DefaultScale: 64,
-		Recorder:     rec,
+		Algorithm: &slowAlg{prep: prep},
+		Recorder:  rec,
 		Registry: RegistryOptions{
-			Batcher: BatcherOptions{QueueCap: 1, Linger: 40 * time.Millisecond},
+			Source:  func(string, int) (*sparse.CSR, error) { return diagCSR(t, 4), nil },
+			Batcher: BatcherOptions{QueueCap: 1},
 		},
 	})
 
-	a := gen.Representative("dawson5", 64)
-	x := make([]float64, a.Cols)
+	x := []float64{1, 2, 3, 4}
+	status := make(chan int, 2)
+	fire := func() {
+		resp, _ := postMultiply(t, ts.URL, multiplyRequest{Matrix: "dawson5", X: x})
+		status <- resp.StatusCode
+	}
 	// Seed the ring with a healthy trace so the anomaly snapshot carries
 	// stage-attributed context, not just the rejections.
-	resp, body := postMultiply(t, ts.URL, multiplyRequest{Matrix: "dawson5", X: x})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("warmup status %d: %s", resp.StatusCode, body)
+	go fire()
+	<-prep.entered
+	prep.release <- struct{}{}
+	if got := <-status; got != http.StatusOK {
+		t.Fatalf("warmup status %d", got)
 	}
+	// The handler records its trace just after writing the response.
+	waitFor(t, 2*time.Second, func() bool { return rec.Snapshot("").TotalTraces == 1 }, "warmup trace")
 
-	// Overrun the 1-deep queue until the spike trips. The long linger
-	// keeps the dispatcher holding its window open so concurrent submits
-	// pile onto the queue cap.
-	reqBody, _ := json.Marshal(multiplyRequest{Matrix: "dawson5", X: x})
-	deadline := time.Now().Add(10 * time.Second)
-	for rec.LastAnomaly() == nil {
-		if time.Now().After(deadline) {
-			t.Fatalf("no anomaly after sustained overload (anomalies=%d)", rec.Anomalies())
+	// Hold the dispatcher in a compute and fill the 1-deep queue, then
+	// overrun it until the spike trips.
+	go fire()
+	<-prep.entered
+	go fire()
+	e, err := srv.reg.Get(context.Background(), "dawson5", 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitQueued(t, e.Batcher, 1)
+	for i := 0; i < shedSpikeCount; i++ {
+		resp, body := postMultiply(t, ts.URL, multiplyRequest{Matrix: "dawson5", X: x})
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("overload request %d: status %d (%s), want 429", i, resp.StatusCode, body)
 		}
-		var wg sync.WaitGroup
-		for g := 0; g < 32; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := http.Post(ts.URL+"/v1/multiply", "application/json", bytes.NewReader(reqBody))
-				if err == nil {
-					resp.Body.Close()
-				}
-			}()
+	}
+	if rec.LastAnomaly() == nil {
+		t.Fatalf("no anomaly after %d sheds (anomalies=%d)", shedSpikeCount, rec.Anomalies())
+	}
+	close(prep.release)
+	for i := 0; i < 2; i++ {
+		if got := <-status; got != http.StatusOK {
+			t.Fatalf("held request finished with %d, want 200", got)
 		}
-		wg.Wait()
 	}
 
 	hresp, err := http.Get(ts.URL + "/v1/debug/flightrecorder?anomaly=last")

@@ -1,10 +1,9 @@
 // Package tracing is the per-request observability layer of the serving
 // stack: where the sibling telemetry package aggregates (counters, phase
 // timers, per-core spans), tracing attributes — every request carries one
-// Trace record from HTTP accept through the batcher's queue and linger
-// window, the fused compute, and the extraY merge epilogue, so a slow
-// response can be decomposed after the fact into exactly the stage that
-// ate the time.
+// Trace record from HTTP accept through the batcher's queue, the fused
+// compute, and the extraY merge epilogue, so a slow response can be
+// decomposed after the fact into exactly the stage that ate the time.
 //
 // The hot-path contract mirrors the telemetry package's: the serving
 // layers consult one nil-checked pointer per request, and with tracing
@@ -24,18 +23,17 @@ import (
 	"time"
 )
 
-// Trace is one request's span record. The four stage durations decompose
+// Trace is one request's span record. The three stage durations decompose
 // the queue-to-release lifetime exactly:
 //
-//	TotalNs = QueueNs + LingerNs + ComputeNs + MergeNs
+//	TotalNs = QueueNs + ComputeNs + MergeNs
 //
-// QueueNs is time spent waiting for the dispatcher with no coalescing
-// window open; LingerNs is time attributed to the batcher deliberately
-// holding the batch open for company; ComputeNs is the parallel kernel
-// phase of the fused multiply; MergeNs covers the serial extraY epilogue
-// plus response fan-out. A Trace is written by at most one goroutine at a
-// time (handler → dispatcher → handler) and must not be mutated after it
-// is handed to a Recorder.
+// QueueNs is time spent waiting until the dispatcher flushed the
+// request's batch; ComputeNs is the parallel kernel phase of the fused
+// multiply; MergeNs covers the serial extraY epilogue plus response
+// fan-out. A Trace is written by at most one goroutine at a time
+// (handler → dispatcher → handler) and must not be mutated after it is
+// handed to a Recorder.
 type Trace struct {
 	// ID is the request id: propagated from X-Request-ID or generated.
 	ID string `json:"id"`
@@ -46,7 +44,11 @@ type Trace struct {
 	// Start is the wall-clock admission time.
 	Start time.Time `json:"start"`
 
-	QueueNs   int64 `json:"queue_ns"`
+	QueueNs int64 `json:"queue_ns"`
+	// LingerNs is always 0: the batcher flushes its backlog without a
+	// timer. The field and its linger_ns key remain only because the
+	// repository benchmark (perfbench) and CI's flight-recorder check
+	// still read them; they go with the next benchmark change.
 	LingerNs  int64 `json:"linger_ns"`
 	ComputeNs int64 `json:"compute_ns"`
 	MergeNs   int64 `json:"merge_ns"`
@@ -55,7 +57,7 @@ type Trace struct {
 	TotalNs int64 `json:"total_ns"`
 
 	// BatchNV is the width of the flush that served the request, and
-	// FlushCause why the batch was dispatched ("full", "linger", "drain").
+	// FlushCause why the batch was dispatched ("full", "backlog", "drain").
 	BatchNV    int    `json:"batch_nv,omitempty"`
 	FlushCause string `json:"flush_cause,omitempty"`
 
@@ -81,7 +83,7 @@ type Trace struct {
 }
 
 // StageSumNs returns QueueNs+LingerNs+ComputeNs+MergeNs, the
-// stage-attributed reconstruction of TotalNs.
+// stage-attributed reconstruction of TotalNs (LingerNs adds 0).
 func (t *Trace) StageSumNs() int64 {
 	return t.QueueNs + t.LingerNs + t.ComputeNs + t.MergeNs
 }
