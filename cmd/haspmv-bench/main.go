@@ -14,19 +14,19 @@
 //	haspmv-bench -exp phases          # telemetry phase timers (Fig. 7 style)
 //	haspmv-bench -exp selfcheck       # verify every method on the battery
 //	haspmv-bench -exp breakdown       # per-core time/traffic decomposition
-//	haspmv-bench -exp serve           # closed-loop serving: batcher vs solo (host)
 //	haspmv-bench -exp adapt           # online repartitioning recovery from miscalibration
 //	haspmv-bench -exp all             # table1 through phases, in paper order
 //
 // Scale knobs: -corpus N (matrices standing in for the 2888 SuiteSparse
 // sweep), -maxnnz (largest corpus matrix), -scale S (divisor on the
-// published sizes of the representative matrices), -machines a,b,...,
-// -clients/-perclient (load shape for -exp serve)
+// published sizes of the representative matrices), -machines a,b,...
 //
 // Host wall-clock timings of the multiply kernels live in the
 // repository-root Go benchmarks (BenchmarkSpMVCompute, BenchmarkCompute,
 // BenchmarkComputeSegSum, BenchmarkComputeBatch) and in perfbench's
-// per-layer kernel.* and core.* rows, not here.
+// per-layer kernel.* and core.* rows, not here; serving throughput,
+// coalesced against solo through the HTTP server, is gated by
+// TestServeCoalescingThroughputTarget in internal/server.
 //
 // Observability knobs: -telemetry enables instrumentation for the run,
 // -metrics-addr ADDR serves /metrics (Prometheus text), /debug/vars
@@ -63,15 +63,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("haspmv-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, serve, adapt, selfcheck, all)")
+	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, adapt, selfcheck, all)")
 	corpus := fs.Int("corpus", 0, "corpus size (default from harness)")
 	maxNNZ := fs.Int("maxnnz", 0, "largest corpus matrix nnz")
 	scale := fs.Int("scale", 0, "representative matrix scale divisor (1 = published size)")
 	machines := fs.String("machines", "", "comma-separated machine names (default: all four)")
 	points := fs.Int("points", 24, "stream sweep points per curve (fig3)")
-	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown, serve and adapt experiments and the -trace run")
-	clients := fs.Int("clients", 64, "concurrent closed-loop clients for the serve experiment")
-	perClient := fs.Int("perclient", 6, "requests per client for the serve experiment")
+	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown and adapt experiments and the -trace run")
 	perturbs := fs.String("perturb", "0.5,2,4", "comma-separated P-group miscalibration factors for the adapt experiment")
 	adaptSteps := fs.Int("adapt-steps", 10, "multiplies the adapt experiment lets the feedback loop observe")
 	seed := fs.Int64("seed", 0, "corpus seed override")
@@ -88,13 +86,8 @@ func run(args []string) error {
 	if _, ok := gen.RepresentativeInfo(*matrix); !ok {
 		return fmt.Errorf("unknown matrix %q (have %s)", *matrix, strings.Join(gen.RepresentativeNames(), ", "))
 	}
-	for _, p := range []struct {
-		name string
-		v    int
-	}{{"-clients", *clients}, {"-perclient", *perClient}, {"-adapt-steps", *adaptSteps}} {
-		if p.v < 1 {
-			return fmt.Errorf("%s: %d must be positive", p.name, p.v)
-		}
+	if *adaptSteps < 1 {
+		return fmt.Errorf("-adapt-steps: %d must be positive", *adaptSteps)
 	}
 	writeCSV := func(name string, emit func(io.Writer) error) error {
 		if *csvDir == "" {
@@ -278,17 +271,6 @@ func run(args []string) error {
 					return err
 				}
 				bench.PrintBreakdown(out, m, *matrix, rows)
-			}
-		case "serve":
-			m := cfg.Machines[0]
-			rows, err := bench.ServeSweep(cfg, m, *matrix, *clients, *perClient)
-			if err != nil {
-				return err
-			}
-			a := gen.Representative(*matrix, cfg.RepScale)
-			bench.PrintServe(out, m, *matrix, a.NNZ(), rows)
-			if err := writeCSV("serve", func(w io.Writer) error { return bench.ServeCSV(w, m.Name, *matrix, rows) }); err != nil {
-				return err
 			}
 		case "adapt":
 			var factors []float64

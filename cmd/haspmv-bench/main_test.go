@@ -35,8 +35,9 @@ func TestRunFlagsAndErrors(t *testing.T) {
 	if err := run([]string{"-exp", "table1", "-machines", "apple-m2-like,7950X"}); err != nil {
 		t.Fatal(err)
 	}
-	// Host timings are the root Go benchmarks, not experiments.
-	for _, exp := range []string{"batch", "index", "format", "segsum", "host"} {
+	// Host timings are the root Go benchmarks, not experiments, and the
+	// coalescing gate runs through the HTTP server in internal/server.
+	for _, exp := range []string{"batch", "index", "format", "segsum", "host", "serve"} {
 		t.Run("removed-"+exp, func(t *testing.T) {
 			if err := run([]string{"-exp", exp}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 				t.Fatalf("-exp %s: %v", exp, err)
@@ -51,17 +52,12 @@ func TestRunFlagsAndErrors(t *testing.T) {
 			t.Fatalf("unknown matrix: %v", err)
 		}
 	})
-	for _, args := range [][]string{
-		{"-exp", "serve", "-clients", "0"},
-		{"-exp", "serve", "-perclient", "-1"},
-		{"-exp", "adapt", "-adapt-steps", "0"},
-	} {
-		t.Run("nonpositive"+args[2], func(t *testing.T) {
-			if err := run(args); err == nil || !strings.Contains(err.Error(), args[2]) || !strings.Contains(err.Error(), "positive") {
-				t.Fatalf("%v: %v", args, err)
-			}
-		})
-	}
+	t.Run("nonpositive-adapt-steps", func(t *testing.T) {
+		if err := run([]string{"-exp", "adapt", "-adapt-steps", "0"}); err == nil ||
+			!strings.Contains(err.Error(), "-adapt-steps") || !strings.Contains(err.Error(), "positive") {
+			t.Fatalf("-adapt-steps 0: %v", err)
+		}
+	})
 }
 
 func TestRunWritesCSV(t *testing.T) {

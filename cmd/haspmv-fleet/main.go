@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"haspmv/internal/fleet"
+	"haspmv/internal/server"
 	"haspmv/internal/telemetry"
 )
 
@@ -176,8 +177,8 @@ func parseShards(spec string, defaultScale int) (map[string]int, error) {
 			return nil, fmt.Errorf("-shard %q: want name[@scale]=count", part)
 		}
 		count, err := strconv.Atoi(part[eq+1:])
-		if err != nil || count < 2 {
-			return nil, fmt.Errorf("-shard %q: count must be an integer >= 2", part)
+		if err != nil || count < 2 || count > server.MaxShardCount {
+			return nil, fmt.Errorf("-shard %q: count must be an integer in [2, %d]", part, server.MaxShardCount)
 		}
 		key := part[:eq]
 		if !strings.Contains(key, "@") {

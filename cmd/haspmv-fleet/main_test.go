@@ -25,7 +25,7 @@ func TestParseShards(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
-	for _, bad := range []string{"x", "x=1", "x=zero"} {
+	for _, bad := range []string{"x", "x=1", "x=zero", "x=65"} {
 		if _, err := parseShards(bad, 16); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}

@@ -141,13 +141,6 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	}, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 type prepared struct {
 	mat    *sparse.CSR
 	cores  []int

@@ -34,9 +34,10 @@ type RouterOptions struct {
 	Backends func() []string
 	// Status, when set, backs GET /v1/fleet (Supervisor.Snapshot).
 	Status func() []WorkerInfo
-	// Shards maps "name@scale" to a shard count: requests for those
-	// matrices take the scatter-gather path across the fleet instead of
-	// landing on one worker.
+	// Shards maps "name@scale" to a shard count, at most
+	// server.MaxShardCount: requests for those matrices take the
+	// scatter-gather path across the fleet instead of landing on one
+	// worker.
 	Shards map[string]int
 	// DefaultScale keys shard lookups for requests that omit a scale
 	// (must match the workers' -scale). Default 16.
@@ -95,6 +96,11 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	opts = opts.withDefaults()
 	if opts.Backends == nil {
 		return nil, fmt.Errorf("fleet: router needs a Backends source")
+	}
+	for key, count := range opts.Shards {
+		if count > server.MaxShardCount {
+			return nil, fmt.Errorf("fleet: %s has %d shards, at most %d allowed", key, count, server.MaxShardCount)
+		}
 	}
 	rt := &Router{opts: opts, plans: map[string][]shard.Desc{}}
 	rt.mux = http.NewServeMux()

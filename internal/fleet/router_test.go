@@ -175,6 +175,19 @@ func TestRouterRelaysUpstreamErrors(t *testing.T) {
 	}
 }
 
+// A shard count past server.MaxShardCount is a configuration error,
+// refused before the router serves anything.
+func TestRouterRejectsShardCountOverMax(t *testing.T) {
+	backends := func() []string { return nil }
+	if _, err := NewRouter(RouterOptions{Backends: backends, Shards: map[string]int{"dawson5@16": server.MaxShardCount}}); err != nil {
+		t.Fatalf("%d shards refused: %v", server.MaxShardCount, err)
+	}
+	_, err := NewRouter(RouterOptions{Backends: backends, Shards: map[string]int{"dawson5@16": server.MaxShardCount + 1}})
+	if err == nil || !strings.Contains(err.Error(), "dawson5@16") {
+		t.Fatalf("%d shards: err = %v, want a refusal naming the matrix", server.MaxShardCount+1, err)
+	}
+}
+
 func TestRouterNoBackends(t *testing.T) {
 	rt, err := NewRouter(RouterOptions{Backends: func() []string { return nil }})
 	if err != nil {

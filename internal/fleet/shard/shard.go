@@ -122,10 +122,6 @@ func Plan(a *sparse.CSR, count int, weights []float64) ([]Desc, error) {
 				// head, this shard continues it.
 				d.Row0 = first
 				d.SplitFirst = true
-			} else if prevRow1 >= first {
-				// Boundary fell exactly between two pieces of... impossible
-				// when RowPtr[first] == Lo; keep the chain consistent anyway.
-				d.Row0 = prevRow1 + 1
 			} else {
 				// Clean cut: also claim any empty rows between the previous
 				// shard's last row and this shard's first nonzero row.
@@ -281,18 +277,4 @@ func Check(a *sparse.CSR, plan []Desc) error {
 		return fmt.Errorf("shard: plan owns rows up to %d, matrix has %d", row, a.Rows)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -103,7 +103,7 @@ type call struct {
 }
 
 // BatcherStats is a snapshot of one batcher's lifetime counters, used by
-// the /v1/matrices endpoint and the closed-loop load generator.
+// the /v1/matrices endpoint and the coalescing throughput test.
 type BatcherStats struct {
 	Requests  int64 // calls accepted into the queue
 	Flushes   int64 // batches dispatched (including width-1)
@@ -139,7 +139,7 @@ type Batcher struct {
 	done chan struct{}
 
 	// Lifetime counters, independent of the gated telemetry registry so
-	// the load generator can read occupancy with telemetry disabled.
+	// /v1/matrices reports them with telemetry disabled.
 	requests, flushes, coalesced, solo, shed, expired atomic.Int64
 
 	// Dispatcher-owned scratch for gathering batch views, the flush's

@@ -281,6 +281,12 @@ type matricesResponse struct {
 // floats; 256MB leaves headroom while still bounding a hostile body.
 const MaxBodyBytes = 256 << 20
 
+// MaxShardCount caps the shard count of /v1/shardplan and of a shard
+// multiply, and of the fleet router's -shard configuration. Planning
+// allocates per shard before any other check, so an unbounded count
+// would let one request exhaust the worker's memory.
+const MaxShardCount = 64
+
 func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.cfg.RetryAfter))
@@ -353,9 +359,10 @@ func (s *Server) handleMultiply(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	if req.ShardCount < 0 || (req.ShardCount > 0 && (req.ShardIndex < 0 || req.ShardIndex >= req.ShardCount)) {
+	if req.ShardCount < 0 || req.ShardCount > MaxShardCount ||
+		(req.ShardCount > 0 && (req.ShardIndex < 0 || req.ShardIndex >= req.ShardCount)) {
 		s.reject(w, http.StatusBadRequest,
-			fmt.Sprintf("shard %d/%d out of range", req.ShardIndex, req.ShardCount))
+			fmt.Sprintf("shard %d/%d out of range (count at most %d)", req.ShardIndex, req.ShardCount, MaxShardCount))
 		return
 	}
 	if tr != nil {
@@ -459,8 +466,8 @@ func (s *Server) handleShardPlan(w http.ResponseWriter, r *http.Request) {
 	count := 1
 	if v := q.Get("count"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			s.reject(w, http.StatusBadRequest, "count must be a positive integer")
+		if err != nil || n < 1 || n > MaxShardCount {
+			s.reject(w, http.StatusBadRequest, fmt.Sprintf("count must be an integer in [1, %d]", MaxShardCount))
 			return
 		}
 		count = n

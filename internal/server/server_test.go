@@ -514,3 +514,46 @@ func TestServeShardValidation(t *testing.T) {
 		}
 	}
 }
+
+// A shard count past MaxShardCount is refused with 400 at both shard
+// endpoints before the matrix source runs: planning allocates per shard,
+// so the bound has to hold ahead of any matrix work.
+func TestServeShardCountBound(t *testing.T) {
+	src := &countingSource{size: 2 * MaxShardCount}
+	_, ts := newTestServer(t, Config{DefaultScale: 64, Registry: RegistryOptions{Source: src.source(t)}})
+	key := Key("dawson5", 64)
+
+	over := MaxShardCount + 1
+	r, err := http.Get(fmt.Sprintf("%s/v1/shardplan?matrix=dawson5&scale=64&count=%d", ts.URL, over))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shardplan count=%d: status %d, want 400", over, r.StatusCode)
+	}
+	resp, body := postMultiply(t, ts.URL, multiplyRequest{
+		Matrix: "dawson5", Scale: 64, ShardIndex: 0, ShardCount: over, X: []float64{1},
+	})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("multiply shard_count=%d: %d %s, want 400", over, resp.StatusCode, body)
+	}
+	if n := src.count(key); n != 0 {
+		t.Fatalf("source ran %d times for refused shard counts, want 0", n)
+	}
+
+	// The bound itself is served.
+	r, err = http.Get(fmt.Sprintf("%s/v1/shardplan?matrix=dawson5&scale=64&count=%d", ts.URL, MaxShardCount))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan shardPlanResponse
+	err = json.NewDecoder(r.Body).Decode(&plan)
+	r.Body.Close()
+	if err != nil || r.StatusCode != http.StatusOK || len(plan.Shards) != MaxShardCount {
+		t.Fatalf("shardplan count=%d: status %d, %d shards, err %v", MaxShardCount, r.StatusCode, len(plan.Shards), err)
+	}
+	if n := src.count(key); n != 1 {
+		t.Fatalf("source ran %d times for one accepted plan, want 1", n)
+	}
+}

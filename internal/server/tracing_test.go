@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -278,8 +279,10 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 }
 
 // The integration contract under concurrent load: every served trace's
-// four stages sum exactly to its end-to-end latency, and the flush
-// linkage (width, cause, core fan-out, format split) is populated.
+// four stages sum exactly to its end-to-end latency, that latency stays
+// within the round trip its client observed (matched by X-Request-ID),
+// and the flush linkage (width, cause, core fan-out, format split) is
+// populated.
 func TestServeTracedStagesSumUnderLoad(t *testing.T) {
 	rec := tracing.NewRecorder(tracing.RecorderOptions{Traces: 1024})
 	_, ts := newTestServer(t, Config{DefaultScale: 16, Recorder: rec})
@@ -293,30 +296,46 @@ func TestServeTracedStagesSumUnderLoad(t *testing.T) {
 
 	const clients = 64
 	const perClient = 4
+	type roundTrip struct {
+		id  string
+		lat time.Duration
+	}
+	trips := make([]roundTrip, clients*perClient)
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
 	for g := 0; g < clients; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for j := 0; j < perClient; j++ {
+				t0 := time.Now()
 				resp, err := http.Post(ts.URL+"/v1/multiply", "application/json", bytes.NewReader(body))
 				if err != nil {
 					errCh <- err
 					return
 				}
+				_, err = io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
+				trips[g*perClient+j] = roundTrip{resp.Header.Get("X-Request-ID"), time.Since(t0)}
+				if err != nil {
+					errCh <- err
+					return
+				}
 				if resp.StatusCode != http.StatusOK {
 					errCh <- fmt.Errorf("status %d", resp.StatusCode)
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	clientNs := make(map[string]int64, len(trips))
+	for _, rt := range trips {
+		clientNs[rt.id] = int64(rt.lat)
 	}
 
 	// A handler records its trace after writing the response, so the
@@ -337,6 +356,10 @@ func TestServeTracedStagesSumUnderLoad(t *testing.T) {
 		if tr.TotalNs <= 0 || tr.StageSumNs() != tr.TotalNs {
 			t.Fatalf("trace %s: stages %d+%d+%d+%d != total %d",
 				tr.ID, tr.QueueNs, tr.LingerNs, tr.ComputeNs, tr.MergeNs, tr.TotalNs)
+		}
+		// The server's span lies inside the client's round trip.
+		if lat, ok := clientNs[tr.ID]; !ok || tr.TotalNs > lat {
+			t.Fatalf("trace %s: TotalNs %d, client observed %d ns (matched %v)", tr.ID, tr.TotalNs, lat, ok)
 		}
 		if tr.ComputeNs <= 0 {
 			t.Fatalf("trace %s: ComputeNs = %d, served requests must attribute kernel time", tr.ID, tr.ComputeNs)

@@ -535,7 +535,7 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 		if !ok {
 			return nil, fmt.Errorf("%w: section %q has unknown element type %q", ErrFormat, s.Name, s.Elem)
 		}
-		if s.Off < 0 || s.Off%8 != 0 || s.Len < 0 || s.Len > (int64(len(payload))-s.Off)/max64(w, 1) {
+		if s.Off < 0 || s.Off%8 != 0 || s.Len < 0 || s.Len > (int64(len(payload))-s.Off)/max(w, 1) {
 			return nil, fmt.Errorf("%w: section %q [%d:+%d×%d] outside %d-byte payload", ErrFormat, s.Name, s.Off, s.Len, w, len(payload))
 		}
 		if _, dup := byName[s.Name]; dup {
@@ -650,13 +650,6 @@ func nonNil[T any](s []T, n int) []T {
 		return []T{}
 	}
 	return s
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Compile-time guards: the on-disk element widths assume these struct
