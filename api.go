@@ -175,10 +175,6 @@ type Handle struct {
 	multiplies      atomic.Int64
 	batchMultiplies atomic.Int64
 	batchVectors    atomic.Int64
-
-	// adapter, when set, closes the feedback loop after every multiply
-	// (see EnableAdaptation).
-	adapter atomic.Pointer[haspmvcore.Adapter]
 }
 
 // Analyze prepares HASpMV for the matrix on the machine.
@@ -267,9 +263,6 @@ func (h *Handle) MultiplyBatch(Y, X [][]float64) {
 	h.batchMultiplies.Add(1)
 	h.batchVectors.Add(int64(len(X)))
 	exec.ComputeBatch(h.prep, Y, X)
-	if a := h.adapter.Load(); a != nil {
-		a.AfterMultiply()
-	}
 }
 
 // Multiply computes y = A*x on the simulated cores. x must have length
@@ -287,9 +280,6 @@ func (h *Handle) Multiply(y, x []float64) {
 	}
 	h.multiplies.Add(1)
 	h.prep.Compute(y, x)
-	if a := h.adapter.Load(); a != nil {
-		a.AfterMultiply()
-	}
 }
 
 // Simulate prices the prepared SpMV on the machine model. Passing nil
@@ -406,26 +396,19 @@ func (h *Handle) Stats() HandleStats {
 	}
 }
 
-// ------------------------------------------------------------- adaptation
-
-// AdapterOptions tune the online repartitioning feedback loop (see
-// core.AdapterOptions; the zero value selects the defaults).
-type AdapterOptions = haspmvcore.AdapterOptions
-
-// AdapterStats snapshot the feedback loop's progress.
-type AdapterStats = haspmvcore.AdapterStats
+// ----------------------------------------------------------- repartitioning
 
 // RepartitionPlan is a partition target for Repartition: the level-1
 // P-group cost share plus optional per-core level-2 weights.
 type RepartitionPlan = haspmvcore.Plan
 
-// ErrNotAdaptive is returned when adaptation or repartitioning is
-// requested on a baseline handle (only HASpMV keeps the cost prefix sums
-// needed for boundary-only moves).
+// ErrNotAdaptive is returned when repartitioning is requested on a
+// baseline handle (only HASpMV keeps the cost prefix sums needed for
+// boundary-only moves).
 type ErrNotAdaptive struct{ Algorithm string }
 
 func (e *ErrNotAdaptive) Error() string {
-	return "haspmv: " + e.Algorithm + " does not support online repartitioning (HASpMV only)"
+	return "haspmv: " + e.Algorithm + " does not support repartitioning (HASpMV only)"
 }
 
 // Repartition moves the handle's partition boundaries to the plan without
@@ -437,35 +420,6 @@ func (h *Handle) Repartition(plan RepartitionPlan) error {
 		return &ErrNotAdaptive{Algorithm: h.name}
 	}
 	return hp.Repartition(plan)
-}
-
-// EnableAdaptation attaches an online feedback loop to the handle: every
-// Multiply/MultiplyBatch feeds the always-on per-core span accumulators,
-// and every AdapterOptions.Every calls the loop rebalances the two-level
-// partition toward the measured per-core rates (keeping the best-seen
-// plan and rolling back regressions, so steady-state throughput never
-// ends below the static plan's). Replaces any previous adapter.
-func (h *Handle) EnableAdaptation(opts AdapterOptions) error {
-	hp, ok := h.prep.(*haspmvcore.Prepared)
-	if !ok {
-		return &ErrNotAdaptive{Algorithm: h.name}
-	}
-	h.adapter.Store(haspmvcore.NewAdapter(hp, opts))
-	return nil
-}
-
-// DisableAdaptation detaches the feedback loop, freezing the partition
-// wherever the adapter left it.
-func (h *Handle) DisableAdaptation() { h.adapter.Store(nil) }
-
-// AdaptationStats reports the feedback loop's progress; ok is false when
-// adaptation was never enabled.
-func (h *Handle) AdaptationStats() (stats AdapterStats, ok bool) {
-	a := h.adapter.Load()
-	if a == nil {
-		return AdapterStats{}, false
-	}
-	return a.Stats(), true
 }
 
 // TuneProportion golden-section-searches the level-1 split share that

@@ -318,81 +318,71 @@ func TestMultiplyBatchZeroAllocsWhenTelemetryDisabled(t *testing.T) {
 	}
 }
 
-// TestMultiplyZeroAllocsWithAdaptation extends the overhead guard to the
-// adaptive path: with a feedback loop attached, the between-epoch
-// Multiply cost is the always-on span accumulators (atomic adds inside
-// Compute) plus one mutex and counter in AfterMultiply — still zero heap
-// allocations. Only the epoch-boundary rebalance itself allocates (the
-// fresh regions slice), which a huge Every keeps out of the window.
-func TestMultiplyZeroAllocsWithAdaptation(t *testing.T) {
-	if TelemetryEnabled() {
-		t.Fatal("telemetry unexpectedly enabled at test start")
-	}
+// TestRepartitionRequiresHASpMV: baseline algorithms have no two-level
+// partition to move, so Repartition must refuse them with
+// ErrNotAdaptive, while a HASpMV handle accepts the plan.
+func TestRepartitionRequiresHASpMV(t *testing.T) {
 	m := IntelI912900KF()
 	a := Representative("rma10", 32)
+	for _, name := range []string{"csr", "csr-nnz", "mkl", "aocl", "csr5", "merge"} {
+		t.Run(name, func(t *testing.T) {
+			h, err := AnalyzeBaseline(name, PAndE, m, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var notAdaptive *ErrNotAdaptive
+			if err := h.Repartition(RepartitionPlan{PProportion: 0.5}); !errors.As(err, &notAdaptive) {
+				t.Fatalf("Repartition on %s: got %v, want ErrNotAdaptive", name, err)
+			}
+			if notAdaptive.Algorithm != h.Name() {
+				t.Fatalf("ErrNotAdaptive names %q, handle is %q", notAdaptive.Algorithm, h.Name())
+			}
+		})
+	}
+	t.Run("haspmv", func(t *testing.T) {
+		ha, err := Analyze(m, a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ha.Repartition(RepartitionPlan{PProportion: 0.4}); err != nil {
+			t.Fatalf("Repartition on HASpMV: %v", err)
+		}
+	})
+}
+
+// TestMultiplyRepeatedCallsBitIdentical: a handle's partition is fixed
+// between Repartition calls, so repeated Multiply and MultiplyBatch
+// calls on one x return the first call's bits every time.
+func TestMultiplyRepeatedCallsBitIdentical(t *testing.T) {
+	m := IntelI912900KF()
+	a := Representative("webbase-1M", 256)
 	h, err := Analyze(m, a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.EnableAdaptation(AdapterOptions{Every: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float64, a.Rows)
 	x := make([]float64, a.Cols)
 	for i := range x {
-		x[i] = 1 + float64(i%7)/7
+		x[i] = 1 + float64(i%9)/9
 	}
-	h.Multiply(y, x) // warm the scratch and the worker pool
-	if n := testing.AllocsPerRun(100, func() { h.Multiply(y, x) }); n != 0 {
-		t.Fatalf("Multiply allocates %v times per op with adaptation enabled, want 0", n)
+	first := make([]float64, a.Rows)
+	h.Multiply(first, x)
+	same := func(what string, y []float64) {
+		t.Helper()
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(first[i]) {
+				t.Fatalf("%s: y[%d] = %x, first call %x", what, i, math.Float64bits(y[i]), math.Float64bits(first[i]))
+			}
+		}
 	}
-	st, ok := h.AdaptationStats()
-	if !ok {
-		t.Fatal("AdaptationStats: adapter missing after EnableAdaptation")
+	y := make([]float64, a.Rows)
+	for call := 0; call < 50; call++ {
+		h.Multiply(y, x)
+		same("Multiply", y)
 	}
-	if st.Multiplies < 100 {
-		t.Fatalf("adapter observed %d multiplies, want >= 100", st.Multiplies)
-	}
-}
-
-// TestAdaptationRequiresHASpMV: baseline algorithms have no two-level
-// partition to move, so the adaptive surface must refuse them with
-// ErrNotAdaptive, and AdaptationStats must report no adapter.
-func TestAdaptationRequiresHASpMV(t *testing.T) {
-	m := IntelI912900KF()
-	a := Representative("rma10", 32)
-	h, err := AnalyzeBaseline("csr", PAndE, m, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var notAdaptive *ErrNotAdaptive
-	if err := h.EnableAdaptation(AdapterOptions{}); !errors.As(err, &notAdaptive) {
-		t.Fatalf("EnableAdaptation on csr: got %v, want ErrNotAdaptive", err)
-	}
-	if err := h.Repartition(RepartitionPlan{PProportion: 0.5}); !errors.As(err, &notAdaptive) {
-		t.Fatalf("Repartition on csr: got %v, want ErrNotAdaptive", err)
-	}
-	if _, ok := h.AdaptationStats(); ok {
-		t.Fatal("AdaptationStats reported an adapter on a baseline handle")
-	}
-
-	// The HASpMV handle accepts both, and DisableAdaptation detaches.
-	ha, err := Analyze(m, a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ha.Repartition(RepartitionPlan{PProportion: 0.4}); err != nil {
-		t.Fatalf("Repartition on HASpMV: %v", err)
-	}
-	if err := ha.EnableAdaptation(AdapterOptions{}); err != nil {
-		t.Fatalf("EnableAdaptation on HASpMV: %v", err)
-	}
-	if _, ok := ha.AdaptationStats(); !ok {
-		t.Fatal("AdaptationStats missing after EnableAdaptation")
-	}
-	ha.DisableAdaptation()
-	if _, ok := ha.AdaptationStats(); ok {
-		t.Fatal("AdaptationStats still reports an adapter after DisableAdaptation")
+	Y := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows), make([]float64, a.Rows)}
+	h.MultiplyBatch(Y, [][]float64{x, x, x})
+	for v := range Y {
+		same("MultiplyBatch", Y[v])
 	}
 }
 

@@ -554,7 +554,7 @@ func BenchmarkColdStart(b *testing.B) {
 }
 
 // BenchmarkRepartition measures the boundary-only partition move that
-// online adaptation leans on: against BenchmarkPrepare/HASpMV-1M (the
+// TuneProportion's probes lean on: against BenchmarkPrepare/HASpMV-1M (the
 // full pipeline on the same matrix) it must stay orders of magnitude
 // cheaper — the committed bench baseline holds the ratio above 50x, and
 // cmd/benchdiff gates regressions on it.
@@ -575,31 +575,6 @@ func BenchmarkRepartition(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAdaptSweep runs the full miscalibration-recovery loop (static
-// plan from a wrong machine description, adapter fed by the simulator's
-// per-core times on the true machine) for benchstat comparisons; the
-// recovered fraction of the oracle throughput is reported as a metric.
-func BenchmarkAdaptSweep(b *testing.B) {
-	cfg := benchConfig()
-	m := amp.IntelI912900KF()
-	for _, tc := range []struct {
-		name    string
-		perturb float64
-	}{{"p05", 0.5}, {"p2", 2}, {"p4", 4}} {
-		b.Run(tc.name, func(b *testing.B) {
-			var rec float64
-			for i := 0; i < b.N; i++ {
-				r, err := bench.AdaptSweep(cfg, m, "rma10", tc.perturb, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rec = r.Recovered
-			}
-			b.ReportMetric(100*rec, "%oracle")
-		})
-	}
 }
 
 // BenchmarkHostTriad measures the host's real triad bandwidth (the native

@@ -14,7 +14,6 @@
 //	haspmv-bench -exp phases          # telemetry phase timers (Fig. 7 style)
 //	haspmv-bench -exp selfcheck       # verify every method on the battery
 //	haspmv-bench -exp breakdown       # per-core time/traffic decomposition
-//	haspmv-bench -exp adapt           # online repartitioning recovery from miscalibration
 //	haspmv-bench -exp all             # table1 through phases, in paper order
 //
 // Scale knobs: -corpus N (matrices standing in for the 2888 SuiteSparse
@@ -44,7 +43,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"haspmv/internal/amp"
@@ -63,15 +61,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("haspmv-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, adapt, selfcheck, all)")
+	exp := fs.String("exp", "all", "experiment id (table1, table2, fig3, fig4, fig5, fig8, fig9, fig10, fig11, energy, phases, breakdown, selfcheck, all)")
 	corpus := fs.Int("corpus", 0, "corpus size (default from harness)")
 	maxNNZ := fs.Int("maxnnz", 0, "largest corpus matrix nnz")
 	scale := fs.Int("scale", 0, "representative matrix scale divisor (1 = published size)")
 	machines := fs.String("machines", "", "comma-separated machine names (default: all four)")
 	points := fs.Int("points", 24, "stream sweep points per curve (fig3)")
-	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown and adapt experiments and the -trace run")
-	perturbs := fs.String("perturb", "0.5,2,4", "comma-separated P-group miscalibration factors for the adapt experiment")
-	adaptSteps := fs.Int("adapt-steps", 10, "multiplies the adapt experiment lets the feedback loop observe")
+	matrix := fs.String("matrix", "rma10", "representative matrix for the breakdown experiment and the -trace run")
 	seed := fs.Int64("seed", 0, "corpus seed override")
 	csvDir := fs.String("csv", "", "also write one CSV per experiment into this directory")
 	telemetryOn := fs.Bool("telemetry", false, "collect phase timers, per-core spans and partition records")
@@ -85,9 +81,6 @@ func run(args []string) error {
 	}
 	if _, ok := gen.RepresentativeInfo(*matrix); !ok {
 		return fmt.Errorf("unknown matrix %q (have %s)", *matrix, strings.Join(gen.RepresentativeNames(), ", "))
-	}
-	if *adaptSteps < 1 {
-		return fmt.Errorf("-adapt-steps: %d must be positive", *adaptSteps)
 	}
 	writeCSV := func(name string, emit func(io.Writer) error) error {
 		if *csvDir == "" {
@@ -271,32 +264,6 @@ func run(args []string) error {
 					return err
 				}
 				bench.PrintBreakdown(out, m, *matrix, rows)
-			}
-		case "adapt":
-			var factors []float64
-			for _, part := range strings.Split(*perturbs, ",") {
-				v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-				if err != nil {
-					return fmt.Errorf("-perturb: %w", err)
-				}
-				if v <= 0 {
-					return fmt.Errorf("-perturb: factor %v must be positive", v)
-				}
-				factors = append(factors, v)
-			}
-			var results []*bench.AdaptResult
-			for _, m := range cfg.Machines {
-				for _, factor := range factors {
-					r, err := bench.AdaptSweep(cfg, m, *matrix, factor, *adaptSteps)
-					if err != nil {
-						return err
-					}
-					bench.PrintAdapt(out, r)
-					results = append(results, r)
-				}
-			}
-			if err := writeCSV("adapt", func(w io.Writer) error { return bench.AdaptCSV(w, results) }); err != nil {
-				return err
 			}
 		case "selfcheck":
 			n := 0

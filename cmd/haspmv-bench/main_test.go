@@ -35,12 +35,21 @@ func TestRunFlagsAndErrors(t *testing.T) {
 	if err := run([]string{"-exp", "table1", "-machines", "apple-m2-like,7950X"}); err != nil {
 		t.Fatal(err)
 	}
-	// Host timings are the root Go benchmarks, not experiments, and the
-	// coalescing gate runs through the HTTP server in internal/server.
-	for _, exp := range []string{"batch", "index", "format", "segsum", "host", "serve"} {
+	// Host timings are the root Go benchmarks, not experiments, the
+	// coalescing gate runs through the HTTP server in internal/server, and
+	// the partition is set offline (TuneProportion), not by a runtime loop.
+	for _, exp := range []string{"batch", "index", "format", "segsum", "host", "serve", "adapt"} {
 		t.Run("removed-"+exp, func(t *testing.T) {
 			if err := run([]string{"-exp", exp}); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 				t.Fatalf("-exp %s: %v", exp, err)
+			}
+		})
+	}
+	// The adapter experiment's knobs went with it.
+	for _, flag := range []string{"-perturb=0.5", "-adapt-steps=4"} {
+		t.Run("removed-flag"+strings.SplitN(flag, "=", 2)[0], func(t *testing.T) {
+			if err := run([]string{"-exp", "table1", flag}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Fatalf("%s: %v", flag, err)
 			}
 		})
 	}
@@ -50,12 +59,6 @@ func TestRunFlagsAndErrors(t *testing.T) {
 		if err := run([]string{"-exp", "breakdown", "-matrix", "nope"}); err == nil ||
 			!strings.Contains(err.Error(), "nope") || !strings.Contains(err.Error(), "rma10") {
 			t.Fatalf("unknown matrix: %v", err)
-		}
-	})
-	t.Run("nonpositive-adapt-steps", func(t *testing.T) {
-		if err := run([]string{"-exp", "adapt", "-adapt-steps", "0"}); err == nil ||
-			!strings.Contains(err.Error(), "-adapt-steps") || !strings.Contains(err.Error(), "positive") {
-			t.Fatalf("-adapt-steps 0: %v", err)
 		}
 	})
 }

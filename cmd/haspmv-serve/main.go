@@ -7,7 +7,7 @@
 //
 //	POST /v1/multiply             {"matrix":"rma10","scale":16,"x":[...]} -> {"y":[...]}
 //	GET  /v1/matrices             known roster + resident prepared matrices
-//	GET  /v1/debug/flightrecorder last -recorder traces + adapter events (add ?anomaly=last)
+//	GET  /v1/debug/flightrecorder last -recorder traces (add ?anomaly=last for the last anomaly snapshot)
 //	GET  /healthz                 200 serving / 503 draining
 //	GET  /metrics                 Prometheus text (with -telemetry, default on)
 //	GET  /debug/pprof/            Go profiler
@@ -64,8 +64,6 @@ func run(args []string, ready func(addr string), shutdown <-chan struct{}) error
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 	preload := fs.String("preload", "", "comma-separated name[@scale] matrices to prepare before listening")
 	telemetryOn := fs.Bool("telemetry", true, "collect and serve /metrics alongside the API")
-	adapt := fs.Bool("adapt", false, "online adaptive repartitioning: rebalance each matrix's partition from measured per-core spans")
-	adaptEvery := fs.Int("adapt-every", 0, "flushed batches between rebalance decisions (default 4)")
 	traceRing := fs.Int("recorder", 256, "flight recorder capacity: per-request traces retained for /v1/debug/flightrecorder; 0 disables tracing")
 	recorderDir := fs.String("recorder-dir", "", "directory where anomaly snapshots are written as flightrecorder-*.json (empty: in-process only)")
 	slo := fs.Duration("slo", 0, "per-request latency objective; >1% of a request window finishing over it snapshots the flight recorder (0 disables)")
@@ -87,10 +85,6 @@ func run(args []string, ready func(addr string), shutdown <-chan struct{}) error
 		defer telemetry.Activate(prev)
 	}
 
-	var adaptOpts *core.AdapterOptions
-	if *adapt {
-		adaptOpts = &core.AdapterOptions{Every: *adaptEvery}
-	}
 	var rec *tracing.Recorder
 	if *traceRing > 0 {
 		rec = tracing.NewRecorder(tracing.RecorderOptions{Traces: *traceRing, Dir: *recorderDir})
@@ -118,7 +112,6 @@ func run(args []string, ready func(addr string), shutdown <-chan struct{}) error
 				MaxBatch: *maxBatch,
 				QueueCap: *queueCap,
 			},
-			Adapt:    adaptOpts,
 			StoreDir: *storeDir,
 		},
 	})

@@ -148,6 +148,19 @@ func TestServeDaemonFlagErrors(t *testing.T) {
 	}
 }
 
+// TestServeRejectsAdapterFlags: the partition is set offline, so there
+// is no runtime adapter to enable and its flags fail parsing.
+func TestServeRejectsAdapterFlags(t *testing.T) {
+	for _, flag := range []string{"-adapt", "-adapt-every=4"} {
+		t.Run(strings.TrimPrefix(strings.SplitN(flag, "=", 2)[0], "-"), func(t *testing.T) {
+			err := run([]string{"-addr", "127.0.0.1:0", flag}, nil, nil)
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+				t.Fatalf("%s: err = %v, want an undefined-flag error", flag, err)
+			}
+		})
+	}
+}
+
 // A -store-dir daemon restart cold-starts its preload from the store:
 // the second boot serves the same bits without re-running Prepare.
 func TestServeStoreDirColdStart(t *testing.T) {

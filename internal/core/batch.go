@@ -31,7 +31,10 @@ type batchScratch struct {
 	y1, x1 [1][]float64
 	// batch marks a ComputeBatch call, which records "batch-core" spans
 	// and the batch counters; a Compute call records "core" spans.
-	batch    bool
+	batch bool
+	// timed makes run time each slot: set when the call is traced (durNs
+	// feeds the breakdown) or telemetry is active (tel records spans).
+	timed    bool
 	tel      *telemetry.Collector
 	regs     []Region
 	nvCap    int
@@ -47,9 +50,8 @@ type batchScratch struct {
 	// run's stack so that passing it to the generic block kernels cannot
 	// cost a per-call heap allocation.
 	sums []float64
-	// durNs is each slot's kernel time for the current call — one plain
-	// store per core, read by the traced path to surface the critical-path
-	// core without touching the always-on cumulative accumulators.
+	// durNs is each slot's kernel time for a timed call — one plain store
+	// per core, read by the traced path to surface the critical-path core.
 	durNs []int64
 	body  func(id int)
 }
@@ -86,8 +88,10 @@ func (s *batchScratch) run(id int) {
 	if reg.Lo >= reg.Hi {
 		return
 	}
-	tel := s.tel
-	t0 := time.Now()
+	var t0 time.Time
+	if s.timed {
+		t0 = time.Now()
+	}
 	frags := 0
 	for v0, nv := 0, len(s.X); v0 < nv; v0 += kernel.MaxBlock {
 		w := min(nv-v0, kernel.MaxBlock)
@@ -109,15 +113,14 @@ func (s *batchScratch) run(id int) {
 		s.patch(id)
 	}
 	nnzDone := reg.Hi - reg.Lo
-	dur := time.Since(t0)
-	// Always-on signal for the adapter: per-slot busy nanoseconds and
-	// nonzeros, independent of the gated telemetry collector.
-	p.accum[id].ns.Add(int64(dur))
-	p.accum[id].nnz.Add(int64(nnzDone))
-	s.durNs[id] = int64(dur)
 	cNNZFormat[reg.Format].Add(int64(nnzDone))
 	cNNZValue[reg.Val].Add(int64(nnzDone))
-	if tel != nil {
+	if !s.timed {
+		return
+	}
+	dur := time.Since(t0)
+	s.durNs[id] = int64(dur)
+	if tel := s.tel; tel != nil {
 		ex := 0
 		if reg.PatchCont || s.extraRow[id] >= 0 {
 			ex = 1
@@ -266,14 +269,15 @@ func (p *Prepared) claimScratch(nv int) *batchScratch {
 // counters over Compute's.
 func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *tracing.ComputeBreakdown) {
 	tel := telemetry.Active()
+	timed := tel != nil || bd != nil
 	var t0 time.Time
-	if tel != nil || bd != nil {
+	if timed {
 		t0 = time.Now()
 	}
 	nv := len(X)
 	// One regions snapshot per call: every worker of this multiply walks
 	// the same tiling even if Repartition swaps the partition mid-flight.
-	s.Y, s.X, s.batch, s.tel, s.regs = Y, X, batch, tel, *p.regions.Load()
+	s.Y, s.X, s.batch, s.timed, s.tel, s.regs = Y, X, batch, timed, tel, *p.regions.Load()
 	for _, y := range Y {
 		zeroRows(y, p.emptyRows)
 	}

@@ -318,6 +318,18 @@ func FuzzPrepareCompute(f *testing.F) {
 					i, math.Float64bits(y[i]), math.Float64bits(ref[i]), plan, opts)
 			}
 		}
+		// A weightless move must land where a fresh Prepare at the plan's
+		// proportion cuts: the same bits as the reference prepared there.
+		if plan.Weights == nil {
+			freshRef := referencePrepared(t, hp, a, opts)
+			freshRef.Compute(ref, x)
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("after repartition: y[%d] = %x, reference prepared at proportion %v %x (opts %+v)",
+						i, math.Float64bits(y[i]), plan.PProportion, math.Float64bits(ref[i]), opts)
+				}
+			}
+		}
 
 		// Reorder bit-identity against the pinned natural-order oracle:
 		// under a row-edge partition (RowCost never cuts inside a row) with

@@ -268,7 +268,6 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 	if err := checkRegions(h, regions); err != nil {
 		return nil, err
 	}
-	p.accum = make([]coreAccum, len(regions))
 	p.assignModes(regions)
 	p.assignFormats(regions)
 	p.regions.Store(&regions)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"haspmv/internal/telemetry"
@@ -49,9 +50,8 @@ func (p *Prepared) Plan() Plan {
 // allocation is the fresh regions slice (installed atomically — an
 // in-flight Compute keeps its own consistent snapshot).
 //
-// It is the cheap probe primitive behind TuneProportion and the rebalance
-// step of the Adapter; Prepare remains the only place format conversion
-// happens.
+// It is the cheap probe primitive behind TuneProportion; Prepare remains
+// the only place format conversion happens.
 func (p *Prepared) Repartition(plan Plan) error {
 	tel := telemetry.Active()
 	var t0 time.Time
@@ -103,7 +103,7 @@ func (p *Prepared) Repartition(plan Plan) error {
 	}
 	p.regions.Store(&regions)
 	p.plan.Store(&planCopy)
-	p.rebalances.Add(1)
+	p.repartitions.Add(1)
 	cRepartitions.Add(1)
 	if tel != nil {
 		d := time.Since(t0)
@@ -121,7 +121,10 @@ func (p *Prepared) planBounds(bounds []float64, plan Plan) error {
 	n := len(p.cores)
 	total := float64(p.cs[len(p.cs)-1])
 	grouped := p.grouped()
-	if grouped && (plan.PProportion <= 0 || plan.PProportion >= 1) {
+	// The checks are negated ranges so that NaN, which fails every
+	// comparison, is rejected along with ±Inf: a non-finite share would
+	// empty all but one region and serialize the multiply.
+	if grouped && !(plan.PProportion > 0 && plan.PProportion < 1) {
 		return fmt.Errorf("core: repartition proportion %v outside (0,1)", plan.PProportion)
 	}
 	w := func(i int) float64 {
@@ -133,8 +136,8 @@ func (p *Prepared) planBounds(bounds []float64, plan Plan) error {
 	var sumP, sumE float64
 	for i := 0; i < n; i++ {
 		wi := w(i)
-		if wi < 0 {
-			return fmt.Errorf("core: repartition weight %d is negative (%v)", i, wi)
+		if !(wi >= 0 && wi <= math.MaxFloat64) {
+			return fmt.Errorf("core: repartition weight %d is %v, want finite and non-negative", i, wi)
 		}
 		if grouped && i < p.pCount {
 			sumP += wi
@@ -142,10 +145,10 @@ func (p *Prepared) planBounds(bounds []float64, plan Plan) error {
 			sumE += wi
 		}
 	}
-	if grouped && sumP <= 0 {
+	if grouped && !(sumP > 0 && sumP <= math.MaxFloat64) {
 		return fmt.Errorf("core: repartition P-group weights sum to %v", sumP)
 	}
-	if sumE <= 0 {
+	if !(sumE > 0 && sumE <= math.MaxFloat64) {
 		return fmt.Errorf("core: repartition weights sum to %v", sumE)
 	}
 	costP := 0.0

@@ -27,6 +27,15 @@ func gappyMatrix(t testing.TB) *sparse.CSR {
 	return c.ToCSR()
 }
 
+// liveX is the x vector the repartition checks multiply by.
+func liveX(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = 1 + float64(i%5)/4
+	}
+	return x
+}
+
 // checkLive asserts the live partition still satisfies every structural
 // invariant and that Compute against it matches the naive reference.
 func checkLive(t *testing.T, a *sparse.CSR, hp *Prepared) {
@@ -37,10 +46,7 @@ func checkLive(t *testing.T, a *sparse.CSR, hp *Prepared) {
 	if err := exec.CheckAssignments(a, hp.Assignments()); err != nil {
 		t.Fatalf("assignment coverage after repartition: %v", err)
 	}
-	x := make([]float64, a.Cols)
-	for i := range x {
-		x[i] = 1 + float64(i%5)/4
-	}
+	x := liveX(a.Cols)
 	y := make([]float64, a.Rows)
 	hp.Compute(y, x)
 	want := make([]float64, a.Rows)
@@ -52,11 +58,42 @@ func checkLive(t *testing.T, a *sparse.CSR, hp *Prepared) {
 	}
 }
 
-// TestRepartitionPropertyRandomPlans is the satellite property test: for
-// random proportions and random per-core weights, over matrices including
-// one dominated by empty rows and over the option ablations, Repartition
-// must always succeed, always produce a partition that passes
-// checkRegions, and never change the computed product.
+// checkReferenceBits asserts that a weightless repartition cuts exactly
+// the regions a fresh Prepare at the same proportion cuts, and that the
+// product equals the []int+f64 reference prepared there bit for bit —
+// a boundary move must not change the summation order a Prepare would
+// have chosen.
+func checkReferenceBits(t *testing.T, a *sparse.CSR, hp *Prepared, opts Options) {
+	t.Helper()
+	ref := referencePrepared(t, hp, a, opts)
+	got, want := hp.Regions(), ref.Regions()
+	if len(got) != len(want) {
+		t.Fatalf("repartition cut %d regions, Prepare at %v cuts %d", len(got), hp.Plan().PProportion, len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Core != w.Core || g.Lo != w.Lo || g.Hi != w.Hi || g.StartRow != w.StartRow {
+			t.Fatalf("region %d after repartition to %v: %+v, Prepare cuts %+v", i, hp.Plan().PProportion, g, w)
+		}
+	}
+	x := liveX(a.Cols)
+	y := make([]float64, a.Rows)
+	yRef := make([]float64, a.Rows)
+	hp.Compute(y, x)
+	ref.Compute(yRef, x)
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(yRef[i]) {
+			t.Fatalf("after repartition to %v: y[%d] = %x, reference %x", hp.Plan().PProportion, i, math.Float64bits(y[i]), math.Float64bits(yRef[i]))
+		}
+	}
+}
+
+// TestRepartitionPropertyRandomPlans: for random proportions and random
+// per-core weights, over matrices including one dominated by empty rows
+// and over the option ablations, Repartition must always succeed, always
+// produce a partition that passes checkRegions, and never change the
+// computed product; a weightless plan must also reproduce the reference
+// prepared at its proportion bit for bit.
 func TestRepartitionPropertyRandomPlans(t *testing.T) {
 	m := amp.IntelI912900KF()
 	mats := map[string]*sparse.CSR{
@@ -64,7 +101,10 @@ func TestRepartitionPropertyRandomPlans(t *testing.T) {
 		"webbase":    gen.Representative("webbase-1M", 512),
 		"empty-rows": gappyMatrix(t),
 	}
-	optsList := []Options{{}, {OneLevel: true}, {DisableReorder: true}}
+	optsList := []Options{
+		{}, {OneLevel: true}, {DisableReorder: true}, {Metric: NNZCost}, {Metric: RowCost},
+		{Config: amp.POnly}, {Index: IndexU32}, {Exec: ExecSegSum},
+	}
 	r := rand.New(rand.NewSource(42))
 	for name, a := range mats {
 		for _, opts := range optsList {
@@ -87,6 +127,9 @@ func TestRepartitionPropertyRandomPlans(t *testing.T) {
 						name, opts, trial, plan, err)
 				}
 				checkLive(t, a, hp)
+				if plan.Weights == nil {
+					checkReferenceBits(t, a, hp, opts)
+				}
 			}
 		}
 	}
@@ -114,9 +157,16 @@ func TestRepartitionRejectsBadPlans(t *testing.T) {
 		{PProportion: 1.5},  //
 		{PProportion: 0.5, Weights: make([]float64, n+1)},    // wrong length
 		{PProportion: 0.5, Weights: make([]float64, n)},      // all-zero weights
-		{PProportion: 0.5, Weights: negAt(n, 0)},             // negative weight
+		{PProportion: 0.5, Weights: weightAt(n, 0, -1)},      // negative weight
 		{PProportion: 0.5, Weights: zeroGroup(n, hp.pCount)}, // P-group sums to 0
 		{PProportion: 0.5, Weights: zeroTail(n, hp.pCount)},  // E-group sums to 0
+		// Non-finite plans: a NaN or +Inf share would leave one non-empty region.
+		{PProportion: math.NaN()},
+		{PProportion: 0.5, Weights: weightAt(n, 0, math.NaN())},
+		{PProportion: 0.5, Weights: weightAt(n, 0, math.Inf(1))},
+		{PProportion: 0.5, Weights: weightAt(n, 0, math.Inf(-1))},
+		// Finite weights whose P-group sum overflows to +Inf.
+		{PProportion: 0.5, Weights: weightAt(n, 0, math.MaxFloat64, math.MaxFloat64)},
 	}
 	before := hp.Regions()
 	reps := hp.Repartitions()
@@ -144,12 +194,13 @@ func TestRepartitionRejectsBadPlans(t *testing.T) {
 	checkLive(t, a, hp)
 }
 
-func negAt(n, i int) []float64 {
+// weightAt returns unit weights with slots i, i+1, ... set to vs.
+func weightAt(n, i int, vs ...float64) []float64 {
 	w := make([]float64, n)
 	for j := range w {
 		w[j] = 1
 	}
-	w[i] = -1
+	copy(w[i:], vs)
 	return w
 }
 
@@ -180,12 +231,89 @@ func TestRepartitionOneLevelIgnoresProportion(t *testing.T) {
 		t.Fatal(err)
 	}
 	hp := prep.(*Prepared)
-	for _, prop := range []float64{0, -3, 1, 7} {
+	for _, prop := range []float64{0, -3, 1, 7, math.NaN()} {
 		if err := hp.Repartition(Plan{PProportion: prop}); err != nil {
 			t.Fatalf("OneLevel Repartition(prop=%v): %v", prop, err)
 		}
 	}
 	checkLive(t, a, hp)
+}
+
+// TestRepartitionRoundTripRestoresBits: moving the partition away and
+// back to the proportion Prepare chose restores its regions and its
+// product bit for bit — a static partition gives one answer per x.
+func TestRepartitionRoundTripRestoresBits(t *testing.T) {
+	m := amp.IntelI912900KF()
+	a := gen.Representative("webbase-1M", 512)
+	prep, err := New(Options{}).Prepare(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := prep.(*Prepared)
+	orig := hp.Plan()
+	before := hp.Regions()
+	x := liveX(a.Cols)
+	first := make([]float64, a.Rows)
+	hp.Compute(first, x)
+
+	for _, plan := range []Plan{{PProportion: 0.25}, {PProportion: 0.5, Weights: weightAt(len(before), 1, 3)}, orig} {
+		if err := hp.Repartition(plan); err != nil {
+			t.Fatalf("Repartition(%+v): %v", plan, err)
+		}
+	}
+	after := hp.Regions()
+	for i := range after {
+		if after[i] != before[i] {
+			t.Fatalf("region %d after the round trip: %+v, Prepare cut %+v", i, after[i], before[i])
+		}
+	}
+	y := make([]float64, a.Rows)
+	hp.Compute(y, x)
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(first[i]) {
+			t.Fatalf("y[%d] = %x after the round trip, first call %x", i, math.Float64bits(y[i]), math.Float64bits(first[i]))
+		}
+	}
+}
+
+// TestRepartitionPlanReportsInstalledPlan: Plan reports Prepare's
+// proportion until the first Repartition, then the accepted plan with a
+// private copy of its weights; Repartitions counts accepted plans only.
+func TestRepartitionPlanReportsInstalledPlan(t *testing.T) {
+	m := amp.IntelI912900KF()
+	a := gen.Representative("rma10", 64)
+	prep, err := New(Options{PProportion: 0.65}).Prepare(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := prep.(*Prepared)
+	if pl := hp.Plan(); pl.PProportion != 0.65 || pl.Weights != nil {
+		t.Fatalf("Plan before any repartition = %+v, want {0.65 nil}", pl)
+	}
+	if got := hp.Repartitions(); got != 0 {
+		t.Fatalf("Repartitions before any move = %d, want 0", got)
+	}
+	w := weightAt(len(hp.Regions()), 0, 2)
+	if err := hp.Repartition(Plan{PProportion: 0.4, Weights: w}); err != nil {
+		t.Fatal(err)
+	}
+	w[0] = 99 // the caller's slice is not the installed plan
+	pl := hp.Plan()
+	if pl.PProportion != 0.4 || len(pl.Weights) != len(w) || pl.Weights[0] != 2 {
+		t.Fatalf("Plan after weighted repartition = %+v, want proportion 0.4 with weight[0] = 2", pl)
+	}
+	if err := hp.Repartition(Plan{PProportion: 2}); err == nil {
+		t.Fatal("proportion 2 accepted")
+	}
+	if err := hp.Repartition(Plan{PProportion: 0.7}); err != nil {
+		t.Fatal(err)
+	}
+	if pl := hp.Plan(); pl.PProportion != 0.7 || pl.Weights != nil {
+		t.Fatalf("Plan after weightless repartition = %+v, want {0.7 nil}", pl)
+	}
+	if got := hp.Repartitions(); got != 2 {
+		t.Fatalf("Repartitions = %d after two accepted plans and one rejected, want 2", got)
+	}
 }
 
 // TestRepartitionConcurrentWithCompute hammers boundary moves under

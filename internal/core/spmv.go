@@ -147,7 +147,6 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 		mat: mat, h: h, machine: m,
 		opts: opts, emptyRows: empty, unroll: unroll,
 		cs: cs, cores: cores, streams: streams, values: values,
-		accum: make([]coreAccum, len(regions)),
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {
@@ -238,20 +237,15 @@ type Prepared struct {
 	// pointer once per call so Repartition can swap in a new tiling under
 	// concurrent multiplies without ever exposing a half-moved partition.
 	regions atomic.Pointer[[]Region]
-	// accum is the always-on per-region execution signal (one nanosecond
-	// and nonzero accumulator per core slot, cache-line padded). It costs
-	// two time.Now calls per core per multiply and no allocation, so the
-	// Adapter works with telemetry gated off.
-	accum []coreAccum
 	// plan is the last installed Repartition target (nil until the first
 	// Repartition; Plan() falls back to the Prepare-time proportion).
 	plan atomic.Pointer[Plan]
 	// repMu serializes Repartition calls and protects its reusable
 	// boundary scratch.
-	repMu      sync.Mutex
-	repBounds  []float64
-	repCuts    []int
-	rebalances atomic.Int64
+	repMu        sync.Mutex
+	repBounds    []float64
+	repCuts      []int
+	repartitions atomic.Int64
 	// batch is the pooled multiply workspace Compute and ComputeBatch
 	// claim with an atomic swap (see batchScratch).
 	batch atomic.Pointer[batchScratch]
@@ -298,23 +292,6 @@ func (p *Prepared) recordBandwidth(bytes int64, d time.Duration) {
 	}
 }
 
-// coreAccum is one core slot's always-on span accumulator, padded so
-// neighbouring cores do not false-share a cache line in the hot path.
-type coreAccum struct {
-	ns  atomic.Int64
-	nnz atomic.Int64
-	_   [48]byte
-}
-
-// drainSpanNs moves the accumulated per-slot nanoseconds into ns
-// (len >= region count) and resets the accumulators.
-func (p *Prepared) drainSpanNs(ns []int64) {
-	for i := range p.accum {
-		ns[i] = p.accum[i].ns.Swap(0)
-		p.accum[i].nnz.Store(0)
-	}
-}
-
 // Format exposes the HACSR view.
 func (p *Prepared) Format() *HACSR { return p.h }
 
@@ -324,7 +301,7 @@ func (p *Prepared) Format() *HACSR { return p.h }
 func (p *Prepared) Regions() []Region { return *p.regions.Load() }
 
 // Repartitions counts successful Repartition calls on this instance.
-func (p *Prepared) Repartitions() int64 { return p.rebalances.Load() }
+func (p *Prepared) Repartitions() int64 { return p.repartitions.Load() }
 
 // Compute implements Algorithm 5: per-core fragment kernels with the
 // extraY epilogue resolving rows that are cut across cores. It is
@@ -350,15 +327,6 @@ func (p *Prepared) ComputeTraced(y, x []float64, bd *tracing.ComputeBreakdown) {
 // position pos (the first row whose end exceeds it).
 func rowOfPosition(h *HACSR, pos int) int {
 	return sort.Search(h.Rows, func(i int) bool { return h.RowPtr[i+1] > pos })
-}
-
-// costAt returns the row-granular cost prefix at reordered-nnz position
-// pos, so a region's assigned cost is costAt(Hi) - costAt(Lo).
-func (p *Prepared) costAt(pos int) int {
-	if pos >= p.h.NNZ() {
-		return p.cs[p.h.Rows]
-	}
-	return p.cs[rowOfPosition(p.h, pos)]
 }
 
 // Assignments maps each region to spans in the original matrix's nnz

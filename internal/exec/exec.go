@@ -251,23 +251,6 @@ func Simulate(m *amp.Machine, p costmodel.Params, a *sparse.CSR, prep Prepared) 
 	return costmodel.EstimateSpMV(m, p, a, prep.Assignments())
 }
 
-// SimulateSpans prices the prepared SpMV and returns each core slot's
-// modeled busy time in nanoseconds, in assignment (region) order — the
-// shape an online adapter ingests. It is the deterministic substitute
-// for measured per-core spans: the simulator plays the role of the
-// asymmetric hardware, so feedback loops can be tested and benchmarked
-// reproducibly. ns is reused when it has the right length.
-func SimulateSpans(m *amp.Machine, p costmodel.Params, a *sparse.CSR, prep Prepared, ns []int64) []int64 {
-	r := costmodel.EstimateSpMV(m, p, a, prep.Assignments())
-	if len(ns) != len(r.PerCore) {
-		ns = make([]int64, len(r.PerCore))
-	}
-	for i, c := range r.PerCore {
-		ns[i] = int64(c.Seconds * 1e9)
-	}
-	return ns
-}
-
 // TimePrepare measures the wall-clock preprocessing cost of an algorithm
 // (Figure 10). It returns the prepared handle so the measurement includes
 // exactly one analysis.

@@ -62,20 +62,6 @@ type BatcherOptions struct {
 	// QueueCap bounds the number of queued requests; Submit sheds with
 	// ErrQueueFull beyond it. Default 256.
 	QueueCap int
-	// Observer, when set, runs on the dispatcher goroutine after every
-	// dispatched batch has been computed and *before* its waiters are
-	// released, receiving the flush's traced requests — so anything it
-	// stamps into the traces (the adapter epoch that observed the flush)
-	// is visible to the handlers that will record them.
-	Observer FlushObserver
-}
-
-// FlushObserver observes dispatched flushes (see BatcherOptions.Observer).
-// The traces slice is dispatcher-owned and reused; implementations must
-// not retain it past the call (retaining the *Trace pointers themselves
-// is also wrong — they are released to their waiters right after).
-type FlushObserver interface {
-	ObserveFlush(traces []*tracing.Trace)
 }
 
 func (o BatcherOptions) withDefaults() BatcherOptions {
@@ -142,11 +128,10 @@ type Batcher struct {
 	// /v1/matrices reports them with telemetry disabled.
 	requests, flushes, coalesced, solo, shed, expired atomic.Int64
 
-	// Dispatcher-owned scratch for gathering batch views, the flush's
-	// traced requests, and the reusable compute breakdown — all reused
-	// across flushes so the steady-state flush allocates nothing.
+	// Dispatcher-owned scratch for gathering batch views and the
+	// reusable compute breakdown — both reused across flushes so the
+	// steady-state flush allocates nothing.
 	xs, ys [][]float64
-	trs    []*tracing.Trace
 	bd     tracing.ComputeBreakdown
 }
 
@@ -295,8 +280,8 @@ const (
 // Stage attribution partitions the queue-to-release lifetime exactly:
 // the wait until the flush dispatched is "queue"; the fused kernel's
 // parallel phase is "compute"; and everything after it — extraY merge,
-// flush observer, waiter release — is "merge". So TotalNs == QueueNs +
-// ComputeNs + MergeNs by construction, and LingerNs is never written.
+// waiter release — is "merge". So TotalNs == QueueNs + ComputeNs +
+// MergeNs by construction, and LingerNs is never written.
 func (b *Batcher) execute(batch []*call, cause string) {
 	live := batch[:0]
 	var tDrop time.Time
@@ -327,7 +312,7 @@ func (b *Batcher) execute(batch []*call, cause string) {
 	hServeOccupancy.Observe(int64(nv))
 	// The breakdown is reused across flushes; filling it is always on (a
 	// handful of time.Now calls per flush) so the stage accounting works
-	// with telemetry gated off, like the adapter's span accumulators.
+	// with telemetry gated off.
 	bd := &b.bd
 	bd.Reset()
 	tFlush := time.Now()
@@ -346,9 +331,7 @@ func (b *Batcher) execute(batch []*call, cause string) {
 	}
 	b.xs, b.ys = X[:0], Y[:0]
 	exec.ComputeBatchTraced(b.prep, Y, X, bd)
-	// Link the flush into every traced request before the observer runs,
-	// so the adapter's epoch stamp completes the trace pre-release.
-	trs := b.trs[:0]
+	// Link the flush into every traced request.
 	for _, c := range live {
 		if tr := c.tr; tr != nil {
 			tr.BatchNV = nv
@@ -356,12 +339,7 @@ func (b *Batcher) execute(batch []*call, cause string) {
 			tr.Cores = bd.Cores
 			tr.MaxCoreNs = bd.MaxCoreNs
 			tr.NNZByFormat = bd.NNZByFormat
-			trs = append(trs, tr)
 		}
-	}
-	b.trs = trs[:0]
-	if b.opts.Observer != nil {
-		b.opts.Observer.ObserveFlush(trs)
 	}
 	now := time.Now()
 	for _, c := range live {

@@ -20,7 +20,6 @@ import (
 	"haspmv/internal/sparse"
 	"haspmv/internal/store"
 	"haspmv/internal/telemetry"
-	"haspmv/internal/telemetry/tracing"
 )
 
 var (
@@ -71,16 +70,6 @@ type RegistryOptions struct {
 	Batcher BatcherOptions
 	// Source materializes matrices; defaults to DefaultSource(64M nnz).
 	Source MatrixSource
-	// Adapt, when non-nil, attaches an online repartitioning adapter to
-	// every HASpMV entry: each flushed batch feeds the entry's adapter,
-	// which rebalances the matrix's partition from measured per-core
-	// spans. Baseline algorithms are served unchanged.
-	Adapt *haspmvcore.AdapterOptions
-	// Recorder, when non-nil, receives the adapter's epoch events
-	// (rebalance, rollback) and an anomaly snapshot on every rollback,
-	// and adapter epochs are stamped into the in-flight request traces
-	// before their waiters release.
-	Recorder *tracing.Recorder
 	// StoreDir, when set, backs the LRU with the prepared-matrix store:
 	// every successful HASpMV build is written through to
 	// StoreDir/<key>.hps (async, atomic rename), and a cold Get loads
@@ -120,9 +109,6 @@ type Entry struct {
 	// shard's owned row range and Cols its column window, so the HTTP
 	// layer validates the router's sliced x against Cols as usual.
 	Shard shard.Desc
-	// Adapter is the entry's online repartitioning loop (nil unless
-	// RegistryOptions.Adapt is set and the algorithm is HASpMV).
-	Adapter *haspmvcore.Adapter
 	// FromStore reports whether this entry was restored from the
 	// prepared-matrix store rather than built by generate+Prepare (in
 	// which case PrepareMs is the restore time).
@@ -327,17 +313,7 @@ func (r *Registry) GetShard(ctx context.Context, name string, scale, index, coun
 		close(e.ready)
 		return nil, ErrDraining
 	}
-	bopts := r.opts.Batcher
-	if r.opts.Adapt != nil {
-		if hp, ok := prep.(*haspmvcore.Prepared); ok {
-			ad := haspmvcore.NewAdapter(hp, *r.opts.Adapt)
-			e.Adapter = ad
-			// The adapter observes each flush pre-release, so its epoch
-			// decision lands in the flush's traces.
-			bopts.Observer = &adapterObserver{ad: ad, rec: r.opts.Recorder, matrix: key}
-		}
-	}
-	e.Batcher = NewBatcher(prep, bopts)
+	e.Batcher = NewBatcher(prep, r.opts.Batcher)
 	r.mu.Unlock()
 	cServePrepares.Add(1)
 	if r.opts.StoreDir != "" && !e.FromStore {
@@ -504,46 +480,6 @@ func (e *Entry) closeFile() {
 	if e.file != nil {
 		e.file.Close()
 		e.file = nil
-	}
-}
-
-// adapterObserver feeds each flush to the entry's adapter and stamps
-// the resulting epoch decision into the flush's traces before their
-// waiters release. Epoch *moves* (rebalance, rollback) additionally land
-// in the flight recorder's event ring; a rollback — the adapter
-// admitting it made things worse — is an anomaly, so it snapshots the
-// recorder. It runs on the dispatcher goroutine, so the field diffs need
-// no synchronization.
-type adapterObserver struct {
-	ad     *haspmvcore.Adapter
-	rec    *tracing.Recorder
-	matrix string
-
-	lastRebalances, lastRollbacks int64
-}
-
-func (o *adapterObserver) ObserveFlush(traces []*tracing.Trace) {
-	o.ad.AfterMultiply()
-	st := o.ad.Stats()
-	event := ""
-	switch {
-	case st.Rollbacks > o.lastRollbacks:
-		event = "rollback"
-	case st.Rebalances > o.lastRebalances:
-		event = "rebalance"
-	}
-	o.lastRollbacks, o.lastRebalances = st.Rollbacks, st.Rebalances
-	for _, tr := range traces {
-		tr.AdapterEpoch = st.Epochs
-		tr.AdapterEvent = event
-	}
-	if event != "" && o.rec != nil {
-		// Epoch moves are rare (at most one per adapter epoch), so the
-		// event allocation stays off the steady-state flush path.
-		o.rec.RecordEvent(&tracing.Event{Time: time.Now(), Kind: event, Matrix: o.matrix})
-		if event == "rollback" {
-			o.rec.Anomaly("adapter-rollback")
-		}
 	}
 }
 

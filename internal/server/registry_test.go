@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,61 +200,78 @@ func TestRegistryUnknownAndTooLarge(t *testing.T) {
 	}
 }
 
-// TestRegistryAdaptationWiring: with RegistryOptions.Adapt set, every
-// HASpMV entry carries an online repartitioning adapter fed by its
-// batcher — one flushed batch counts as one observed multiply — while
-// baseline algorithms are served unchanged (no adapter).
-func TestRegistryAdaptationWiring(t *testing.T) {
-	src := func(name string, scale int) (*sparse.CSR, error) {
-		return gen.Representative("rma10", 64), nil
-	}
-	r := NewRegistry(amp.IntelI912900KF(), core.New(core.Options{}), RegistryOptions{
+// TestRegistryServesBaselineAlgorithm: a registry built on a baseline
+// algorithm serves its entries through the same batcher, bit for bit
+// what the algorithm's own Compute returns.
+func TestRegistryServesBaselineAlgorithm(t *testing.T) {
+	alg := csrsimple.New(amp.PAndE, csrsimple.ByRows)
+	a := gen.Representative("rma10", 64)
+	r := NewRegistry(amp.IntelI912900KF(), alg, RegistryOptions{
 		MaxEntries: 4,
-		Source:     src,
-		Adapt:      &core.AdapterOptions{Every: 1},
+		Source:     func(string, int) (*sparse.CSR, error) { return a, nil },
 	})
-	defer r.Close()
-
+	t.Cleanup(r.Close)
 	e, err := r.Get(context.Background(), "rma10", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Adapter == nil {
-		t.Fatal("HASpMV entry has no adapter despite RegistryOptions.Adapt")
-	}
 	x := make([]float64, e.Cols)
 	for i := range x {
-		x[i] = 1
+		x[i] = 1 + float64(i%7)/7
 	}
 	y := make([]float64, e.Rows)
-	const submits = 5
-	for i := 0; i < submits; i++ {
-		if _, err := e.Batcher.Submit(context.Background(), y, x); err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
+	if _, err := e.Batcher.Submit(context.Background(), y, x); err != nil {
+		t.Fatal(err)
 	}
-	st := e.Adapter.Stats()
-	if st.Multiplies == 0 || st.Multiplies > submits {
-		t.Fatalf("adapter observed %d multiplies after %d serial submits, want 1..%d",
-			st.Multiplies, submits, submits)
-	}
-	if st.Epochs == 0 {
-		t.Fatalf("adapter completed no epochs with Every=1: %+v", st)
-	}
-
-	// A baseline algorithm through the same options gets no adapter.
-	rb := NewRegistry(amp.IntelI912900KF(), csrsimple.New(amp.PAndE, csrsimple.ByRows), RegistryOptions{
-		MaxEntries: 4,
-		Source:     src,
-		Adapt:      &core.AdapterOptions{Every: 1},
-	})
-	defer rb.Close()
-	eb, err := rb.Get(context.Background(), "rma10", 64)
+	prep, err := alg.Prepare(amp.IntelI912900KF(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eb.Adapter != nil {
-		t.Fatal("baseline entry unexpectedly carries an adapter")
+	want := make([]float64, a.Rows)
+	prep.Compute(want, x)
+	for i := range want {
+		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("y[%d] = %v, %s Compute %v", i, y[i], alg.Name(), want[i])
+		}
+	}
+}
+
+// TestRegistryServesStableBits: a HASpMV entry keeps the partition its
+// Prepare chose, so repeated Submits of one x return the same bits,
+// equal to a fresh Prepare's Compute.
+func TestRegistryServesStableBits(t *testing.T) {
+	m := amp.IntelI912900KF()
+	alg := core.New(core.Options{})
+	a := gen.Representative("webbase-1M", 256)
+	r := NewRegistry(m, alg, RegistryOptions{
+		MaxEntries: 4,
+		Source:     func(string, int) (*sparse.CSR, error) { return a, nil },
+	})
+	t.Cleanup(r.Close)
+	e, err := r.Get(context.Background(), "webbase-1M", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := alg.Prepare(m, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, e.Cols)
+	for i := range x {
+		x[i] = 1 + float64(i%9)/9
+	}
+	want := make([]float64, a.Rows)
+	prep.Compute(want, x)
+	y := make([]float64, e.Rows)
+	for call := 0; call < 30; call++ {
+		if _, err := e.Batcher.Submit(context.Background(), y, x); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("submit %d: y[%d] = %x, Prepare's Compute %x", call, i, math.Float64bits(y[i]), math.Float64bits(want[i]))
+			}
+		}
 	}
 }
 

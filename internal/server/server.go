@@ -36,7 +36,7 @@ type Config struct {
 	// Default 1.
 	RetryAfter int
 	// Recorder enables per-request tracing: every multiply's span record
-	// (queue/compute/merge stages, flush linkage, adapter epoch)
+	// (queue/compute/merge stages, flush linkage)
 	// lands here on completion, retrievable at /v1/debug/flightrecorder
 	// and snapshotted automatically on anomaly. nil disables tracing;
 	// request IDs are still generated and echoed.
@@ -92,10 +92,6 @@ func New(cfg Config) *Server {
 		panic("server: Config.Machine and Config.Algorithm are required")
 	}
 	cfg = cfg.withDefaults()
-	if cfg.Registry.Recorder == nil {
-		// The registry stamps adapter epochs into the same recorder.
-		cfg.Registry.Recorder = cfg.Recorder
-	}
 	s := &Server{
 		cfg:     cfg,
 		reg:     NewRegistry(cfg.Machine, cfg.Algorithm, cfg.Registry),
@@ -254,11 +250,6 @@ type matrixInfo struct {
 	Solo      int64 `json:"solo"`
 	Shed      int64 `json:"shed"`
 	Expired   int64 `json:"expired"`
-	// Adaptive-execution progress, present when the registry runs with
-	// online repartitioning enabled.
-	Rebalances int64   `json:"rebalances,omitempty"`
-	Imbalance  float64 `json:"imbalance,omitempty"`
-	Proportion float64 `json:"proportion,omitempty"`
 }
 
 // shardLabel renders a shard desc as "i/n" for listings ("" for a
@@ -505,7 +496,7 @@ func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
 	resp := matricesResponse{Known: gen.RepresentativeNames(), Resident: []matrixInfo{}}
 	for _, e := range s.reg.Entries() {
 		st := e.Batcher.Stats()
-		mi := matrixInfo{
+		resp.Resident = append(resp.Resident, matrixInfo{
 			Key: e.Key, Matrix: e.Name, Scale: e.Scale,
 			Rows: e.Rows, Cols: e.Cols, NNZ: e.NNZ, PrepareMs: e.PrepareMs,
 			FromStore: e.FromStore,
@@ -513,14 +504,7 @@ func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
 			Requests:  st.Requests, Flushes: st.Flushes,
 			Coalesced: st.Coalesced, Solo: st.Solo,
 			Shed: st.Shed, Expired: st.Expired,
-		}
-		if e.Adapter != nil {
-			as := e.Adapter.Stats()
-			mi.Rebalances = as.Rebalances
-			mi.Imbalance = as.Imbalance
-			mi.Proportion = as.Proportion
-		}
-		resp.Resident = append(resp.Resident, mi)
+		})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(resp)

@@ -31,9 +31,9 @@ const (
 	PhaseCompute
 	// PhaseBatch is one whole ComputeBatch call.
 	PhaseBatch
-	// PhaseRepartition is one boundary-only Repartition call (the
-	// adaptive-execution rebalance; reuses the HACSR and cost prefix
-	// sums, so it is orders of magnitude cheaper than PhasePrepare).
+	// PhaseRepartition is one boundary-only Repartition call (it reuses
+	// the HACSR and cost prefix sums, so it is orders of magnitude
+	// cheaper than PhasePrepare).
 	PhaseRepartition
 
 	numPhases

@@ -12,24 +12,11 @@ import (
 	"time"
 )
 
-// Event is one non-request occurrence worth keeping next to the traces:
-// an adapter epoch decision (rebalance, rollback), a shed spike, an SLO
-// breach. Like Trace, an Event must not be mutated after RecordEvent.
-type Event struct {
-	Seq    uint64    `json:"seq"`
-	Time   time.Time `json:"time"`
-	Kind   string    `json:"kind"`
-	Matrix string    `json:"matrix,omitempty"`
-	Detail string    `json:"detail,omitempty"`
-}
-
 // RecorderOptions size the flight recorder. The zero value selects the
 // defaults noted on each field.
 type RecorderOptions struct {
 	// Traces is the request-trace ring capacity. Default 256.
 	Traces int
-	// Events is the event ring capacity. Default 64.
-	Events int
 	// Dir, when non-empty, is where anomaly snapshots are additionally
 	// written as flightrecorder-<unixnano>-<reason>.json files; the last
 	// anomaly snapshot is always retrievable in-process via LastAnomaly.
@@ -45,30 +32,24 @@ func (o RecorderOptions) withDefaults() RecorderOptions {
 	if o.Traces <= 0 {
 		o.Traces = 256
 	}
-	if o.Events <= 0 {
-		o.Events = 64
-	}
 	if o.MinSnapshotGap == 0 {
 		o.MinSnapshotGap = 10 * time.Second
 	}
 	return o
 }
 
-// Recorder is a fixed-size lock-free flight recorder: two rings of
-// atomic pointers (completed request traces, adapter/anomaly events)
-// that writers overwrite in admission order. Record and RecordEvent are
-// one atomic add plus one atomic store — no locks, no allocation — so
-// they are safe on the batcher's flush path; Snapshot assembles a
-// consistent point-in-time copy by loading the pointers, which is safe
-// against concurrent writers because records are immutable once
-// recorded (the slot swap drops the old pointer, it never mutates the
-// record behind a reader).
+// Recorder is a fixed-size lock-free flight recorder: a ring of atomic
+// pointers to completed request traces that writers overwrite in
+// admission order. Record is one atomic add plus one atomic store — no
+// locks, no allocation — so it is safe on the request path; Snapshot
+// assembles a consistent point-in-time copy by loading the pointers,
+// which is safe against concurrent writers because records are
+// immutable once recorded (the slot swap drops the old pointer, it
+// never mutates the record behind a reader).
 type Recorder struct {
 	opts   RecorderOptions
 	traces []atomic.Pointer[Trace]
 	seq    atomic.Uint64
-	events []atomic.Pointer[Event]
-	eseq   atomic.Uint64
 
 	anomalies   atomic.Int64
 	lastAnomaly atomic.Pointer[Snapshot]
@@ -87,7 +68,6 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	return &Recorder{
 		opts:   opts,
 		traces: make([]atomic.Pointer[Trace], opts.Traces),
-		events: make([]atomic.Pointer[Event], opts.Events),
 	}
 }
 
@@ -97,14 +77,6 @@ func (r *Recorder) Record(t *Trace) {
 	seq := r.seq.Add(1)
 	t.Seq = seq
 	r.traces[(seq-1)%uint64(len(r.traces))].Store(t)
-}
-
-// RecordEvent retains an adapter or anomaly event, overwriting the
-// oldest once the ring is full. It assigns e.Seq.
-func (r *Recorder) RecordEvent(e *Event) {
-	seq := r.eseq.Add(1)
-	e.Seq = seq
-	r.events[(seq-1)%uint64(len(r.events))].Store(e)
 }
 
 // TraceCount returns how many traces have ever been recorded (the ring
@@ -120,15 +92,13 @@ type Snapshot struct {
 	// Reason is why the snapshot was taken: "on-demand" for explicit
 	// Snapshot calls, the anomaly kind otherwise.
 	Reason string `json:"reason"`
-	// TotalTraces and TotalEvents count everything ever recorded;
-	// len(Traces)/len(Events) is what the rings still retained.
+	// TotalTraces counts every trace ever recorded; len(Traces) is what
+	// the ring still retained.
 	TotalTraces uint64  `json:"total_traces"`
-	TotalEvents uint64  `json:"total_events"`
 	Traces      []Trace `json:"traces"`
-	Events      []Event `json:"events,omitempty"`
 }
 
-// Snapshot copies the retained traces and events, oldest first.
+// Snapshot copies the retained traces, oldest first.
 func (r *Recorder) Snapshot(reason string) Snapshot {
 	if reason == "" {
 		reason = "on-demand"
@@ -137,7 +107,6 @@ func (r *Recorder) Snapshot(reason string) Snapshot {
 		TakenAt:     time.Now(),
 		Reason:      reason,
 		TotalTraces: r.seq.Load(),
-		TotalEvents: r.eseq.Load(),
 	}
 	s.Traces = make([]Trace, 0, len(r.traces))
 	for i := range r.traces {
@@ -146,13 +115,6 @@ func (r *Recorder) Snapshot(reason string) Snapshot {
 		}
 	}
 	sort.Slice(s.Traces, func(i, j int) bool { return s.Traces[i].Seq < s.Traces[j].Seq })
-	s.Events = make([]Event, 0, len(r.events))
-	for i := range r.events {
-		if e := r.events[i].Load(); e != nil {
-			s.Events = append(s.Events, *e)
-		}
-	}
-	sort.Slice(s.Events, func(i, j int) bool { return s.Events[i].Seq < s.Events[j].Seq })
 	return s
 }
 
@@ -164,8 +126,8 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot(""))
 }
 
-// Anomaly reacts to a detected anomaly (shed spike, adapter rollback,
-// p99-over-SLO window): it snapshots the recorder, keeps the snapshot
+// Anomaly reacts to a detected anomaly (shed spike, p99-over-SLO
+// window): it snapshots the recorder, keeps the snapshot
 // retrievable via LastAnomaly, and — when a Dir is configured — writes
 // it to a JSON file. Snapshots are rate-limited by MinSnapshotGap;
 // within the gap the anomaly is counted but not re-snapshotted. Returns

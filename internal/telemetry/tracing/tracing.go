@@ -70,12 +70,6 @@ type Trace struct {
 	// diagonal kernels, in that order).
 	NNZByFormat [4]int64 `json:"nnz_by_format,omitempty"`
 
-	// AdapterEpoch is the online adapter's epoch count after the epoch
-	// decision that observed this request's flush; AdapterEvent is
-	// "rebalance" or "rollback" when that decision moved the partition.
-	AdapterEpoch int64  `json:"adapter_epoch,omitempty"`
-	AdapterEvent string `json:"adapter_event,omitempty"`
-
 	// Status is the HTTP status the request was answered with, and Err
 	// the terminal error for requests that never produced a result.
 	Status int    `json:"status,omitempty"`

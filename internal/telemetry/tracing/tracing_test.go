@@ -47,7 +47,7 @@ func TestComputeBreakdownReset(t *testing.T) {
 
 func TestRecorderWrapAround(t *testing.T) {
 	const capacity = 8
-	r := NewRecorder(RecorderOptions{Traces: capacity, Events: 4})
+	r := NewRecorder(RecorderOptions{Traces: capacity})
 	const total = 2*capacity + 3
 	for i := 1; i <= total; i++ {
 		r.Record(&Trace{ID: NewRequestID(), TotalNs: int64(i)})
@@ -74,27 +74,11 @@ func TestRecorderWrapAround(t *testing.T) {
 	}
 }
 
-func TestRecorderEventWrapAround(t *testing.T) {
-	r := NewRecorder(RecorderOptions{Traces: 2, Events: 3})
-	for i := 0; i < 7; i++ {
-		r.RecordEvent(&Event{Kind: "rebalance"})
-	}
-	s := r.Snapshot("")
-	if s.TotalEvents != 7 || len(s.Events) != 3 {
-		t.Fatalf("events: total %d retained %d, want 7 and 3", s.TotalEvents, len(s.Events))
-	}
-	for i, e := range s.Events {
-		if want := uint64(5 + i); e.Seq != want {
-			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, want)
-		}
-	}
-}
-
 // TestRecorderConcurrentWritersAndReaders is the race test the recorder's
-// lock-free design exists for: writers recording traces and events while
+// lock-free design exists for: writers recording traces while
 // readers snapshot and serialize, under `go test -race`.
 func TestRecorderConcurrentWritersAndReaders(t *testing.T) {
-	r := NewRecorder(RecorderOptions{Traces: 16, Events: 8, MinSnapshotGap: -1})
+	r := NewRecorder(RecorderOptions{Traces: 16, MinSnapshotGap: -1})
 	const writers, perWriter, readers = 4, 500, 3
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -103,9 +87,6 @@ func TestRecorderConcurrentWritersAndReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				r.Record(&Trace{ID: NewRequestID(), QueueNs: int64(i), TotalNs: int64(i)})
-				if i%50 == 0 {
-					r.RecordEvent(&Event{Kind: "rebalance"})
-				}
 				if i%200 == 0 {
 					r.Anomaly("p99-over-slo")
 				}
@@ -157,23 +138,17 @@ func TestRecordDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Record allocated %.1f times per op, want 0", allocs)
 	}
-	ev := &Event{Kind: "rebalance"}
-	allocs = testing.AllocsPerRun(100, func() { r.RecordEvent(ev) })
-	if allocs != 0 {
-		t.Fatalf("RecordEvent allocated %.1f times per op, want 0", allocs)
-	}
 }
 
 func TestAnomalySnapshotAndRateLimit(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRecorder(RecorderOptions{Traces: 4, Dir: dir, MinSnapshotGap: time.Hour})
 	r.Record(&Trace{ID: "abc", Status: 200, QueueNs: 1, LingerNs: 2, ComputeNs: 3, MergeNs: 4, TotalNs: 10})
-	r.RecordEvent(&Event{Kind: "rollback", Time: time.Now()})
 
-	if !r.Anomaly("adapter rollback") {
+	if !r.Anomaly("shed spike") {
 		t.Fatal("first anomaly should snapshot")
 	}
-	if r.Anomaly("adapter rollback") {
+	if r.Anomaly("shed spike") {
 		t.Fatal("second anomaly inside MinSnapshotGap should be rate-limited")
 	}
 	if got := r.Anomalies(); got != 2 {
@@ -184,17 +159,14 @@ func TestAnomalySnapshotAndRateLimit(t *testing.T) {
 	if last == nil {
 		t.Fatal("LastAnomaly returned nil after snapshot")
 	}
-	if last.Reason != "adapter rollback" {
+	if last.Reason != "shed spike" {
 		t.Fatalf("snapshot reason %q", last.Reason)
 	}
 	if len(last.Traces) != 1 || last.Traces[0].ID != "abc" {
 		t.Fatalf("snapshot traces %+v", last.Traces)
 	}
-	if len(last.Events) != 1 || last.Events[0].Kind != "rollback" {
-		t.Fatalf("snapshot events %+v", last.Events)
-	}
 
-	files, err := filepath.Glob(filepath.Join(dir, "flightrecorder-*-adapter-rollback.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "flightrecorder-*-shed-spike.json"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("snapshot files %v (err %v), want exactly one", files, err)
 	}

@@ -270,46 +270,3 @@ func TestCGMaxIterStops(t *testing.T) {
 		t.Fatal("residual not reported")
 	}
 }
-
-// TestCGWithAdaptation drives CG through an adaptation-enabled handle:
-// every iteration's Multiply feeds the feedback loop, so the partition
-// may be rebalanced mid-solve — which must never change the arithmetic.
-// Run with -race: solver iterations and adapter epochs interleave on the
-// same Prepared instance.
-func TestCGWithAdaptation(t *testing.T) {
-	n := 800
-	a := poisson1D(n)
-	m := haspmv.IntelI912900KF()
-	h, err := haspmv.Analyze(m, a, haspmv.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.EnableAdaptation(haspmv.AdapterOptions{Every: 2}); err != nil {
-		t.Fatal(err)
-	}
-	op := FromHandle(h)
-	b := rhsFor(a, ones(n))
-	x := make([]float64, n)
-	st, err := CG(op, b, x, Options{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("CG with adaptation did not converge: %+v", st)
-	}
-	if res := residual(a, x, b); res > 1e-10 {
-		t.Fatalf("residual %.2e", res)
-	}
-	for i := range x {
-		if math.Abs(x[i]-1) > 1e-7 {
-			t.Fatalf("x[%d] = %v", i, x[i])
-		}
-	}
-	ast, ok := h.AdaptationStats()
-	if !ok {
-		t.Fatal("AdaptationStats missing on an adaptation-enabled handle")
-	}
-	if ast.Multiplies < int64(st.Iterations) {
-		t.Fatalf("adapter observed %d multiplies over %d CG iterations", ast.Multiplies, st.Iterations)
-	}
-}
