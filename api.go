@@ -242,10 +242,11 @@ func (h *Handle) Matrix() *Matrix { return h.matrix }
 
 // MultiplyBatch computes Y[v] = A*X[v] for a block of vectors, using the
 // fused multi-vector path when the algorithm provides one. HASpMV walks
-// each region's value and index streams once per block of up to 8
-// vectors through register-blocked kernels (one accumulator per vector),
-// and pools its workspace on the handle so the steady-state path is
-// allocation-free for any batch size. Every X[v] must have length Cols()
+// each region's value and index streams once per block of 4 to 8
+// vectors, gathering x from a column-interleaved copy of the block (one
+// cache line per nonzero for all of its vectors; a smaller remainder
+// gathers each vector's own x), and pools its workspace on the handle so the steady-state path is allocation-free
+// for any batch size. Every X[v] must have length Cols()
 // and every Y[v] length Rows(); mismatches panic with a descriptive
 // message rather than corrupting results inside a kernel goroutine.
 func (h *Handle) MultiplyBatch(Y, X [][]float64) {

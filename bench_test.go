@@ -364,13 +364,17 @@ func BenchmarkComputeTraced(b *testing.B) {
 }
 
 // BenchmarkComputeBatch compares the fused multi-vector multiply
-// (register-blocked kernels walking the index stream once per block of
-// vectors) against nv independent Multiply calls on a banded matrix,
-// where the value/index streams dominate and amortizing them pays most.
-// The fused-nv1 and fused-nv9 rows run webbase-1M@2, whose auto
-// dispatch segments its regions, so the width-1 tile a lone vector or a
-// 9-vector batch's remainder takes (SegSum rather than SegSumBlock) is
-// priced on the segmented path.
+// (block kernels walking the index stream once per block of vectors)
+// against nv independent Multiply calls on a banded matrix, where the
+// value/index streams dominate and amortizing them pays most. The
+// fused-nv1 and fused-nv9 rows run webbase-1M@2, whose auto dispatch
+// segments its regions, so the width-1 tile a lone vector or a 9-vector
+// batch's remainder takes (SegSum rather than SegSumBlock) is priced on
+// the segmented path. The webbase-fused and webbase-repeated rows price
+// the x gather on the same matrix: one interleaved tile line per nonzero
+// for all of a tile's vectors against separate Multiply gathers. nv3 and
+// nv4 sit on either side of kernel.MinBlock: a 3-vector tile is not
+// interleaved and runs SegSum one vector at a time, a 4-vector tile is.
 func BenchmarkComputeBatch(b *testing.B) {
 	m := haspmv.IntelI912900KF()
 	a := haspmv.Representative("shipsec1", 16)
@@ -380,15 +384,7 @@ func BenchmarkComputeBatch(b *testing.B) {
 	}
 	flops := func(nv int) float64 { return 2 * float64(a.NNZ()) * float64(nv) }
 	for _, nv := range []int{2, 4, 8} {
-		X := make([][]float64, nv)
-		Y := make([][]float64, nv)
-		for v := range X {
-			X[v] = make([]float64, a.Cols)
-			for i := range X[v] {
-				X[v][i] = 1 + float64((i+v)%7)/7
-			}
-			Y[v] = make([]float64, a.Rows)
-		}
+		X, Y := benchBatch(nv, a.Rows, a.Cols)
 		b.Run(fmt.Sprintf("fused-nv%d", nv), func(b *testing.B) {
 			h.MultiplyBatch(Y, X) // warm the batch scratch
 			b.ResetTimer()
@@ -418,17 +414,15 @@ func BenchmarkComputeBatch(b *testing.B) {
 	if hp.SegSumNNZ() == 0 {
 		b.Fatal("webbase-1M@2 auto dispatch segmented no region")
 	}
-	for _, nv := range []int{1, 9} {
-		X := make([][]float64, nv)
-		Y := make([][]float64, nv)
-		for v := range X {
-			X[v] = make([]float64, web.Cols)
-			for i := range X[v] {
-				X[v][i] = 1 + float64((i+v)%7)/7
-			}
-			Y[v] = make([]float64, web.Rows)
+	webFlops := func(nv int) float64 { return 2 * float64(web.NNZ()) * float64(nv) }
+	for _, nv := range []int{1, 3, 4, 8, 9} {
+		X, Y := benchBatch(nv, web.Rows, web.Cols)
+		gather := nv != 1 && nv != 9 // the nv1/nv9 rows keep their names
+		name := fmt.Sprintf("fused-nv%d", nv)
+		if gather {
+			name = "webbase-" + name
 		}
-		b.Run(fmt.Sprintf("fused-nv%d", nv), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			hp.ComputeBatch(Y, X) // warm the batch scratch
 			if n := testing.AllocsPerRun(5, func() { hp.ComputeBatch(Y, X) }); n != 0 {
 				b.Fatalf("nv=%d ComputeBatch allocates %.1f/op, want 0", nv, n)
@@ -437,9 +431,37 @@ func BenchmarkComputeBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				hp.ComputeBatch(Y, X)
 			}
-			b.ReportMetric(2*float64(web.NNZ())*float64(nv)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+			b.ReportMetric(webFlops(nv)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
+		})
+		if !gather {
+			continue
+		}
+		b.Run(fmt.Sprintf("webbase-repeated-nv%d", nv), func(b *testing.B) {
+			hp.Compute(Y[0], X[0])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for v := range X {
+					hp.Compute(Y[v], X[v])
+				}
+			}
+			b.ReportMetric(webFlops(nv)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlops")
 		})
 	}
+}
+
+// benchBatch builds nv deterministic x vectors of length cols and nv y
+// vectors of length rows.
+func benchBatch(nv, rows, cols int) (X, Y [][]float64) {
+	X = make([][]float64, nv)
+	Y = make([][]float64, nv)
+	for v := range X {
+		X[v] = make([]float64, cols)
+		for i := range X[v] {
+			X[v][i] = 1 + float64((i+v)%7)/7
+		}
+		Y[v] = make([]float64, rows)
+	}
+	return X, Y
 }
 
 // BenchmarkPrepare measures the real preprocessing cost (the Figure 10

@@ -54,6 +54,16 @@ type batchScratch struct {
 	// per core, read by the traced path to surface the critical-path core.
 	durNs []int64
 	body  func(id int)
+	// xi holds the call's interleaved x tiles: tile [v0, v0+w) of width
+	// w >= kernel.MinBlock at xi[v0*cols:], xi[v0*cols+c*w+j] =
+	// X[v0+j][c]. pack fills the first packed vectors' tiles before the
+	// region bodies run (packed is 0 below MinBlock vectors and when no
+	// row of the partition gathers); the buffer is grown to packed*cols
+	// by the first call that packs that many.
+	xi        []float64
+	packed    int
+	packParts int
+	packBody  func(part int)
 }
 
 func (p *Prepared) newBatchScratch(nv int) *batchScratch {
@@ -71,15 +81,49 @@ func (p *Prepared) newBatchScratch(nv int) *batchScratch {
 		durNs:    make([]int64, n),
 	}
 	s.body = s.run
+	s.packBody = s.pack
 	return s
+}
+
+// packBlock is the column block pack copies one vector at a time: 512
+// columns of an 8-wide tile are 32KB, so the block's lines stay cached
+// across the w passes that fill them.
+const packBlock = 512
+
+// pack interleaves part of the columns of every packed tile: the
+// parallel pass multiply runs before the region bodies, over packParts
+// contiguous column ranges.
+func (s *batchScratch) pack(part int) {
+	cols := s.p.mat.Cols
+	lo, hi := part*cols/s.packParts, (part+1)*cols/s.packParts
+	for v0 := 0; v0 < s.packed; v0 += kernel.MaxBlock {
+		w := min(s.packed-v0, kernel.MaxBlock)
+		tile := s.tile(v0, w)
+		for c0 := lo; c0 < hi; c0 += packBlock {
+			c1 := min(c0+packBlock, hi)
+			for j, x := range s.X[v0 : v0+w] {
+				t := tile[c0*w+j:]
+				for c, v := range x[c0:c1] {
+					t[c*w] = v
+				}
+			}
+		}
+	}
+}
+
+// tile returns the interleaved x tile of the vectors [v0, v0+w).
+func (s *batchScratch) tile(v0, w int) []float64 {
+	cols := s.p.mat.Cols
+	return s.xi[v0*cols : (v0+w)*cols]
 }
 
 // run is one core's share of a multiply (the body Algorithm 5 gives
 // each thread), plus optional span recording: nonzeros processed, row
 // fragments walked, and whether this core produced an extraY entry. The
-// region is walked once per MaxBlock-wide tile of the vectors, each tile
-// by the widest kernel that still has vectors to feed; the cut-row patch
-// signals follow the last tile.
+// region is walked once per tile of the vectors (MaxBlock wide, then the
+// remainder as one tile when it is MinBlock wide or more and one vector
+// at a time when it is not); the cut-row patch signals follow the last
+// tile.
 func (s *batchScratch) run(id int) {
 	p := s.p
 	s.extraRow[id] = -1
@@ -93,8 +137,12 @@ func (s *batchScratch) run(id int) {
 		t0 = time.Now()
 	}
 	frags := 0
-	for v0, nv := 0, len(s.X); v0 < nv; v0 += kernel.MaxBlock {
-		w := min(nv-v0, kernel.MaxBlock)
+	for v0, w, nv := 0, 0, len(s.X); v0 < nv; v0 += w {
+		// MaxBlock-wide tiles, then the rest as one tile when it is at
+		// least MinBlock wide and one vector at a time when it is not.
+		if w = min(nv-v0, kernel.MaxBlock); w < kernel.MinBlock {
+			w = 1
+		}
 		var f int
 		if reg.Val == ValF64 {
 			f = batchRegion(s, id, reg, v0, w, p.mat.Val, nil)
@@ -143,8 +191,9 @@ func (s *batchScratch) run(id int) {
 // directly when the fragment starts its row and into the core's conflict
 // slots otherwise (only a region's first row can start mid-row). A
 // width-1 tile takes the single-vector kernels (Dot, DotDia) and stores
-// their sums straight to y, wider tiles the register-blocked ones
-// through sums; both produce Dot's bits. bases holds the per-row u16
+// their sums straight to y, wider tiles (kernel.MinBlock and up) the
+// block ones through sums (DotBlock on the tile's interleaved x,
+// DotDiaBlock on X); all produce Dot's bits. bases holds the per-row u16
 // delta base columns (nil for other streams); in a dia region the rows
 // with run descriptors take the descriptor kernels and the others the
 // u32 stream in col. Returns the fragments processed.
@@ -190,7 +239,7 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 			if diaRow {
 				kernel.DotDiaBlock(vals, pal, st.runs, int(st.rowRun[r]), X, sums, klo, khi, un)
 			} else {
-				kernel.DotBlock(vals, pal, col, base, X, sums, klo, khi, un)
+				kernel.DotBlock(vals, pal, col, base, s.tile(v0, w), sums, klo, khi, un)
 			}
 			orig := h.Perm[r]
 			if pos == rowStart {
@@ -210,13 +259,15 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 
 // ComputeBatch performs Y[v] = A * X[v] for a block of vectors with one
 // sweep over the matrix structure per block of kernel.MaxBlock vectors:
-// each region's value and column streams are walked once per block by
-// the register-blocked kernels (kernel.DotBlock), amortizing the index
-// stream the way block Krylov solvers and multi-source graph traversals
-// expect. It is the one multiply path: Compute runs it on a single
-// vector. The steady-state path performs zero heap allocations for any
-// nv (the workspace is pooled on Prepared.batch and exec.Parallel
-// dispatches to a persistent worker pool).
+// each block's x vectors are interleaved once per call, so the block
+// kernels (kernel.DotBlock) walk each region's value and column streams
+// once per block and gather one x cache line per nonzero for all of the
+// block's vectors — the x access is the traffic term that grows with the
+// number of right-hand sides. It is the one multiply path: Compute runs
+// it on a single vector. The steady-state path performs zero heap
+// allocations for any nv (the workspace, interleaved tiles included, is
+// pooled on Prepared.batch and exec.Parallel dispatches to a persistent
+// worker pool).
 //
 // ComputeBatch is bit-exact with respect to Compute: Y[v] carries exactly
 // the float64 bits that Compute(Y[v], X[v]) would have produced, for any
@@ -281,6 +332,20 @@ func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *t
 	for _, y := range Y {
 		zeroRows(y, p.emptyRows)
 	}
+	s.packed = 0
+	if nv >= kernel.MinBlock && p.gathers(s.regs) {
+		s.packed = nv
+		if r := nv % kernel.MaxBlock; r < kernel.MinBlock {
+			s.packed -= r // a narrow remainder runs one vector at a time
+		}
+	}
+	if s.packed > 0 {
+		if need := s.packed * p.mat.Cols; len(s.xi) < need {
+			s.xi = make([]float64, need)
+		}
+		s.packParts = exec.RangeChunks(p.mat.Cols, exec.Workers(), packBlock)
+		exec.Parallel(s.packParts, s.packBody)
+	}
 	n := len(s.regs)
 	exec.Parallel(n, s.body)
 	var tKernel time.Time
@@ -309,7 +374,7 @@ func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *t
 			bd.MaxCoreNs = max(bd.MaxCoreNs, s.durNs[i])
 			bd.NNZByFormat[r.Format] += int64(r.Hi - r.Lo)
 		}
-		bd.Bytes = p.batchTrafficBytes(nv)
+		bd.Bytes = p.batchTrafficBytes(nv, s.packed)
 	}
 	s.Y, s.X, s.tel, s.regs = nil, nil, nil, nil
 	s.y1[0], s.x1[0] = nil, nil
@@ -328,7 +393,7 @@ func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *t
 			tel.RecordPhase(telemetry.PhaseCompute, d)
 			computeHist.Observe(d)
 		}
-		p.recordBandwidth(p.batchTrafficBytes(nv), d)
+		p.recordBandwidth(p.batchTrafficBytes(nv, s.packed), d)
 	}
 }
 

@@ -15,36 +15,64 @@ import (
 	"haspmv/internal/sparse"
 )
 
+// TestComputeBatchMatchesCompute checks every batch column bit for bit
+// against its single-vector Compute on the test matrices, and on two
+// 9-diagonal bands that run on diagonal run descriptors: a stencil with
+// off-band defect rows, whose u32 fallback fragments read the
+// interleaved x tiles inside dia regions, and a band whose every row is
+// one 9-column run, where no row gathers and the pack pass is skipped.
 func TestComputeBatchMatchesCompute(t *testing.T) {
 	m := amp.IntelI912900KF()
+	type tcase struct {
+		name         string
+		a            *sparse.CSR
+		nvs          []int
+		dia, gathers bool // every region on dia descriptors; some row gathers
+	}
+	cases := []tcase{
+		{"stencil9-defects", gen.StencilSpec{Rows: 4096, Cols: 4096, Diagonals: 9, NoiseFrac: 0.01, Seed: 20260801}.Generate(),
+			[]int{2, 3, 8, 9, 11}, true, true},
+		{"band9", gen.StencilSpec{Rows: 4096, Cols: 4104, Offsets: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, Seed: 20260801}.Generate(),
+			[]int{2, 9}, true, false},
+	}
 	for _, name := range []string{"powerlaw", "alternating-empty", "hub-row", "tall-rect"} {
-		a := algtest.Matrix(name)
+		cases = append(cases, tcase{name, algtest.Matrix(name), []int{5}, false, true})
+	}
+	for _, tc := range cases {
+		a := tc.a
 		prep, err := New(Options{}).Prepare(m, a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := prep.(*Prepared)
-		r := rand.New(rand.NewSource(77))
-		const nv = 5
-		X := make([][]float64, nv)
-		Y := make([][]float64, nv)
-		for v := range X {
-			X[v] = make([]float64, a.Cols)
-			for i := range X[v] {
-				X[v][i] = r.NormFloat64()
-			}
-			Y[v] = make([]float64, a.Rows)
-			for i := range Y[v] {
-				Y[v][i] = 1e300 // poison
-			}
+		if p.gathers(p.Regions()) != tc.gathers {
+			t.Fatalf("%s: gathers = %v, want %v", tc.name, !tc.gathers, tc.gathers)
 		}
-		p.ComputeBatch(Y, X)
-		for v := range X {
-			want := make([]float64, a.Rows)
-			p.Compute(want, X[v])
-			for i := range want {
-				if Y[v][i] != want[i] {
-					t.Fatalf("%s: batch[%d][%d] = %v, want %v (bitwise)", name, v, i, Y[v][i], want[i])
+		if tc.dia && p.IndexStats().NNZByFormat[IndexDia] != a.NNZ() {
+			t.Fatalf("%s: nonzeros by format %v, want all on dia descriptors", tc.name, p.IndexStats().NNZByFormat)
+		}
+		r := rand.New(rand.NewSource(77))
+		for _, nv := range tc.nvs {
+			X := make([][]float64, nv)
+			Y := make([][]float64, nv)
+			for v := range X {
+				X[v] = make([]float64, a.Cols)
+				for i := range X[v] {
+					X[v][i] = r.NormFloat64()
+				}
+				Y[v] = make([]float64, a.Rows)
+				for i := range Y[v] {
+					Y[v][i] = 1e300 // poison
+				}
+			}
+			p.ComputeBatch(Y, X)
+			for v := range X {
+				want := make([]float64, a.Rows)
+				p.Compute(want, X[v])
+				for i := range want {
+					if math.Float64bits(Y[v][i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s nv=%d: batch[%d][%d] = %v, want %v (bitwise)", tc.name, nv, v, i, Y[v][i], want[i])
+					}
 				}
 			}
 		}

@@ -39,3 +39,17 @@ func batchRegionCols[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id 
 	}
 	return walkBatchFragments(s, id, reg, reg.Lo, reg.Hi, reg.StartRow, v0, w, vals, pal, col, bases)
 }
+
+// gathers reports whether any row of the partition regs reads x through
+// a column stream — every non-empty region but a dia region whose rows
+// all have run descriptors — and so whether a batch call must interleave
+// its x tiles for the block kernels.
+func (p *Prepared) gathers(regs []Region) bool {
+	inel := p.streams.diaInel
+	for _, r := range regs {
+		if r.Lo < r.Hi && (r.Format != IndexDia || inel[r.EndRow+1] > inel[r.StartRow]) {
+			return true
+		}
+	}
+	return false
+}

@@ -386,6 +386,10 @@ func FuzzPrepareCompute(f *testing.F) {
 // corpus under testdata/fuzz/FuzzComputeBatch mirrors the structural
 // extremes with varying widths, including the forced-segsum one-row and
 // mega-row shapes so the block-kernel fragment patch is covered too.
+// nvByte picks the batch width (1 + nvByte%10) and, from its tens digit,
+// the x inputs: bit 0 makes X[1] alias X[0]'s slice, bit 1 mixes ±0
+// and subnormals into x, so the interleaved tiles must carry both
+// through unchanged.
 func FuzzComputeBatch(f *testing.F) {
 	f.Add([]byte{7, 7, 0}, byte(8))                                                                                                                                                                            // empty rows, full block
 	f.Add([]byte{0, 15, 0, 0, 0, 8, 0, 5, 16, 0, 11, 200}, byte(3))                                                                                                                                            // single row
@@ -400,6 +404,11 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add(shuffledBandSeed(), byte(7))                                                                                                                                                                         // scrambled band, base 4 sort, block kernels
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...), byte(5))                                                                                                                                         // forced dia under forced segsum, batched
 	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under forced segsum: palette segmented interiors, batched
+	f.Add(shuffledBandSeed(), byte(17))                                                                                                                                                                        // X[1] aliases X[0], full block
+	f.Add([]byte{31, 31, 0, 1, 1, 4, 9, 9, 8, 30, 2, 252}, byte(12))                                                                                                                                           // X[1] aliases X[0], three-wide tile
+	f.Add(shuffledBandSeed(), byte(27))                                                                                                                                                                        // ±0 and subnormal x, full block
+	f.Add(diaDefectSeed(), byte(25))                                                                                                                                                                           // ±0 and subnormal x, dia fallback rows
+	f.Add(segsumMegaRowSeed(), byte(38))                                                                                                                                                                       // aliased, ±0 and subnormal x, two tiles
 	f.Fuzz(func(t *testing.T, data []byte, nvByte byte) {
 		if len(data) > 1<<12 {
 			return
@@ -409,6 +418,7 @@ func FuzzComputeBatch(f *testing.F) {
 			return
 		}
 		nv := 1 + int(nvByte)%10
+		alias, tiny := nvByte/10&1 != 0, nvByte/10&2 != 0
 		opts := fuzzOptions(optByte)
 		if len(data) > 3 {
 			fuzzValueOptions(&opts, data[3])
@@ -428,6 +438,12 @@ func FuzzComputeBatch(f *testing.F) {
 			X[v] = make([]float64, a.Cols)
 			for i := range X[v] {
 				X[v][i] = float64((i+2*v)%7) - 3 + float64(v)/8
+				if tiny {
+					X[v][i] = [...]float64{0, math.Copysign(0, -1), 5e-324, -3e-310, X[v][i]}[(i+v)%5]
+				}
+			}
+			if alias && v == 1 {
+				X[1] = X[0]
 			}
 			Y[v] = make([]float64, a.Rows)
 			want[v] = make([]float64, a.Rows)
@@ -436,9 +452,9 @@ func FuzzComputeBatch(f *testing.F) {
 		bp.ComputeBatch(Y, X)
 		for v := 0; v < nv; v++ {
 			for i := range Y[v] {
-				if Y[v][i] != want[v][i] {
+				if math.Float64bits(Y[v][i]) != math.Float64bits(want[v][i]) {
 					t.Fatalf("batch nv=%d: Y[%d][%d] = %x, solo Compute gives %x (matrix %dx%d nnz %d)",
-						nv, v, i, Y[v][i], want[v][i], a.Rows, a.Cols, a.NNZ())
+						nv, v, i, math.Float64bits(Y[v][i]), math.Float64bits(want[v][i]), a.Rows, a.Cols, a.NNZ())
 				}
 			}
 		}

@@ -254,7 +254,7 @@ func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, i
 			frags += kernel.SegSum(vals, pal, col, segBases, s.X[v0], s.Y[v0], segs, p.unroll[id])
 		} else {
 			sums := s.sums[id*kernel.MaxBlock : id*kernel.MaxBlock+w]
-			frags += kernel.SegSumBlock(vals, pal, col, segBases, s.X[v0:], s.Y[v0:], sums, segs, p.unroll[id])
+			frags += kernel.SegSumBlock(vals, pal, col, segBases, s.tile(v0, w), s.Y[v0:], sums, segs, p.unroll[id])
 		}
 	}
 	if tailClip {

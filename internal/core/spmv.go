@@ -262,14 +262,16 @@ type Prepared struct {
 // TrafficBytes returns the modeled memory traffic of one Compute call at
 // the cost model's stream widths: values, per-region column indexes, row
 // pointers, and the dense vectors.
-func (p *Prepared) TrafficBytes() int64 { return p.batchTrafficBytes(1) }
+func (p *Prepared) TrafficBytes() int64 { return p.batchTrafficBytes(1, 0) }
 
-// batchTrafficBytes prices an nv-vector multiply: the structure is
-// streamed once per register block of vectors, the dense x and y once
-// each.
-func (p *Prepared) batchTrafficBytes(nv int) int64 {
+// batchTrafficBytes prices an nv-vector multiply that interleaved packed
+// of its vectors: the structure is streamed once per register block of
+// vectors, the dense x and y once each, and the pack pass reads and
+// writes each packed vector once more.
+func (p *Prepared) batchTrafficBytes(nv, packed int) int64 {
 	sweeps := int64((nv + kernel.MaxBlock - 1) / kernel.MaxBlock)
-	return p.structBytes.Load()*sweeps + int64(nv)*int64(p.mat.Rows+p.mat.Cols)*8
+	return p.structBytes.Load()*sweeps + int64(nv)*int64(p.mat.Rows+p.mat.Cols)*8 +
+		2*int64(packed)*int64(p.mat.Cols)*8
 }
 
 // TriadPeakMBps returns the calibrated stream-triad peak (MB/s) for this

@@ -95,11 +95,40 @@ func TestComputeBatchTracedMatchesBatch(t *testing.T) {
 	if bd.KernelNs <= 0 || bd.Cores != len(p.Regions()) {
 		t.Fatalf("breakdown %+v not filled", bd)
 	}
-	if bd.Bytes != p.batchTrafficBytes(nv) {
-		t.Fatalf("Bytes = %d, want %d", bd.Bytes, p.batchTrafficBytes(nv))
+	if bd.Bytes != p.batchTrafficBytes(nv, nv) {
+		t.Fatalf("Bytes = %d, want %d", bd.Bytes, p.batchTrafficBytes(nv, nv))
 	}
 	if bd.Bytes <= p.TrafficBytes() {
 		t.Fatalf("batch Bytes = %d, want more than single-vector %d", bd.Bytes, p.TrafficBytes())
+	}
+}
+
+// A traced batch prices its pack pass: one structure sweep per
+// MaxBlock-wide tile, x and y once per vector, and each vector of a tile
+// of width >= kernel.MinBlock read and written once more by the
+// interleaving. A tile narrower than that (3 vectors, or the 1- and
+// 3-vector remainders of 9 and 11) reads its x directly and packs
+// nothing.
+func TestComputeBatchTracedBytes(t *testing.T) {
+	p, _, x := tracedFixture(t, "hub-row")
+	rows, cols := int64(p.mat.Rows), int64(p.mat.Cols)
+	st := p.structBytes.Load()
+	for _, tc := range []struct {
+		nv            int
+		sweeps, packs int64
+	}{{1, 1, 0}, {3, 1, 0}, {4, 1, 4}, {8, 1, 8}, {9, 2, 8}, {11, 2, 8}, {12, 2, 12}} {
+		X := make([][]float64, tc.nv)
+		Y := make([][]float64, tc.nv)
+		for v := range X {
+			X[v] = x
+			Y[v] = make([]float64, rows)
+		}
+		var bd tracing.ComputeBreakdown
+		p.ComputeBatchTraced(Y, X, &bd)
+		want := tc.sweeps*st + int64(tc.nv)*(rows+cols)*8 + tc.packs*2*cols*8
+		if bd.Bytes != want {
+			t.Fatalf("nv=%d: Bytes = %d, want %d", tc.nv, bd.Bytes, want)
+		}
 	}
 }
 

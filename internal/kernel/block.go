@@ -1,19 +1,25 @@
 package kernel
 
-// Register-blocked batch kernels: the value/index streams are walked in
-// L1-resident tiles, each tile feeding every x vector of the block before
-// the next tile is touched. Batch SpMV is bound by the same streams as
-// the single-vector kernel (Algorithm 6), so re-reading each tile from L1
-// for the other vectors of the block divides the stream's DRAM traffic by
-// the block width — the lever block Krylov solvers and multi-query
-// workloads rely on — while the inner loops keep their partial sums in
-// the same register accumulator chains as Dot.
+// Batch gather kernels over a column-interleaved x tile. A gather
+// kernel's cost is dominated by the x line it fetches for each nonzero
+// (the column is random; the value and index streams are sequential and
+// prefetched), so a batch that gathers each vector separately fetches w
+// random lines per nonzero from w separate arrays. The block kernels
+// instead read one interleaved tile,
 //
-// That makes the block kernels *bit-exact*: for every vector j the chains
-// are assigned, carried across tiles, reduced and finished by the
-// sequential remainder exactly as Dot's scalar/4-wide/8-wide dispatch, so
+//	xi[c*w+j] = X[j][c]   (w = len(sums) vectors),
 //
-//	DotBlock(vals, pal, col, base, X, sums, lo, hi, un)
+// where the w entries of column c share one cache line (w ≤ MaxBlock = 8
+// float64s is 64 bytes): each nonzero loads its value and column once
+// and one gathered line feeds every vector of the tile. The executor
+// packs the tile once per call (internal/core), so the pack is a
+// sequential w·cols pass against w random lines per nonzero saved.
+//
+// The kernels are *bit-exact*: vector j keeps its own accumulator
+// chains, assigned, reduced and finished by the sequential remainder
+// exactly as Dot's scalar/4-wide/8-wide dispatch, so
+//
+//	DotBlock(vals, pal, col, base, xi, sums, lo, hi, un)
 //
 // stores exactly Dot(vals, pal, col, base, X[j], lo, hi, un) into
 // sums[j], bit-for-bit. The serving layer's dynamic batcher depends on
@@ -24,118 +30,68 @@ package kernel
 // call; ComputeBatch tiles larger batches into MaxBlock-wide pieces.
 const MaxBlock = 8
 
-// blockTile is the index-stream tile the block kernel revisits once per
-// vector: 1024 nonzeros = 16KB of values + indices, comfortably inside a
-// 32KB L1D alongside the gathered x lines. It is a multiple of 8 so tile
-// boundaries never disturb the accumulator-chain assignment.
+// MinBlock is the narrowest tile the executor runs through the block
+// kernels: the pack rewrites x on every call, which below 4 vectors
+// costs more than the shared lines save, so it runs those one by one.
+const MinBlock = 4
+
+// blockTile is the index-stream tile the dia block kernels revisit once
+// per vector: 1024 nonzeros = 16KB of values + indices, comfortably
+// inside a 32KB L1D alongside the contiguous x lines. It is a multiple
+// of 8 so tile boundaries never disturb the accumulator-chain
+// assignment.
 const blockTile = 1024
 
 // DotBlock computes sums[j] = Dot(vals, pal, col, base, X[j], lo, hi,
-// unrollLen) for j in [0, len(sums)), reading the streams from cache for
-// all but the first vector of the block. len(X) must be at least
-// len(sums), and len(sums) must be between 1 and MaxBlock.
-func DotBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, base int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
+// unrollLen) for j in [0, len(sums)), reading X through the interleaved
+// tile xi (xi[c*w+j] = X[j][c], w = len(sums)). len(sums) must be
+// between 1 and MaxBlock; the executor calls it from MinBlock on.
+func DotBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, base int, xi, sums []float64, lo, hi, unrollLen int) {
 	w := len(sums)
-	length := hi - lo
-	if length <= 0 {
-		for j := 0; j < w; j++ {
-			sums[j] = 0
-		}
-		return
-	}
-	if length < ScalarThreshold {
-		// Scalar path: a single sequential chain per vector, exactly
-		// Dot's short-row loop.
-		for j := 0; j < w; j++ {
-			x := X[j]
+	n := hi - lo
+	if n < ScalarThreshold {
+		// Dot's scalar loop once per vector, its sum in a register: the
+		// first vector gathers the row's lines, the others hit L1.
+		for j := range sums {
 			sum := 0.0
 			for k := lo; k < hi; k++ {
-				sum += valLoad(vals, pal, k) * x[base+int(col[k])]
+				sum += valLoad(vals, pal, k) * xi[(base+int(col[k]))*w+j]
 			}
 			sums[j] = sum
 		}
 		return
 	}
-	if length < unrollLen {
-		dotBlock4(vals, pal, col, base, X, sums, lo, hi, w)
-		return
+	k := lo
+	// dot4's 4 chains below unrollLen, dot8's 8 from it on: nonzero k
+	// joins chain (k-lo)%chains of every vector.
+	chains := 4
+	if n >= unrollLen {
+		chains = 8
 	}
-	dotBlock8(vals, pal, col, base, X, sums, lo, hi, w)
-}
-
-// dotBlock4 mirrors dot4: four accumulator chains per vector (chain i
-// takes the nonzeros at positions lo+i, lo+i+4, ...), the (a0+a2)+(a1+a3)
-// reduction, then the sequential remainder. Chain values are carried
-// across tiles in acc, which preserves each chain's strictly sequential
-// accumulation order.
-func dotBlock4[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, base int, X [][]float64, sums []float64, lo, hi, w int) {
-	var acc [MaxBlock][4]float64
-	k4 := lo + (hi-lo)&^3
-	for kt := lo; kt < k4; kt += blockTile {
-		kend := kt + blockTile
-		if kend > k4 {
-			kend = k4
-		}
-		for j := 0; j < w; j++ {
-			x := X[j]
-			a0, a1, a2, a3 := acc[j][0], acc[j][1], acc[j][2], acc[j][3]
-			for k := kt; k < kend; k += 4 {
-				a0 += valLoad(vals, pal, k) * x[base+int(col[k])]
-				a1 += valLoad(vals, pal, k+1) * x[base+int(col[k+1])]
-				a2 += valLoad(vals, pal, k+2) * x[base+int(col[k+2])]
-				a3 += valLoad(vals, pal, k+3) * x[base+int(col[k+3])]
-			}
-			acc[j][0], acc[j][1], acc[j][2], acc[j][3] = a0, a1, a2, a3
+	var acc [8][MaxBlock]float64
+	for kEnd := lo + n&^(chains-1); k < kEnd; k++ {
+		v := valLoad(vals, pal, k)
+		x := xi[(base+int(col[k]))*w:][:w]
+		a := acc[(k-lo)&(chains-1)][:w]
+		for j, xv := range x {
+			a[j] += v * xv
 		}
 	}
-	for j := 0; j < w; j++ {
-		a := &acc[j]
-		x := X[j]
-		sum := (a[0] + a[2]) + (a[1] + a[3])
-		for k := k4; k < hi; k++ {
-			sum += valLoad(vals, pal, k) * x[base+int(col[k])]
+	// dot4's (a0+a2)+(a1+a3), or dot8's
+	// ((a0+a2)+(a1+a3))+((a4+a6)+(a5+a7)), per vector.
+	for j := range sums {
+		sum := (acc[0][j] + acc[2][j]) + (acc[1][j] + acc[3][j])
+		if chains == 8 {
+			sum += (acc[4][j] + acc[6][j]) + (acc[5][j] + acc[7][j])
 		}
 		sums[j] = sum
 	}
-}
-
-// dotBlock8 mirrors dot8: eight accumulator chains per vector, the
-// ((a0+a2)+(a1+a3))+((b0+b2)+(b1+b3)) reduction, then the sequential
-// remainder, with chain values carried across tiles as in dotBlock4.
-func dotBlock8[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, base int, X [][]float64, sums []float64, lo, hi, w int) {
-	var acc [MaxBlock][8]float64
-	k8 := lo + (hi-lo)&^7
-	for kt := lo; kt < k8; kt += blockTile {
-		kend := kt + blockTile
-		if kend > k8 {
-			kend = k8
+	// The sequential remainder after the reduction.
+	for ; k < hi; k++ {
+		v := valLoad(vals, pal, k)
+		x := xi[(base+int(col[k]))*w:][:w]
+		for j, xv := range x {
+			sums[j] += v * xv
 		}
-		for j := 0; j < w; j++ {
-			x := X[j]
-			a := &acc[j]
-			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-			b0, b1, b2, b3 := a[4], a[5], a[6], a[7]
-			for k := kt; k < kend; k += 8 {
-				a0 += valLoad(vals, pal, k) * x[base+int(col[k])]
-				a1 += valLoad(vals, pal, k+1) * x[base+int(col[k+1])]
-				a2 += valLoad(vals, pal, k+2) * x[base+int(col[k+2])]
-				a3 += valLoad(vals, pal, k+3) * x[base+int(col[k+3])]
-				b0 += valLoad(vals, pal, k+4) * x[base+int(col[k+4])]
-				b1 += valLoad(vals, pal, k+5) * x[base+int(col[k+5])]
-				b2 += valLoad(vals, pal, k+6) * x[base+int(col[k+6])]
-				b3 += valLoad(vals, pal, k+7) * x[base+int(col[k+7])]
-			}
-			a[0], a[1], a[2], a[3] = a0, a1, a2, a3
-			a[4], a[5], a[6], a[7] = b0, b1, b2, b3
-		}
-	}
-	for j := 0; j < w; j++ {
-		a := &acc[j]
-		x := X[j]
-		sum := ((a[0] + a[2]) + (a[1] + a[3])) + ((a[4] + a[6]) + (a[5] + a[7]))
-		for k := k8; k < hi; k++ {
-			sum += valLoad(vals, pal, k) * x[base+int(col[k])]
-		}
-		sums[j] = sum
 	}
 }

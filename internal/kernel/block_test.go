@@ -26,7 +26,7 @@ func TestBlockKernelMatchesReference(t *testing.T) {
 	X := randomBatch(r, MaxBlock, 512)
 	sums := make([]float64, MaxBlock)
 	for _, l := range []int{0, 3, 9, 65, 1000} {
-		DotBlock(val, nil, col, 0, X, sums, 7, 7+l, DefaultUnrollThreshold)
+		DotBlock(val, nil, col, 0, packTile(X), sums, 7, 7+l, DefaultUnrollThreshold)
 		for v := 0; v < MaxBlock; v++ {
 			ref := DotRangeSimple(val, col, X[v], 7, 7+l)
 			if math.Abs(sums[v]-ref) > 1e-9*(1+math.Abs(ref)) {
@@ -47,7 +47,7 @@ func TestBlockKernelProperty(t *testing.T) {
 		lo := int(loRaw) % 1024
 		hi := lo + int(hiRaw)%(1024-lo+1)
 		sums := make([]float64, w)
-		DotBlock(val, nil, col, 0, X, sums, lo, hi, DefaultUnrollThreshold)
+		DotBlock(val, nil, col, 0, packTile(X), sums, lo, hi, DefaultUnrollThreshold)
 		for v := 0; v < w; v++ {
 			if sums[v] != DotRange(val, col, X[v], lo, hi, DefaultUnrollThreshold) {
 				return false
@@ -67,8 +67,9 @@ func TestBlockKernelThresholdDispatch(t *testing.T) {
 	X := randomBatch(r, MaxBlock, 64)
 	a := make([]float64, MaxBlock)
 	b := make([]float64, MaxBlock)
-	DotBlock(val, nil, col, 0, X, a, 0, 100, 1<<30) // forces the mid path
-	DotBlock(val, nil, col, 0, X, b, 0, 100, 4)     // forces the long path
+	xi := packTile(X)
+	DotBlock(val, nil, col, 0, xi, a, 0, 100, 1<<30) // forces the mid path
+	DotBlock(val, nil, col, 0, xi, b, 0, 100, 4)     // forces the long path
 	for v := 0; v < MaxBlock; v++ {
 		if math.Abs(a[v]-b[v]) > 1e-9*(1+math.Abs(a[v])) {
 			t.Fatalf("vec %d: mid %v vs long %v", v, a[v], b[v])

@@ -155,9 +155,9 @@ func dotDia8[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, x 
 	return sum
 }
 
-// DotDiaBlock is DotBlock with columns decoded from the run stream:
-// sums[j] = DotDia(vals, pal, runs, ri, X[j], lo, hi, unrollLen),
-// bit-identical per vector. Each vector replays the same k range, so the
+// DotDiaBlock is the batch form of DotDia: sums[j] = DotDia(vals, pal,
+// runs, ri, X[j], lo, hi, unrollLen), bit-identical per vector, on each
+// contiguous X[j] directly. Each vector replays the same k range, so the
 // decoder state at the start of a tile is saved once and restored per
 // vector.
 func DotDiaBlock[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, unrollLen int) {
@@ -208,7 +208,9 @@ func diaAdvance(runs []DiaRun, ri, k int) (int, int, int) {
 	return ri, int(runs[ri].EndK), int(runs[ri].ColMinusK)
 }
 
-// dotBlockDia4 mirrors dotBlock4 with decoded columns.
+// dotBlockDia4 is dot4 per vector over decoded columns, a blockTile of
+// nonzeros at a time for every vector, its chains carried across tiles
+// in acc, then dot4's reduction and sequential remainder.
 func dotBlockDia4[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -270,7 +272,8 @@ func dotBlockDia4[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri in
 	}
 }
 
-// dotBlockDia8 mirrors dotBlock8 with decoded columns.
+// dotBlockDia8 is dotBlockDia4 with dot8's eight chains and its
+// ((a0+a2)+(a1+a3))+((b0+b2)+(b1+b3)) reduction.
 func dotBlockDia8[V ValSource](vals []V, pal *[256]float64, runs []DiaRun, ri int, X [][]float64, sums []float64, lo, hi, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7
@@ -404,9 +407,9 @@ func dotContig8[V ValSource](v []V, pal *[256]float64, xs []float64) float64 {
 	return sum
 }
 
-// dotBlockContig is DotBlock over a single contiguous run: sums[j] =
+// dotBlockContig is DotDiaBlock over a single contiguous run: sums[j] =
 // dotContig(vals, pal, X[j], lo, hi, cmk, unrollLen), with the tile
-// structure and chain carry of dotBlock4/dotBlock8.
+// structure and chain carry of dotBlockDia4/dotBlockDia8.
 func dotBlockContig[V ValSource](vals []V, pal *[256]float64, X [][]float64, sums []float64, lo, hi, cmk, unrollLen int) {
 	w := len(sums)
 	length := hi - lo
@@ -428,7 +431,7 @@ func dotBlockContig[V ValSource](vals []V, pal *[256]float64, X [][]float64, sum
 	dotBlockContig8(vals, pal, X, sums, lo, hi, cmk, w)
 }
 
-// dotBlockContig4 mirrors dotBlock4 with contiguous columns.
+// dotBlockContig4 mirrors dotBlockDia4 with contiguous columns.
 func dotBlockContig4[V ValSource](vals []V, pal *[256]float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
 	var acc [MaxBlock][4]float64
 	k4 := lo + (hi-lo)&^3
@@ -461,7 +464,7 @@ func dotBlockContig4[V ValSource](vals []V, pal *[256]float64, X [][]float64, su
 	}
 }
 
-// dotBlockContig8 mirrors dotBlock8 with contiguous columns.
+// dotBlockContig8 mirrors dotBlockDia8 with contiguous columns.
 func dotBlockContig8[V ValSource](vals []V, pal *[256]float64, X [][]float64, sums []float64, lo, hi, cmk, w int) {
 	var acc [MaxBlock][8]float64
 	k8 := lo + (hi-lo)&^7

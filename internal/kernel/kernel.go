@@ -13,13 +13,17 @@
 // (ColIndex: []int, u32 absolute or u16 delta from a base column). The
 // shapes are the gather (Dot, DotBlock), the diagonal-run decode
 // (DotDia, DotDiaBlock) and the segmented row walk (SegSum,
-// SegSumBlock). Every instantiation assigns nonzeros to accumulator
-// chains, reduces them and finishes the remainder in the same order, and
-// a palette entry is the very float64 the matrix stores, so all of them
-// produce the same IEEE-754 bits as DotRange over the decoded columns
-// and values. That order is the bit-identity contract the serving
-// batcher and the fuzz oracles depend on; the tests in oracle_test.go
-// pin every instantiation against an independent statement of it.
+// SegSumBlock). The batch gathers (DotBlock, SegSumBlock) read x from a
+// column-interleaved tile, so the one random cache line a nonzero
+// fetches serves every vector of the batch; DotDiaBlock reads each
+// vector's contiguous run directly. Every instantiation assigns
+// nonzeros to accumulator chains, reduces them and finishes the
+// remainder in the same order, and a palette entry is the very float64
+// the matrix stores, so all of them produce the same IEEE-754 bits as
+// DotRange over the decoded columns and values. That order is the
+// bit-identity contract the serving batcher and the fuzz oracles depend
+// on; the tests in oracle_test.go pin every instantiation against an
+// independent statement of it.
 package kernel
 
 import "unsafe"

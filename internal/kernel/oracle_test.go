@@ -86,6 +86,28 @@ type kernelData struct {
 	segs  []Segment
 	bases []int // base per segment (parallel to segs)
 	X     [][]float64
+	xi    [MaxBlock + 1][]float64 // xi[w] is packTile(X[:w]), built on first use
+}
+
+// packTile is the interleaved tile the block kernels read:
+// xi[c*w+j] = X[j][c] for the w = len(X) vectors.
+func packTile(X [][]float64) []float64 {
+	w := len(X)
+	xi := make([]float64, w*len(X[0]))
+	for j, x := range X {
+		for c, v := range x {
+			xi[c*w+j] = v
+		}
+	}
+	return xi
+}
+
+// tile returns the interleaved tile of the first w vectors of d.X.
+func (d *kernelData) tile(w int) []float64 {
+	if d.xi[w] == nil {
+		d.xi[w] = packTile(d.X[:w])
+	}
+	return d.xi[w]
 }
 
 // newKernelData builds n nonzeros whose columns form runs of 1..maxRun
@@ -161,12 +183,14 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 }
 
 // fragFunc runs one fragment [lo, hi) through a kernel: Dot or DotDia
-// into out[0] for a single entry, DotBlock or DotDiaBlock into out
-// (len(out) vectors) for a block entry.
+// into out[0] for a single entry, DotBlock (on the interleaved tile of
+// the first len(out) vectors) or DotDiaBlock (on X) into out for a block
+// entry.
 type fragFunc func(d *kernelData, block bool, out []float64, lo, hi, unrollLen int)
 
 // segFunc runs every segment of d through SegSum (a single entry, into
-// Y[0]) or SegSumBlock (a block entry, len(sums) vectors).
+// Y[0]) or SegSumBlock (a block entry, on the interleaved tile of the
+// first len(sums) vectors).
 type segFunc func(d *kernelData, block bool, Y [][]float64, sums []float64, unrollLen int) int
 
 // Stream accessors: one value or index stream of the test data.
@@ -181,7 +205,7 @@ func gatherFrag[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float6
 		vals, pal := vs(d)
 		col, base := cs(d)
 		if block {
-			DotBlock(vals, pal, col, base, d.X, out, lo, hi, un)
+			DotBlock(vals, pal, col, base, d.tile(len(out)), out, lo, hi, un)
 		} else {
 			out[0] = Dot(vals, pal, col, base, d.X[0], lo, hi, un)
 		}
@@ -208,7 +232,7 @@ func segRows[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64),
 			bases = d.bases
 		}
 		if block {
-			return SegSumBlock(vals, pal, col, bases, d.X, Y, sums, d.segs, un)
+			return SegSumBlock(vals, pal, col, bases, d.tile(len(sums)), Y, sums, d.segs, un)
 		}
 		return SegSum(vals, pal, col, bases, d.X[0], Y[0], d.segs, un)
 	}

@@ -1,5 +1,7 @@
 package kernel
 
+import "math"
+
 // Speculative segmented-sum kernels (Liu & Vinter, arXiv:1504.06474,
 // adapted to HACSR): instead of the per-fragment walk — one Dot
 // call per row, with the caller loading RowPtr/RowBeginNNZ/Perm and
@@ -87,16 +89,25 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases
 	return done
 }
 
-// SegSumBlock is the register-blocked segmented kernel: Y[j][s.Dst] =
-// Dot(vals, pal, col, base, X[j], s.K0, s.K1, unrollLen) for j in
-// [0, len(sums)), bit-identical per vector to SegSum. sums is the
-// caller's pooled per-core block buffer; its length, between 2 and
-// MaxBlock, selects the block width (a width-1 tile takes SegSum, whose
-// straight-line short-row cases a one-vector DotBlock call would skip).
-// Returns the number of non-empty segments processed.
-func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, X, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+// SegSumBlock is the batch segmented kernel: Y[j][s.Dst] = Dot(vals,
+// pal, col, base, X[j], s.K0, s.K1, unrollLen) for j in [0, len(sums)),
+// bit-identical per vector to SegSum, reading X through the interleaved
+// tile xi (xi[c*w+j] = X[j][c], see DotBlock). sums is the caller's
+// pooled per-core block buffer; its length, up to MaxBlock, is the tile
+// width. Every touchSegs segments it first touches the next ones'
+// x lines (see touch). Returns the number of non-empty segments
+// processed.
+func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
+		if i%touchSegs == 0 {
+			end := min(i+touchSegs, len(segs))
+			var tb []int
+			if bases != nil {
+				tb = bases[i:end]
+			}
+			touch(col, tb, len(sums), xi, segs[i:end])
+		}
 		s := segs[i]
 		lo, hi := int(s.K0), int(s.K1)
 		if hi <= lo {
@@ -106,11 +117,37 @@ func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, 
 		if bases != nil {
 			base = bases[i]
 		}
-		DotBlock(vals, pal, col, base, X, sums, lo, hi, unrollLen)
+		DotBlock(vals, pal, col, base, xi, sums, lo, hi, unrollLen)
 		for j, sum := range sums {
 			Y[j][s.Dst] = sum
 		}
 		done++
 	}
 	return done
+}
+
+// touchSegs is how many segments SegSumBlock touches ahead of computing
+// them.
+const touchSegs = 16
+
+// touch loads the first tile entry of every nonzero of segs, so that the
+// x lines the next rows gather are fetched together. On short rows the
+// block kernel's per-nonzero work (w multiply-adds and the row's w
+// stores) fills the out-of-order window after a few rows, so without
+// the touch only a few rows' misses overlap. It returns the loaded bits
+// only to keep the loads, and stays out of line so that the caller,
+// which ignores them, cannot let the compiler drop the loads.
+//
+//go:noinline
+func touch[C ColIndex](col []C, bases []int, w int, xi []float64, segs []Segment) (sink uint64) {
+	for i, s := range segs {
+		base := 0
+		if bases != nil {
+			base = bases[i]
+		}
+		for k := int(s.K0); k < int(s.K1); k++ {
+			sink ^= math.Float64bits(xi[(base+int(col[k]))*w])
+		}
+	}
+	return sink
 }

@@ -63,8 +63,9 @@ func DefaultSource(maxNNZ int) MatrixSource {
 
 // RegistryOptions configures the prepared-matrix cache.
 type RegistryOptions struct {
-	// MaxEntries bounds how many prepared matrices stay resident; the
-	// least recently used entry is evicted beyond it. Default 8.
+	// MaxEntries bounds how many prepared matrices and shard plans stay
+	// resident; the least recently used entry is evicted beyond it.
+	// Default 8.
 	MaxEntries int
 	// Batcher is applied to every entry's dynamic batcher.
 	Batcher BatcherOptions
@@ -113,6 +114,12 @@ type Entry struct {
 	// prepared-matrix store rather than built by generate+Prepare (in
 	// which case PrepareMs is the restore time).
 	FromStore bool
+
+	// plan and slices are a plan entry's payload (see loadPlan): the
+	// count-way shard plan of the matrix and the shard submatrices no
+	// shard build has taken yet. A plan entry has no batcher.
+	plan   []shard.Desc
+	slices []*sparse.CSR
 
 	ready    chan struct{}
 	err      error
@@ -195,25 +202,84 @@ func (r *Registry) Get(ctx context.Context, name string, scale int) (*Entry, err
 	return r.GetShard(ctx, name, scale, 0, 1)
 }
 
-// ShardPlan regenerates the matrix and returns the deterministic
-// count-way shard plan the fleet router scatters against. Any worker
-// (and the router itself) computes the identical plan from the same
-// arguments, so the plan never needs to be distributed.
+// ShardPlan returns the deterministic count-way shard plan the fleet
+// router scatters against, computed once per (name, scale, count). Any
+// worker (and the router itself) computes the identical plan from the
+// same arguments, so the plan never needs to be distributed.
 func (r *Registry) ShardPlan(name string, scale, count int) ([]shard.Desc, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("server: shard count %d, want >= 1", count)
 	}
-	mat, err := r.opts.Source(name, scale)
+	pe, err := r.loadPlan(name, scale, count)
 	if err != nil {
 		return nil, err
 	}
-	return shard.Plan(mat, count, nil)
+	return append([]shard.Desc(nil), pe.plan...), nil
+}
+
+// planKey is the cache key of the count-way shard plan of a matrix.
+func planKey(name string, scale, count int) string {
+	return fmt.Sprintf("%s/%d", Key(name, scale), count)
+}
+
+// loadPlan returns the plan entry of the count-way plan of (name,
+// scale), building it once: the first caller materializes the matrix,
+// plans it and (for count > 1) slices every shard; concurrent and later
+// callers share that result. The entry lives in the same LRU as the
+// prepared matrices, so the slices no shard build has taken are evicted
+// with it.
+func (r *Registry) loadPlan(name string, scale, count int) (*Entry, error) {
+	e, build, err := r.lookup(context.Background(), planKey(name, scale, count), name, scale)
+	if !build {
+		return e, err
+	}
+	mat, err := r.opts.Source(name, scale)
+	var plan []shard.Desc
+	if err == nil {
+		plan, err = shard.Plan(mat, count, nil)
+	}
+	if err != nil {
+		return nil, r.fail(e, err)
+	}
+	e.Rows, e.Cols, e.NNZ = mat.Rows, mat.Cols, mat.NNZ()
+	e.plan = plan
+	if count > 1 {
+		e.slices = make([]*sparse.CSR, count)
+		for i, d := range plan {
+			e.slices[i] = shard.Slice(mat, d)
+		}
+	}
+	close(e.ready)
+	return e, nil
+}
+
+// shardMatrix returns shard index of the count-way plan of (name,
+// scale) and its submatrix: the plan's slice on the shard's first
+// build, a fresh slice of a regenerated matrix when an earlier build
+// already took it (the shard entry was evicted since).
+func (r *Registry) shardMatrix(name string, scale, index, count int) (shard.Desc, *sparse.CSR, error) {
+	pe, err := r.loadPlan(name, scale, count)
+	if err != nil {
+		return shard.Desc{}, nil, err
+	}
+	d := pe.plan[index]
+	r.mu.Lock()
+	mat := pe.slices[index]
+	pe.slices[index] = nil
+	r.mu.Unlock()
+	if mat == nil {
+		if mat, err = r.opts.Source(name, scale); err != nil {
+			return d, nil, err
+		}
+		mat = shard.Slice(mat, d)
+	}
+	return d, mat, nil
 }
 
 // GetShard returns the resident entry serving shard index of a
 // count-way split of (name, scale); the whole matrix when count <= 1.
-// The shard's submatrix is sliced from the deterministic plan shared
-// with ShardPlan, then prepared like any other matrix.
+// The shard's submatrix comes from the plan entry shared with
+// ShardPlan, then is prepared like any other matrix.
 func (r *Registry) GetShard(ctx context.Context, name string, scale, index, count int) (*Entry, error) {
 	if count < 1 {
 		count = 1
@@ -222,47 +288,12 @@ func (r *Registry) GetShard(ctx context.Context, name string, scale, index, coun
 		return nil, fmt.Errorf("server: shard index %d outside 0..%d", index, count-1)
 	}
 	key := ShardKey(name, scale, index, count)
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrDraining
+	e, build, err := r.lookup(ctx, key, name, scale)
+	if !build {
+		return e, err
 	}
-	if e, ok := r.entries[key]; ok {
-		r.seq++
-		e.lastUsed = r.seq
-		r.mu.Unlock()
-		select {
-		case <-e.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if e.err != nil {
-			return nil, e.err
-		}
-		return e, nil
-	}
-	e := &Entry{Key: key, Name: name, Scale: scale, ready: make(chan struct{})}
-	r.seq++
-	e.lastUsed = r.seq
-	r.entries[key] = e
-	evict := r.evictLockedOver(r.opts.MaxEntries)
-	gServeCached.Set(int64(len(r.entries)))
-	r.mu.Unlock()
-	for _, old := range evict {
-		// Drain evicted batchers off the request path; in-flight Submits
-		// finish, later ones see ErrDraining and retry via a fresh Get.
-		// The mmap window (restored entries) unmaps only after the drain,
-		// when no kernel can still read it.
-		go func(old *Entry) {
-			old.Batcher.Close()
-			old.closeFile()
-		}(old)
-		cServeEvictions.Add(1)
-	}
-
 	var prep exec.Prepared
 	var prepMs float64
-	var err error
 	if r.opts.StoreDir != "" {
 		// A spill for this key may still be in flight (the entry was just
 		// evicted); wait for the file rather than re-preparing.
@@ -271,16 +302,10 @@ func (r *Registry) GetShard(ctx context.Context, name string, scale, index, coun
 	}
 	if prep == nil {
 		var mat *sparse.CSR
-		mat, err = r.opts.Source(name, scale)
-		if err == nil && count > 1 {
-			// Slice this worker's shard from the deterministic plan. The full
-			// matrix is released right after; only the submatrix stays
-			// resident.
-			var plan []shard.Desc
-			if plan, err = shard.Plan(mat, count, nil); err == nil {
-				e.Shard = plan[index]
-				mat = shard.Slice(mat, e.Shard)
-			}
+		if count > 1 {
+			e.Shard, mat, err = r.shardMatrix(name, scale, index, count)
+		} else {
+			mat, err = r.opts.Source(name, scale)
 		}
 		if err == nil {
 			t0 := time.Now()
@@ -293,13 +318,7 @@ func (r *Registry) GetShard(ctx context.Context, name string, scale, index, coun
 		}
 	}
 	if err != nil {
-		e.err = err
-		r.mu.Lock()
-		delete(r.entries, key)
-		gServeCached.Set(int64(len(r.entries)))
-		r.mu.Unlock()
-		close(e.ready)
-		return nil, err
+		return nil, r.fail(e, err)
 	}
 	e.Prep = prep
 	r.mu.Lock()
@@ -321,6 +340,60 @@ func (r *Registry) GetShard(ctx context.Context, name string, scale, index, coun
 	}
 	close(e.ready)
 	return e, nil
+}
+
+// lookup is the registry's single flight. It returns the entry for key
+// (of matrix name at scale), waiting for its build (or until ctx ends —
+// the build itself continues and is cached), or, when key is absent,
+// inserts a new entry that the caller must build (build is true) and
+// then either close its ready channel or hand to fail. The new entry
+// counts against MaxEntries at once: least recently used ready entries
+// beyond it are evicted and drained off the request path.
+func (r *Registry) lookup(ctx context.Context, key, name string, scale int) (e *Entry, build bool, err error) {
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return nil, false, ErrDraining
+	}
+	r.seq++
+	if e, ok := r.entries[key]; ok {
+		e.lastUsed = r.seq
+		r.mu.Unlock()
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
+		if e.err != nil {
+			return nil, false, e.err
+		}
+		return e, false, nil
+	}
+	e = &Entry{Key: key, Name: name, Scale: scale, ready: make(chan struct{}), lastUsed: r.seq}
+	r.entries[key] = e
+	evict := r.evictLockedOver(r.opts.MaxEntries)
+	gServeCached.Set(int64(len(r.entries)))
+	r.mu.Unlock()
+	for _, old := range evict {
+		// In-flight Submits finish, later ones see ErrDraining and retry
+		// via a fresh Get.
+		go old.drain()
+		cServeEvictions.Add(1)
+	}
+	return e, true, nil
+}
+
+// fail ends e's failed build: the entry is forgotten, so the next
+// request retries instead of serving a cached error, and its waiters
+// see err.
+func (r *Registry) fail(e *Entry, err error) error {
+	e.err = err
+	r.mu.Lock()
+	delete(r.entries, e.Key)
+	gServeCached.Set(int64(len(r.entries)))
+	r.mu.Unlock()
+	close(e.ready)
+	return err
 }
 
 // storeExtra is the annotation block a spilled entry carries so a
@@ -415,8 +488,7 @@ func (r *Registry) watchVerify(e *Entry, f *store.File) {
 	}
 	r.mu.Unlock()
 	if owned {
-		e.Batcher.Close()
-		e.closeFile()
+		e.drain()
 	}
 }
 
@@ -474,6 +546,16 @@ func (r *Registry) awaitSpill(key string) {
 	}
 }
 
+// drain closes the batcher of a removed entry (plan entries have none)
+// and then its mmap window: the window unmaps only after the drain, when
+// no kernel can still read it.
+func (e *Entry) drain() {
+	if e.Batcher != nil {
+		e.Batcher.Close()
+	}
+	e.closeFile()
+}
+
 // closeFile releases the entry's mmap window, if any. Only safe after
 // the entry's batcher has drained (no kernel reads the window anymore).
 func (e *Entry) closeFile() {
@@ -496,7 +578,7 @@ func (r *Registry) evictLockedOver(limit int) []*Entry {
 			default:
 				continue // still building
 			}
-			if e.err != nil || e.Batcher == nil {
+			if e.err != nil {
 				continue
 			}
 			if victim == nil || e.lastUsed < victim.lastUsed {
@@ -512,15 +594,15 @@ func (r *Registry) evictLockedOver(limit int) []*Entry {
 	return out
 }
 
-// Entries snapshots the resident entries (ready ones only), sorted by
-// key for deterministic listings.
+// Entries snapshots the resident matrix entries (ready ones, without
+// the shard plans), sorted by key for deterministic listings.
 func (r *Registry) Entries() []*Entry {
 	r.mu.Lock()
 	var out []*Entry
 	for _, e := range r.entries {
 		select {
 		case <-e.ready:
-			if e.err == nil {
+			if e.err == nil && e.Batcher != nil {
 				out = append(out, e)
 			}
 		default:
@@ -550,14 +632,10 @@ func (r *Registry) Close() {
 		default:
 			continue // build in flight; its Get sees closed and never starts a batcher
 		}
-		if e.Batcher == nil {
-			continue
-		}
 		wg.Add(1)
 		go func(e *Entry) {
 			defer wg.Done()
-			e.Batcher.Close()
-			e.closeFile()
+			e.drain()
 		}(e)
 	}
 	wg.Wait()

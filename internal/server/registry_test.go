@@ -11,6 +11,7 @@ import (
 	"haspmv/internal/amp"
 	"haspmv/internal/baselines/csrsimple"
 	"haspmv/internal/core"
+	"haspmv/internal/fleet/shard"
 	"haspmv/internal/gen"
 	"haspmv/internal/sparse"
 )
@@ -313,6 +314,90 @@ func TestRegistryShardKeysAndGetShard(t *testing.T) {
 	}
 	if _, err := r.GetShard(context.Background(), "dawson5", 64, -1, 3); err == nil {
 		t.Fatal("negative shard index accepted")
+	}
+}
+
+// TestRegistryShardPlanSourcedOnce: repeated plan requests and the
+// shard builds of one (matrix, scale, count) share a single Source call,
+// and each shard entry serves its slice of the plan.
+func TestRegistryShardPlanSourcedOnce(t *testing.T) {
+	src := &countingSource{size: 64}
+	r := newTestRegistry(t, src.source(t), 8)
+	var plan []shard.Desc
+	for i := 0; i < 3; i++ {
+		p, err := r.ShardPlan("m", 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p) != 2 || (plan != nil && p[1] != plan[1]) {
+			t.Fatalf("plan request %d: %+v, want the 2-shard plan %+v", i, p, plan)
+		}
+		plan = p
+	}
+	for i, d := range plan {
+		e, err := r.GetShard(context.Background(), "m", 1, i, 2)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		if e.Shard != d || e.Rows != d.Rows() || e.Cols != d.Cols() {
+			t.Fatalf("shard %d entry %+v (%d x %d) disagrees with plan %+v", i, e.Shard, e.Rows, e.Cols, d)
+		}
+		y := make([]float64, e.Rows)
+		x := make([]float64, e.Cols)
+		for c := range x {
+			x[c] = 1
+		}
+		if _, err := e.Batcher.Submit(context.Background(), y, x); err != nil {
+			t.Fatalf("shard %d multiply: %v", i, err)
+		}
+		if want := float64(d.Row0 + 1); y[0] != want {
+			t.Fatalf("shard %d y[0] = %v, want %v", i, y[0], want)
+		}
+	}
+	if n := src.count(Key("m", 1)); n != 1 {
+		t.Fatalf("Source called %d times for 3 plan requests and 2 shard builds, want 1", n)
+	}
+}
+
+// TestRegistryShardPlansBounded: plan requests over many scales and
+// counts share the MaxEntries LRU with the prepared matrices, so the
+// shard slices no shard build has taken leave with their evicted plans
+// instead of piling up, and no plan is listed as a servable matrix.
+func TestRegistryShardPlansBounded(t *testing.T) {
+	const size, maxEntries = 64, 2
+	src := &countingSource{size: size}
+	r := newTestRegistry(t, src.source(t), maxEntries)
+	for scale := 1; scale <= 3; scale++ {
+		for count := 2; count <= 6; count++ {
+			if _, err := r.ShardPlan("m", scale, count); err != nil {
+				t.Fatal(err)
+			}
+			r.mu.Lock()
+			entries, nnz := len(r.entries), 0
+			for _, e := range r.entries {
+				for _, m := range e.slices {
+					if m != nil {
+						nnz += m.NNZ()
+					}
+				}
+			}
+			r.mu.Unlock()
+			if entries > maxEntries || nnz > maxEntries*size {
+				t.Fatalf("after plan m@%d/%d: %d entries holding %d slice nonzeros, want <= %d and <= %d",
+					scale, count, entries, nnz, maxEntries, maxEntries*size)
+			}
+		}
+	}
+	if es := r.Entries(); len(es) != 0 {
+		t.Fatalf("Entries lists %d plan entries as matrices", len(es))
+	}
+	// The newest plan is still resident: asking again sources nothing.
+	before := src.count(Key("m", 3))
+	if _, err := r.ShardPlan("m", 3, 6); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.count(Key("m", 3)); n != before {
+		t.Fatalf("resident plan re-sourced: %d calls, want %d", n, before)
 	}
 }
 
