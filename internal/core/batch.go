@@ -85,27 +85,36 @@ func (p *Prepared) newBatchScratch(nv int) *batchScratch {
 	return s
 }
 
-// packBlock is the column block pack copies one vector at a time: 512
-// columns of an 8-wide tile are 32KB, so the block's lines stay cached
-// across the w passes that fill them.
-const packBlock = 512
+// packGrain is the fewest columns one part of the pack pass takes;
+// below it the handoff costs more than the copy.
+const packGrain = 512
 
 // pack interleaves part of the columns of every packed tile: the
 // parallel pass multiply runs before the region bodies, over packParts
-// contiguous column ranges.
+// contiguous column ranges. Each column's w values are read from the w
+// vectors and stored together as one tile line, so every line is
+// written once.
 func (s *batchScratch) pack(part int) {
 	cols := s.p.mat.Cols
 	lo, hi := part*cols/s.packParts, (part+1)*cols/s.packParts
 	for v0 := 0; v0 < s.packed; v0 += kernel.MaxBlock {
 		w := min(s.packed-v0, kernel.MaxBlock)
-		tile := s.tile(v0, w)
-		for c0 := lo; c0 < hi; c0 += packBlock {
-			c1 := min(c0+packBlock, hi)
-			for j, x := range s.X[v0 : v0+w] {
-				t := tile[c0*w+j:]
-				for c, v := range x[c0:c1] {
-					t[c*w] = v
-				}
+		tile := s.tile(v0, w)[lo*w : hi*w]
+		xs := s.X[v0 : v0+w]
+		if w == 8 {
+			x0, x1, x2, x3 := xs[0][lo:hi], xs[1][lo:hi], xs[2][lo:hi], xs[3][lo:hi]
+			x4, x5, x6, x7 := xs[4][lo:hi], xs[5][lo:hi], xs[6][lo:hi], xs[7][lo:hi]
+			for c := range x0 {
+				t := tile[c*8 : c*8+8]
+				t[0], t[1], t[2], t[3] = x0[c], x1[c], x2[c], x3[c]
+				t[4], t[5], t[6], t[7] = x4[c], x5[c], x6[c], x7[c]
+			}
+			continue
+		}
+		for c := lo; c < hi; c++ {
+			t := tile[(c-lo)*w : (c-lo)*w+w]
+			for j, x := range xs {
+				t[j] = x[c]
 			}
 		}
 	}
@@ -343,7 +352,7 @@ func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *t
 		if need := s.packed * p.mat.Cols; len(s.xi) < need {
 			s.xi = make([]float64, need)
 		}
-		s.packParts = exec.RangeChunks(p.mat.Cols, exec.Workers(), packBlock)
+		s.packParts = exec.RangeChunks(p.mat.Cols, exec.Workers(), packGrain)
 		exec.Parallel(s.packParts, s.packBody)
 	}
 	n := len(s.regs)

@@ -93,54 +93,99 @@ func randomNumber(rng *rand.Rand, exp10 int) string {
 	return sb.String()
 }
 
+// pow10Floor returns floor(10^q * 2^s) for the s that gives it n bits.
+func pow10Floor(q, n int) *big.Int {
+	num, den := big.NewInt(1), big.NewInt(1)
+	if q >= 0 {
+		num.Exp(big.NewInt(10), big.NewInt(int64(q)), nil)
+	} else {
+		den.Exp(big.NewInt(10), big.NewInt(int64(-q)), nil)
+	}
+	// shift is one of the two values the bit lengths allow.
+	var m big.Int
+	for shift := n - (num.BitLen() - den.BitLen()); ; shift-- {
+		n1, d1 := new(big.Int).Set(num), new(big.Int).Set(den)
+		if shift >= 0 {
+			n1.Lsh(n1, uint(shift))
+		} else {
+			d1.Lsh(d1, uint(-shift))
+		}
+		if m.Quo(n1, d1).BitLen() <= n {
+			return &m
+		}
+	}
+}
+
+// ratPow returns a^e exactly.
+func ratPow(a int64, e int) *big.Rat {
+	p := new(big.Int).Exp(big.NewInt(a), big.NewInt(int64(max(e, -e))), nil)
+	if e < 0 {
+		return new(big.Rat).SetFrac(big.NewInt(1), p)
+	}
+	return new(big.Rat).SetInt(p)
+}
+
+// floorLog returns floor(log_base(x)), found by exact comparison from
+// the guess n.
+func floorLog(x *big.Rat, base int64, n int) int {
+	for ratPow(base, n).Cmp(x) > 0 {
+		n--
+	}
+	for ratPow(base, n+1).Cmp(x) <= 0 {
+		n++
+	}
+	return n
+}
+
 // TestFloatCodecMatchesStrconv checks the float path against strconv
-// and encoding/json: the copied power table and logarithm
-// approximations against exact values, random 1-19 digit mantissas at
-// every decimal exponent the power table covers, random bits at every
-// binary exponent (subnormals and non-finite values included), and the
-// edges where a shortcut hands over to another path.
+// and encoding/json: the copied power table, Schubfach's powers of ten
+// derived from it and its logarithm approximations against exact
+// values, random 1-19 digit mantissas at every decimal exponent the
+// power table covers, random bits and the ends of every binary
+// exponent, every small subnormal, and the edges where a shortcut
+// hands over to another path.
 func TestFloatCodecMatchesStrconv(t *testing.T) {
 	// Both directions read the power table, and a wrong low word rarely
 	// shows in a result, so check every entry against 10^q's leading
 	// 128 bits, rounded down, computed exactly.
-	ten := big.NewInt(10)
 	for q := detailedPowersOfTenMinExp10; q <= detailedPowersOfTenMaxExp10; q++ {
-		num, den := big.NewInt(1), big.NewInt(1)
-		if q >= 0 {
-			num.Exp(ten, big.NewInt(int64(q)), nil)
-		} else {
-			den.Exp(ten, big.NewInt(int64(-q)), nil)
-		}
-		// Scale num/den by 2^shift into [2^127, 2^128): shift is one
-		// of the two values the bit lengths allow.
-		var m big.Int
-		for shift := 128 - (num.BitLen() - den.BitLen()); ; shift-- {
-			n, d := new(big.Int).Set(num), new(big.Int).Set(den)
-			if shift >= 0 {
-				n.Lsh(n, uint(shift))
-			} else {
-				d.Lsh(d, uint(-shift))
-			}
-			if m.Quo(n, d).BitLen() <= 128 {
-				break
-			}
-		}
-		hi := new(big.Int).Rsh(&m, 64).Uint64()
-		lo := new(big.Int).And(&m, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
+		m := pow10Floor(q, 128)
+		hi := new(big.Int).Rsh(m, 64).Uint64()
+		lo := new(big.Int).And(m, new(big.Int).SetUint64(math.MaxUint64)).Uint64()
 		if got := detailedPowersOfTen[q-detailedPowersOfTenMinExp10]; got != [2]uint64{lo, hi} {
 			t.Fatalf("power table 1e%d = {%#x, %#x}, want {%#x, %#x}", q, got[0], got[1], lo, hi)
 		}
 	}
-
-	// The copied logarithm approximations over the ranges they claim.
-	for x := -1600; x <= 1600; x++ {
-		if got, want := mulByLog2Log10(x), int(math.Floor(float64(x)*math.Log10(2))); got != want {
-			t.Fatalf("mulByLog2Log10(%d) = %d, want %d", x, got, want)
+	// sfDecimal's g = floor(10^-k * 2^r) + 1, 2^125 <= g-1 < 2^126, for
+	// every k a finite float64 takes.
+	for k := -324; k <= 292; k++ {
+		g1, g0 := sfPow10(-k)
+		if g0>>63 != 0 {
+			t.Fatalf("sfPow10(%d) low half %#x is past 63 bits", -k, g0)
+		}
+		g := new(big.Int).Lsh(new(big.Int).SetUint64(g1), 63)
+		g.Add(g, new(big.Int).SetUint64(g0)).Sub(g, big.NewInt(1))
+		if g.BitLen() != 126 {
+			t.Fatalf("sfPow10(%d) - 1 = %#x is not in [2^125, 2^126)", -k, g)
+		}
+		if want := pow10Floor(-k, 126); g.Cmp(want) != 0 {
+			t.Fatalf("sfPow10(%d) - 1 = %#x, want %#x", -k, g, want)
 		}
 	}
-	for x := -500; x <= 500; x++ {
-		if got, want := mulByLog10Log2(x), int(math.Floor(float64(x)*math.Log2(10))); got != want {
-			t.Fatalf("mulByLog10Log2(%d) = %d, want %d", x, got, want)
+
+	// The logarithm approximations over the range they claim, which
+	// holds every exponent sfDecimal passes them.
+	for e := -1100; e <= 1100; e++ {
+		x := ratPow(2, e)
+		if got := flog10pow2(e); got != floorLog(x, 10, got) {
+			t.Fatalf("flog10pow2(%d) = %d, want %d", e, got, floorLog(x, 10, got))
+		}
+		x.Mul(x, big.NewRat(3, 4))
+		if got := flog10threeQuartersPow2(e); got != floorLog(x, 10, got) {
+			t.Fatalf("flog10threeQuartersPow2(%d) = %d, want %d", e, got, floorLog(x, 10, got))
+		}
+		if got := flog2pow10(e); got != floorLog(ratPow(10, e), 2, got) {
+			t.Fatalf("flog2pow10(%d) = %d, want %d", e, got, floorLog(ratPow(10, e), 2, got))
 		}
 	}
 
@@ -163,12 +208,20 @@ func TestFloatCodecMatchesStrconv(t *testing.T) {
 	}
 	for exp2 := uint64(0); exp2 <= 0x7FF; exp2++ {
 		for k := 0; k < 32; k++ {
-			mant := rng.Uint64() & (1<<52 - 1)
-			if k == 0 {
-				mant = 0 // a power of two: Ryu's asymmetric interval
-			}
-			checkFormat(t, uint64(rng.Intn(2))<<63|exp2<<52|mant)
+			checkFormat(t, uint64(rng.Intn(2))<<63|exp2<<52|rng.Uint64()&(1<<52-1))
 		}
+		// The first mantissas hold the power of two, whose interval is
+		// asymmetric, and the last the next exponent's neighbours.
+		for k := uint64(0); k < 64; k++ {
+			for _, mant := range []uint64{k, 1<<52 - 1 - k} {
+				checkFormat(t, exp2<<52|mant)
+				checkFormat(t, 1<<63|exp2<<52|mant)
+			}
+		}
+	}
+	for mant := uint64(1); mant < 1<<16; mant++ {
+		checkFormat(t, mant)
+		checkFormat(t, 1<<63|mant)
 	}
 
 	for _, s := range []string{
