@@ -248,20 +248,28 @@ func BenchmarkCompute(b *testing.B) {
 			b.Fatalf("stencil auto dia share = %v, want >= 0.9", share)
 		}
 	})
-	graph := gen.Spec{
-		Name: "graph01", Rows: 200_000, Cols: 200_000,
-		Dist:  gen.NormalLen{Mean: 16, Std: 4, Min: 1, Max: 32},
-		Place: gen.Random, Seed: 20260802,
-	}.Generate()
-	for k := range graph.Val {
-		graph.Val[k] = 1 // adjacency: every stored value exactly 1.0
-	}
+	graph := graph01Matrix()
 	runFormat("graph01-u32", graph, haspmvcore.Options{Index: haspmvcore.IndexU32, Value: haspmvcore.ValueReference}, nil)
 	runFormat("graph01-palette", graph, haspmvcore.Options{Index: haspmvcore.IndexU32}, func(b *testing.B, hp *haspmvcore.Prepared) {
 		if f := hp.ValueStats().Format; f != haspmvcore.ValPalette {
 			b.Fatalf("graph01 value stream = %s, want palette", f)
 		}
 	})
+}
+
+// graph01Matrix is perfbench spmv-mix's graph01 class: a 0/1 random
+// graph, 200k rows of mean 16 nonzeros, every stored value exactly 1.0,
+// so the palette value stream engages.
+func graph01Matrix() *sparse.CSR {
+	graph := gen.Spec{
+		Name: "graph01", Rows: 200_000, Cols: 200_000,
+		Dist:  gen.NormalLen{Mean: 16, Std: 4, Min: 1, Max: 32},
+		Place: gen.Random, Seed: 20260802,
+	}.Generate()
+	for k := range graph.Val {
+		graph.Val[k] = 1
+	}
+	return graph
 }
 
 // segSumZipf is the power-law matrix BenchmarkComputeSegSum measures: a
@@ -467,7 +475,8 @@ func benchBatch(nv, rows, cols int) (X, Y [][]float64) {
 // BenchmarkPrepare measures the real preprocessing cost (the Figure 10
 // quantity) of each method. The 1M sub-benchmark runs HASpMV's parallel
 // Prepare pipeline on a >1.5M-nnz matrix, the scale where the chunked
-// sweeps engage.
+// sweeps engage; the graph01 one prices palette discovery and fill on a
+// 3.2M-nnz matrix of one value (not in the committed baseline).
 func BenchmarkPrepare(b *testing.B) {
 	m := haspmv.IntelI912900KF()
 	a := haspmv.Representative("webbase-1M", 16)
@@ -485,6 +494,16 @@ func BenchmarkPrepare(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := alg.Prepare(m, big); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("HASpMV-graph01", func(b *testing.B) {
+		graph := graph01Matrix()
+		alg := haspmvcore.New(haspmvcore.Options{})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := alg.Prepare(m, graph); err != nil {
 				b.Fatal(err)
 			}
 		}

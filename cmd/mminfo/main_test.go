@@ -1,14 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"haspmv/internal/amp"
 	"haspmv/internal/mmio"
 	"haspmv/internal/sparse"
+
+	haspmvcore "haspmv/internal/core"
 )
 
 func writeTestMatrix(t *testing.T) string {
@@ -43,8 +47,9 @@ func TestInfoAndConvert(t *testing.T) {
 	}
 }
 
-func TestDiagAndValueLines(t *testing.T) {
-	path := writeTestMatrix(t)
+// runOutput runs mminfo on path and returns what it printed.
+func runOutput(t *testing.T, path string) string {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -61,7 +66,11 @@ func TestDiagAndValueLines(t *testing.T) {
 	if _, err := io.Copy(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
+	return buf.String()
+}
+
+func TestDiagAndValueLines(t *testing.T) {
+	out := runOutput(t, writeTestMatrix(t))
 	// The 3x3 tridiagonal test matrix: 3 diagonals carry all nnz, every
 	// row is one contiguous run, values {4,-1} are palette eligible.
 	for _, want := range []string{
@@ -70,6 +79,38 @@ func TestDiagAndValueLines(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// mminfo's distinct-values count and Prepare's palette discovery share
+// one counter, so they agree on every side of the palette limit.
+func TestDistinctValuesMatchPrepare(t *testing.T) {
+	for _, k := range []int{1, 5, 256, 257} {
+		const n = 600
+		c := &sparse.COO{Rows: n, Cols: n}
+		for i := 0; i < n; i++ {
+			c.Add(i, i, float64(1+i%k))
+		}
+		a := c.ToCSR()
+		path := filepath.Join(t.TempDir(), "m.mtx")
+		if err := mmio.WriteFile(path, a); err != nil {
+			t.Fatal(err)
+		}
+		prep, err := haspmvcore.New(haspmvcore.Options{}).Prepare(amp.IntelI912900KF(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := prep.(*haspmvcore.Prepared).ValueStats().Distinct
+		if distinct != min(k, haspmvcore.PaletteMax+1) {
+			t.Fatalf("%d distinct values: Prepare counts %d", k, distinct)
+		}
+		want := fmt.Sprintf("distinct-values=%d ", distinct)
+		if distinct > haspmvcore.PaletteMax {
+			want = fmt.Sprintf("distinct-values=>%d ", haspmvcore.PaletteMax)
+		}
+		if out := runOutput(t, path); !strings.Contains(out, want) {
+			t.Errorf("%d distinct values: Prepare counts %d, mminfo printed:\n%s", k, distinct, out)
 		}
 	}
 }

@@ -287,23 +287,17 @@ func RowCacheLineCost(a *sparse.CSR, origRow int) int {
 
 // costSum builds the prefix-sum cost array over the *reordered* rows
 // (cost_sum in Algorithm 3): costSum[i] is the total cost of reordered
-// rows [0, i). The cache-line costs are computed in original row order —
-// one streaming pass over the column indices, chunked across the workers
-// since each row's cost is independent — then gathered through the
-// permutation and prefix-summed with the chunked parallel scan.
+// rows [0, i). Each reordered row's cache-line cost is computed straight
+// into its slot through the permutation — chunked across the workers
+// since each row's cost is independent — and prefix-summed with the
+// chunked parallel scan.
 func costSum(a *sparse.CSR, h *HACSR, metric CostMetric) []int {
 	cs := make([]int, h.Rows+1)
 	switch metric {
 	case CacheLineCost:
-		costs := make([]int, a.Rows)
-		exec.ParallelRanges(a.Rows, prepWidth(), prepGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				costs[i] = RowCacheLineCost(a, i)
-			}
-		})
 		exec.ParallelRanges(h.Rows, prepWidth(), prepGrain, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				cs[i+1] = costs[h.Perm[i]]
+				cs[i+1] = RowCacheLineCost(a, h.Perm[i])
 			}
 		})
 		prefixSum(cs[1:])

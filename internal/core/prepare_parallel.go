@@ -113,3 +113,21 @@ func collectEmptyRows(a *sparse.CSR) []int {
 	})
 	return empty
 }
+
+// validate is a.Validate with its row-pointer and column-index sweeps
+// chunked over the workers. Every chunk reports its first offender and
+// the lowest failing chunk wins, so the error is the serial one.
+func validate(a *sparse.CSR) error {
+	return a.ValidateBy(func(n int, check func(lo, hi int) error) error {
+		errs := make([]error, exec.RangeChunks(n, prepWidth(), prepGrain))
+		exec.ParallelRanges(n, prepWidth(), prepGrain, func(ch, lo, hi int) {
+			errs[ch] = check(lo, hi)
+		})
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}

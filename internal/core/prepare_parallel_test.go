@@ -3,9 +3,12 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"haspmv/internal/algtest"
+	"haspmv/internal/amp"
+	"haspmv/internal/exec"
 	"haspmv/internal/sparse"
 )
 
@@ -107,6 +110,71 @@ func TestCostSumParallelMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Fatalf("%s/%v: cost sums differ\nserial   %v\nparallel %v",
 					name, metric, serial, parallel)
+			}
+		}
+	}
+}
+
+// Prepare's chunked validation must fail exactly as the serial
+// sparse.Validate does: the same first offender, and a row-pointer fault
+// before any column fault, with the bad entries in late chunks.
+func TestPrepareValidationMatchesSerial(t *testing.T) {
+	const n = 64 // a 64x64 matrix with 2 nonzeros per row
+	good := func() *sparse.CSR {
+		a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+		for i := 0; i < n; i++ {
+			a.ColIdx = append(a.ColIdx, i, (i+1)%n)
+			a.Val = append(a.Val, 2, -1)
+			a.RowPtr[i+1] = len(a.ColIdx)
+		}
+		return a
+	}
+	cases := []struct {
+		name   string
+		mangle func(a *sparse.CSR)
+	}{
+		{"valid", func(a *sparse.CSR) {}},
+		{"negative-rows", func(a *sparse.CSR) { a.Rows = -1 }},
+		{"negative-cols", func(a *sparse.CSR) { a.Cols = -2 }},
+		{"rowptr-short", func(a *sparse.CSR) { a.RowPtr = a.RowPtr[:n] }},
+		{"rowptr0", func(a *sparse.CSR) { a.RowPtr[0] = 1 }},
+		{"not-monotone-late", func(a *sparse.CSR) { a.RowPtr[n-3] = a.RowPtr[n-2] + 1 }},
+		{"past-colidx-late", func(a *sparse.CSR) { a.RowPtr[n-5] = 10 * n }},
+		{"two-row-faults", func(a *sparse.CSR) {
+			a.RowPtr[n-2] = a.RowPtr[n-1] + 1 // late chunk
+			a.RowPtr[n/2] = a.RowPtr[n/2+1] + 1
+		}},
+		{"row-before-col", func(a *sparse.CSR) {
+			a.ColIdx[0] = n // first chunk of the column sweep
+			a.RowPtr[n-3] = a.RowPtr[n-2] + 1
+		}},
+		{"colidx-length", func(a *sparse.CSR) { a.ColIdx = append(a.ColIdx, 0) }},
+		{"val-length", func(a *sparse.CSR) { a.Val = a.Val[:len(a.Val)-1] }},
+		{"col-negative-late", func(a *sparse.CSR) { a.ColIdx[2*n-2] = -1 }},
+		{"col-too-big-late", func(a *sparse.CSR) { a.ColIdx[2*n-7] = n }},
+		{"two-col-faults", func(a *sparse.CSR) {
+			a.ColIdx[2*n-1] = n + 5
+			a.ColIdx[n+3] = -7
+		}},
+		{"empty-rows", func(a *sparse.CSR) {
+			for i := range a.RowPtr {
+				a.RowPtr[i] = 0
+			}
+			a.ColIdx, a.Val = a.ColIdx[:0], a.Val[:0]
+		}},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	m := amp.IntelI912900KF()
+	for _, tc := range cases {
+		a := good()
+		tc.mangle(a)
+		want := a.Validate()
+		for _, grain := range []int{1, 3, 1 << 30} {
+			var err error
+			withGrain(grain, func() { _, err = New(Options{}).Prepare(m, a) })
+			if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+				t.Fatalf("%s (grain %d, %d row chunks): Prepare error %v, want Validate's %v",
+					tc.name, grain, exec.RangeChunks(a.Rows, prepWidth(), grain), err, want)
 			}
 		}
 	}

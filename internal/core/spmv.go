@@ -84,7 +84,7 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	if tel != nil {
 		tPrep = time.Now()
 	}
-	if err := mat.Validate(); err != nil {
+	if err := validate(mat); err != nil {
 		return nil, err
 	}
 	opts := a.opts

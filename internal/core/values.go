@@ -20,7 +20,7 @@ import (
 
 // PaletteMax is the largest number of distinct values the palette
 // stream can encode (the index stream is one byte per nonzero).
-const PaletteMax = 256
+const PaletteMax = sparse.PaletteMax
 
 // ValueFormat is the physical value encoding the execution streams
 // read. The zero value is the matrix's own []float64.
@@ -117,30 +117,25 @@ func buildValues(a *sparse.CSR, mode ValueMode) valueStreams {
 	// Palette discovery is serial with an early exit: matrices with rich
 	// value sets blow past PaletteMax within the first few hundred
 	// nonzeros, so the scan is far cheaper than one full sweep there.
-	palMap := make(map[uint64]uint8, PaletteMax)
-	pal := make([]float64, 0, PaletteMax)
-	for _, v := range a.Val {
-		bits := math.Float64bits(v)
-		if _, ok := palMap[bits]; ok {
-			continue
-		}
-		if len(pal) == PaletteMax {
-			vs.distinct = PaletteMax + 1
-			return vs
-		}
-		palMap[bits] = uint8(len(pal))
-		pal = append(pal, v)
+	p, ok := sparse.FindPalette(a.Val)
+	if !ok {
+		vs.distinct = PaletteMax + 1
+		return vs
 	}
-	vs.distinct = len(pal)
-	// Eligible: fill the index stream in parallel (concurrent read-only
-	// map lookups are safe; the table is complete).
+	vs.distinct = len(p.Vals)
+	// Eligible: fill the index stream in parallel from the now read-only
+	// table, skipping the probe while a value repeats its predecessor.
 	vs.format = ValPalette
-	vs.pal = pal
-	vs.tab = paletteTable(pal)
+	vs.pal = p.Vals
+	vs.tab = paletteTable(p.Vals)
 	vs.palIdx = make([]uint8, nnz)
 	exec.ParallelRanges(nnz, prepWidth(), prepGrain, func(_, lo, hi int) {
+		last, idx := math.Float64bits(a.Val[lo]), p.Index(a.Val[lo])
 		for k := lo; k < hi; k++ {
-			vs.palIdx[k] = palMap[math.Float64bits(a.Val[k])]
+			if b := math.Float64bits(a.Val[k]); b != last {
+				last, idx = b, p.Index(a.Val[k])
+			}
+			vs.palIdx[k] = idx
 		}
 	})
 	return vs

@@ -1,5 +1,7 @@
 package costmodel
 
+import "sort"
+
 // Row-length skew: the cost-model term behind the segmented-sum
 // execution dispatch. HASpMV's extraY epilogue is a serial tail whose
 // length grows with the number of rows cut across cores, and the
@@ -9,8 +11,8 @@ package costmodel
 // balances. RowSkew captures that distribution in the two classic
 // shapes: the hub-row extreme (max-row-nnz against the mean and the
 // total) and the overall inequality (Gini coefficient), computed
-// exactly in O(rows + maxRowLen) with a counting sort so Prepare can
-// afford it on every call.
+// exactly in one pass over the row pointer so Prepare can afford it on
+// every call.
 
 // RowSkew summarizes the row-length distribution of a matrix for the
 // execution-mode dispatch (and cmd/mminfo's skew report).
@@ -28,10 +30,16 @@ type RowSkew struct {
 	Gini float64
 }
 
+// skewHistLen caps ComputeRowSkew's length histogram. A row at least
+// this long is one of at most nnz/skewHistLen such rows, so sorting them
+// costs far less than a histogram as long as a hub row.
+const skewHistLen = 1024
+
 // ComputeRowSkew derives the skew statistics from a CSR row pointer
-// (len rows+1, monotone). Gini is exact, via a counting sort over the
-// lengths: with sorted lengths x_(1..n),
-// G = 2*sum(i*x_(i))/(n*sum x) - (n+1)/n.
+// (len rows+1, monotone). Gini is exact: with sorted lengths x_(1..n),
+// G = 2*sum(i*x_(i))/(n*sum x) - (n+1)/n, summed in one pass as a
+// counting sort of the lengths below skewHistLen plus a sort of the few
+// longer ones, one term per distinct length in ascending order.
 func ComputeRowSkew(rowPtr []int) RowSkew {
 	rows := len(rowPtr) - 1
 	if rows <= 0 {
@@ -39,9 +47,15 @@ func ComputeRowSkew(rowPtr []int) RowSkew {
 	}
 	s := RowSkew{Rows: rows}
 	nnz := rowPtr[rows] - rowPtr[0]
+	var counts [skewHistLen]int
+	var long []int
 	for i := 0; i < rows; i++ {
-		if l := rowPtr[i+1] - rowPtr[i]; l > s.MaxRowNNZ {
-			s.MaxRowNNZ = l
+		l := rowPtr[i+1] - rowPtr[i]
+		s.MaxRowNNZ = max(s.MaxRowNNZ, l)
+		if l < skewHistLen {
+			counts[l]++
+		} else {
+			long = append(long, l)
 		}
 	}
 	s.MeanRowNNZ = float64(nnz) / float64(rows)
@@ -49,20 +63,26 @@ func ComputeRowSkew(rowPtr []int) RowSkew {
 		return s
 	}
 	s.MaxShare = float64(s.MaxRowNNZ) / float64(nnz)
-	counts := make([]int, s.MaxRowNNZ+1)
-	for i := 0; i < rows; i++ {
-		counts[rowPtr[i+1]-rowPtr[i]]++
-	}
 	rank := counts[0] // zero-length rows occupy the lowest ranks, weight 0
 	weighted := 0.0
-	for l := 1; l <= s.MaxRowNNZ; l++ {
-		c := counts[l]
-		if c == 0 {
-			continue
-		}
-		// Ranks rank+1 .. rank+c all carry length l.
+	// Ranks rank+1 .. rank+c all carry length l.
+	add := func(l, c int) {
 		weighted += float64(l) * (float64(c)*float64(rank) + float64(c)*float64(c+1)/2)
 		rank += c
+	}
+	for l := 1; l < skewHistLen; l++ {
+		if c := counts[l]; c > 0 {
+			add(l, c)
+		}
+	}
+	sort.Ints(long)
+	for i := 0; i < len(long); {
+		j := i + 1
+		for j < len(long) && long[j] == long[i] {
+			j++
+		}
+		add(long[i], j-i)
+		i = j
 	}
 	n := float64(rows)
 	s.Gini = 2*weighted/(n*float64(nnz)) - (n+1)/n

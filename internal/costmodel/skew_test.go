@@ -110,3 +110,85 @@ func TestRowsSpanningCores(t *testing.T) {
 		t.Fatalf("empty matrix: %d, want 0", got)
 	}
 }
+
+// twoPassSkew is ComputeRowSkew as it was before the capped histogram:
+// a max pass, then a counting sort over a histogram as long as the
+// longest row. The one-pass version must match it bit for bit.
+func twoPassSkew(rowPtr []int) RowSkew {
+	rows := len(rowPtr) - 1
+	if rows <= 0 {
+		return RowSkew{}
+	}
+	s := RowSkew{Rows: rows}
+	nnz := rowPtr[rows] - rowPtr[0]
+	for i := 0; i < rows; i++ {
+		if l := rowPtr[i+1] - rowPtr[i]; l > s.MaxRowNNZ {
+			s.MaxRowNNZ = l
+		}
+	}
+	s.MeanRowNNZ = float64(nnz) / float64(rows)
+	if nnz <= 0 {
+		return s
+	}
+	s.MaxShare = float64(s.MaxRowNNZ) / float64(nnz)
+	counts := make([]int, s.MaxRowNNZ+1)
+	for i := 0; i < rows; i++ {
+		counts[rowPtr[i+1]-rowPtr[i]]++
+	}
+	rank := counts[0]
+	weighted := 0.0
+	for l := 1; l <= s.MaxRowNNZ; l++ {
+		c := counts[l]
+		if c == 0 {
+			continue
+		}
+		weighted += float64(l) * (float64(c)*float64(rank) + float64(c)*float64(c+1)/2)
+		rank += c
+	}
+	n := float64(rows)
+	s.Gini = 2*weighted/(n*float64(nnz)) - (n+1)/n
+	return s
+}
+
+func TestRowSkewMatchesTwoPass(t *testing.T) {
+	ptr := func(lens []int) []int {
+		p := make([]int, len(lens)+1)
+		for i, l := range lens {
+			p[i+1] = p[i] + l
+		}
+		return p
+	}
+	r := rand.New(rand.NewSource(5))
+	// A zipf-like profile: one 969,061-nnz hub row, tied long rows on
+	// both sides of the histogram cap, and a short-row tail.
+	hub := []int{0, 3, 969_061, 1, 2}
+	for _, l := range []int{skewHistLen - 1, skewHistLen, skewHistLen, skewHistLen + 1, 5000, 5000, 5000, 70_000, 70_000} {
+		hub = append(hub, l)
+	}
+	for i := 0; i < 200_000; i++ {
+		hub = append(hub, 1+r.Intn(6))
+	}
+	r.Shuffle(len(hub), func(i, j int) { hub[i], hub[j] = hub[j], hub[i] })
+	cases := [][]int{
+		hub,
+		{skewHistLen}, // one row, at the cap
+		{0, 0, 7},
+		{5000, 5000},
+	}
+	for trial := 0; trial < 30; trial++ {
+		lens := make([]int, 1+r.Intn(3000))
+		for i := range lens {
+			lens[i] = r.Intn(3 * skewHistLen / (1 + r.Intn(64)))
+		}
+		cases = append(cases, lens)
+	}
+	for ci, lens := range cases {
+		got, want := ComputeRowSkew(ptr(lens)), twoPassSkew(ptr(lens))
+		if got.Rows != want.Rows || got.MaxRowNNZ != want.MaxRowNNZ ||
+			math.Float64bits(got.MeanRowNNZ) != math.Float64bits(want.MeanRowNNZ) ||
+			math.Float64bits(got.MaxShare) != math.Float64bits(want.MaxShare) ||
+			math.Float64bits(got.Gini) != math.Float64bits(want.Gini) {
+			t.Fatalf("case %d (%d rows): skew %+v, want %+v", ci, len(lens), got, want)
+		}
+	}
+}

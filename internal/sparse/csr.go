@@ -62,6 +62,20 @@ func (a *CSR) Clone() *CSR {
 // Column indices within a row are not required to be sorted (SuiteSparse
 // files often are, but the algorithms must not rely on it).
 func (a *CSR) Validate() error {
+	return a.ValidateBy(func(n int, check func(lo, hi int) error) error { return check(0, n) })
+}
+
+// Sweep runs check over [0, n), whole or in contiguous chunks, and
+// returns the error of the lowest failing chunk. Each check reports the
+// first offender in its range, so any chunking yields the error a
+// single check(0, n) would.
+type Sweep func(n int, check func(lo, hi int) error) error
+
+// ValidateBy is Validate with its two linear sweeps, the RowPtr checks
+// over rows and the ColIdx range check over nonzeros, run by sweep. The
+// O(1) header and length checks run in between, in Validate's order, so
+// the error is Validate's for every sweep that honours Sweep's contract.
+func (a *CSR) ValidateBy(sweep Sweep) error {
 	if a.Rows < 0 || a.Cols < 0 {
 		return fmt.Errorf("sparse: negative dimensions %dx%d", a.Rows, a.Cols)
 	}
@@ -71,18 +85,8 @@ func (a *CSR) Validate() error {
 	if a.RowPtr[0] != 0 {
 		return fmt.Errorf("sparse: RowPtr[0] = %d, want 0", a.RowPtr[0])
 	}
-	for i := 0; i < a.Rows; i++ {
-		if a.RowPtr[i+1] < a.RowPtr[i] {
-			return fmt.Errorf("sparse: RowPtr not monotone at row %d (%d > %d)", i, a.RowPtr[i], a.RowPtr[i+1])
-		}
-		// A monotone prefix can still point past the storage when a later
-		// entry decreases again; checking every entry against the array
-		// length names the first offending row instead of failing on the
-		// aggregate nnz count (or not at all, when the final entry happens
-		// to match len(ColIdx)).
-		if a.RowPtr[i+1] > len(a.ColIdx) {
-			return fmt.Errorf("sparse: RowPtr[%d] = %d exceeds ColIdx length %d", i+1, a.RowPtr[i+1], len(a.ColIdx))
-		}
+	if err := sweep(a.Rows, a.checkRowPtr); err != nil {
+		return err
 	}
 	nnz := a.RowPtr[a.Rows]
 	if len(a.ColIdx) != nnz {
@@ -91,9 +95,32 @@ func (a *CSR) Validate() error {
 	if len(a.Val) != nnz {
 		return fmt.Errorf("sparse: Val length %d, want %d", len(a.Val), nnz)
 	}
-	for k, c := range a.ColIdx {
+	return sweep(nnz, a.checkColIdx)
+}
+
+// checkRowPtr checks rows [lo, hi): each row pointer is monotone and
+// within ColIdx. A monotone prefix can still point past the storage when
+// a later entry decreases again; checking every entry against the array
+// length names the first offending row instead of failing on the
+// aggregate nnz count (or not at all, when the final entry happens to
+// match len(ColIdx)).
+func (a *CSR) checkRowPtr(lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if a.RowPtr[i+1] < a.RowPtr[i] {
+			return fmt.Errorf("sparse: RowPtr not monotone at row %d (%d > %d)", i, a.RowPtr[i], a.RowPtr[i+1])
+		}
+		if a.RowPtr[i+1] > len(a.ColIdx) {
+			return fmt.Errorf("sparse: RowPtr[%d] = %d exceeds ColIdx length %d", i+1, a.RowPtr[i+1], len(a.ColIdx))
+		}
+	}
+	return nil
+}
+
+// checkColIdx checks that ColIdx[lo:hi] lies in [0, Cols).
+func (a *CSR) checkColIdx(lo, hi int) error {
+	for k, c := range a.ColIdx[lo:hi] {
 		if c < 0 || c >= a.Cols {
-			return fmt.Errorf("sparse: ColIdx[%d] = %d out of range [0,%d)", k, c, a.Cols)
+			return fmt.Errorf("sparse: ColIdx[%d] = %d out of range [0,%d)", lo+k, c, a.Cols)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -104,9 +103,9 @@ func (s *DiagStats) addRun(l int) {
 }
 
 // ValueStatsCap is where distinct-value counting stops: one past the
-// 256-entry palette limit, so Distinct == ValueStatsCap means "more than
-// a palette can hold" rather than an exact count.
-const ValueStatsCap = 257
+// PaletteMax-entry palette limit, so Distinct == ValueStatsCap means
+// "more than a palette can hold" rather than an exact count.
+const ValueStatsCap = PaletteMax + 1
 
 // ValueStats summarizes the value stream's compressibility.
 type ValueStats struct {
@@ -117,18 +116,16 @@ type ValueStats struct {
 	Capped   bool
 }
 
-// PaletteEligible reports whether a byte-indexed 256-entry palette can
-// represent the value stream exactly.
-func (s ValueStats) PaletteEligible() bool { return !s.Capped && s.Distinct <= 256 }
+// PaletteEligible reports whether a byte-indexed PaletteMax-entry
+// palette can represent the value stream exactly.
+func (s ValueStats) PaletteEligible() bool { return !s.Capped && s.Distinct <= PaletteMax }
 
-// ComputeValueStats counts distinct values up to ValueStatsCap.
+// ComputeValueStats counts distinct values up to ValueStatsCap with the
+// same table Prepare discovers its palette through.
 func ComputeValueStats(a *CSR) ValueStats {
-	seen := make(map[uint64]struct{}, 64)
-	for _, v := range a.Val {
-		seen[math.Float64bits(v)] = struct{}{}
-		if len(seen) >= ValueStatsCap {
-			return ValueStats{Distinct: ValueStatsCap, Capped: true}
-		}
+	p, ok := FindPalette(a.Val)
+	if !ok {
+		return ValueStats{Distinct: ValueStatsCap, Capped: true}
 	}
-	return ValueStats{Distinct: len(seen)}
+	return ValueStats{Distinct: len(p.Vals)}
 }
