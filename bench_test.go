@@ -169,7 +169,7 @@ func BenchmarkSpMVCompute(b *testing.B) {
 // BenchmarkCompute isolates the compressed-index execution streams on a
 // >1.5M-nnz power-law matrix: the same partition (proportion and base
 // pinned) multiplied through the []int reference, the u32 absolute
-// stream, and the auto u16/u32/dia mix. SpMV is stream bound, so
+// stream, and the auto u32/dia mix. SpMV is stream bound, so
 // narrowing the 8-byte []int indices is the whole effect; the committed
 // bench baseline records the u32 win and cmd/benchdiff gates it. The
 // stencil-* and graph01-* subtests cover the pluggable per-region

@@ -51,16 +51,9 @@ func run(args []string) error {
 	fmt.Printf("%s: %s\n", path, s)
 	fmt.Printf("bandwidth=%d density=%.3g sorted-rows=%v\n",
 		sparse.Bandwidth(a), sparse.Density(a), a.RowsSorted())
-	// Which compressed index streams Prepare will build: the required
-	// absolute index width, the widest row column-span, and the share of
-	// the matrix a u16-delta region can cover.
-	sp := sparse.ComputeColSpanStats(a)
-	nnz16Pct := 0.0
-	if a.NNZ() > 0 {
-		nnz16Pct = 100 * float64(sp.NNZ16) / float64(a.NNZ())
-	}
-	fmt.Printf("index-width=u%d max-row-col-span=%d u16-delta-rows=%d/%d u16-delta-nnz=%.1f%%\n",
-		sparse.IndexWidthBits(a.Cols), sp.MaxSpan, sp.Rows16, a.Rows, nnz16Pct)
+	// The absolute column-index width the matrix needs (Prepare's
+	// compressed stream is u32 whenever it is at most 32).
+	fmt.Printf("index-width=u%d\n", sparse.IndexWidthBits(a.Cols))
 	// Diagonal structure and value-stream compressibility — what the
 	// diagonal run-descriptor format and the palette value stream would
 	// get out of this matrix.

@@ -83,6 +83,21 @@ func TestDiagAndValueLines(t *testing.T) {
 	}
 }
 
+// The index line reports only the absolute column-index width: the
+// 3-column test matrix fits u8, and no per-row span or delta-stream
+// figures are printed, since Prepare streams u32 and dia only.
+func TestIndexWidthLine(t *testing.T) {
+	out := runOutput(t, writeTestMatrix(t))
+	if !strings.Contains(out, "index-width=u8\n") {
+		t.Errorf("output missing the index-width=u8 line:\n%s", out)
+	}
+	for _, gone := range []string{"max-row-col-span", "u16-delta"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("output still reports %q:\n%s", gone, out)
+		}
+	}
+}
+
 // mminfo's distinct-values count and Prepare's palette discovery share
 // one counter, so they agree on every side of the palette limit.
 func TestDistinctValuesMatchPrepare(t *testing.T) {

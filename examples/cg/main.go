@@ -1,8 +1,8 @@
 // Conjugate gradient: the paper's introduction motivates SpMV as the
 // dominant kernel of iterative sparse solvers. This example builds a
 // symmetric positive-definite system (a 2D 5-point Poisson stencil), solves
-// it with CG, and uses a HASpMV handle for every A*p product — the
-// analyze-once / multiply-many pattern CG rewards.
+// it with solver.CG, and uses a HASpMV handle for every A*p product —
+// the analyze-once / multiply-many pattern CG rewards.
 package main
 
 import (
@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"haspmv"
+	"haspmv/solver"
 )
 
 // poisson2D assembles the 5-point Laplacian on an n x n grid: an SPD
@@ -62,32 +63,12 @@ func main() {
 	h.Multiply(b, exact)
 
 	x := make([]float64, n) // start from zero
-	r := append([]float64(nil), b...)
-	p := append([]float64(nil), r...)
-	ap := make([]float64, n)
-	rs := dot(r, r)
-	norm0 := math.Sqrt(rs)
-
-	const maxIter = 2000
-	const tol = 1e-10
-	iters := 0
-	for ; iters < maxIter; iters++ {
-		h.Multiply(ap, p) // the HASpMV kernel
-		alpha := rs / dot(p, ap)
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		rsNew := dot(r, r)
-		if math.Sqrt(rsNew) < tol*norm0 {
-			iters++
-			break
-		}
-		beta := rsNew / rs
-		for i := range p {
-			p[i] = r[i] + beta*p[i]
-		}
-		rs = rsNew
+	st, err := solver.CG(solver.FromHandle(h), b, x, solver.Options{MaxIter: 2000, Tol: 1e-10})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !st.Converged {
+		log.Fatalf("CG did not converge in %d iterations (relative residual %.2e)", st.Iterations, st.Residual)
 	}
 
 	errNorm := 0.0
@@ -97,20 +78,12 @@ func main() {
 	}
 	errNorm = math.Sqrt(errNorm / float64(n))
 	fmt.Printf("converged in %d iterations, relative residual %.2e, RMS error vs exact %.2e\n",
-		iters, math.Sqrt(rs)/norm0, errNorm)
+		st.Iterations, st.Residual, errNorm)
 
 	// What the solver's SpMV costs on the AMP, per iteration.
 	sim := h.Simulate(nil)
 	fmt.Printf("modeled SpMV on %s: %.3f ms/iteration (%.2f GFlops)\n",
 		machine.Name, 1e3*sim.Seconds, sim.GFlops)
 	fmt.Printf("modeled SpMV share of a %d-iteration solve: %.1f ms\n",
-		iters, 1e3*sim.Seconds*float64(iters))
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
+		st.Iterations, 1e3*sim.Seconds*float64(st.Iterations))
 }

@@ -202,11 +202,10 @@ func (s *batchScratch) run(id int) {
 // width-1 tile takes the single-vector kernels (Dot, DotDia) and stores
 // their sums straight to y, wider tiles (kernel.MinBlock and up) the
 // block ones through sums (DotBlock on the tile's interleaved x,
-// DotDiaBlock on X); all produce Dot's bits. bases holds the per-row u16
-// delta base columns (nil for other streams); in a dia region the rows
+// DotDiaBlock on X); all produce Dot's bits. In a dia region the rows
 // with run descriptors take the descriptor kernels and the others the
 // u32 stream in col. Returns the fragments processed.
-func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r, v0, w int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
+func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r, v0, w int, vals []V, pal *[PaletteMax]float64, col []C) int {
 	p := s.p
 	h, st := p.h, &p.streams
 	X, Y := s.X[v0:v0+w], s.Y[v0:v0+w]
@@ -225,16 +224,12 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 		o := h.RowBeginNNZ[r]
 		klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
 		diaRow := dia && st.rowRun[r+1] > st.rowRun[r]
-		base := 0
-		if bases != nil {
-			base = bases[r]
-		}
 		if w == 1 {
 			var sum float64
 			if diaRow {
 				sum = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), x, klo, khi, un)
 			} else {
-				sum = kernel.Dot(vals, pal, col, base, x, klo, khi, un)
+				sum = kernel.Dot(vals, pal, col, x, klo, khi, un)
 			}
 			if pos == rowStart {
 				// This core owns the row's first fragment: direct store
@@ -248,7 +243,7 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 			if diaRow {
 				kernel.DotDiaBlock(vals, pal, st.runs, int(st.rowRun[r]), X, sums, klo, khi, un)
 			} else {
-				kernel.DotBlock(vals, pal, col, base, s.tile(v0, w), sums, klo, khi, un)
+				kernel.DotBlock(vals, pal, col, s.tile(v0, w), sums, klo, khi, un)
 			}
 			orig := h.Perm[r]
 			if pos == rowStart {

@@ -22,22 +22,19 @@ import "haspmv/internal/kernel"
 // [v0, v0+w) over the value stream vals (pal is the palette table, nil
 // for f64) and returns the fragments processed.
 func batchRegion[V kernel.ValSource](s *batchScratch, id int, reg Region, v0, w int, vals []V, pal *[PaletteMax]float64) int {
-	st := &s.p.streams
 	switch reg.Format {
-	case Index16:
-		return batchRegionCols(s, id, reg, v0, w, vals, pal, st.col16, st.rowBase)
 	case IndexInt:
-		return batchRegionCols(s, id, reg, v0, w, vals, pal, s.p.mat.ColIdx, nil)
+		return batchRegionCols(s, id, reg, v0, w, vals, pal, s.p.mat.ColIdx)
 	default: // Index32, and the fallback rows of an IndexDia region
-		return batchRegionCols(s, id, reg, v0, w, vals, pal, st.col32, nil)
+		return batchRegionCols(s, id, reg, v0, w, vals, pal, s.p.streams.col32)
 	}
 }
 
-func batchRegionCols[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, v0, w int, vals []V, pal *[PaletteMax]float64, col []C, bases []int) int {
+func batchRegionCols[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, v0, w int, vals []V, pal *[PaletteMax]float64, col []C) int {
 	if reg.SegSum {
-		return batchSegSumRegion(s, id, reg, v0, w, vals, pal, col, bases)
+		return batchSegSumRegion(s, id, reg, v0, w, vals, pal, col)
 	}
-	return walkBatchFragments(s, id, reg, reg.Lo, reg.Hi, reg.StartRow, v0, w, vals, pal, col, bases)
+	return walkBatchFragments(s, id, reg, reg.Lo, reg.Hi, reg.StartRow, v0, w, vals, pal, col)
 }
 
 // gathers reports whether any row of the partition regs reads x through

@@ -18,10 +18,10 @@ import (
 // fighting a parser. The second return drives algorithm options.
 //
 // A column byte of 200 or more selects the wide shape instead: 66556
-// columns with entries at 261-column strides, so row spans straddle the
-// u16-delta eligibility boundary (span 65535) — column bytes spanning up
-// to 251 give row spans <= 65511 (u16-eligible), 252 or more give
-// >= 65772 (past a 2^16 span, u32 fallback).
+// columns with entries at 261-column strides, so row spans straddle a
+// 2^16 span — column bytes spanning up to 251 give row spans <= 65511,
+// 252 or more give >= 65772 — and pin the u32 stream (and the dia
+// fallback rows) on columns past 2^16.
 func fuzzMatrix(data []byte) (*sparse.CSR, byte) {
 	if len(data) < 2 {
 		return nil, 0
@@ -208,7 +208,7 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{31, 31, 2, 1, 1, 4, 9, 9, 8, 30, 2, 252})                                                                                 // sparse diagonal-ish, one-level
 	f.Add([]byte{3, 3, 12, 0, 0, 1, 0, 1, 2, 0, 2, 3, 1, 0, 4, 1, 1, 5, 1, 2, 6, 2, 0, 7, 2, 1, 8, 2, 2, 9, 3, 0, 10, 3, 1, 11, 3, 2, 12}) // dense 4x3
 	f.Add([]byte{15, 7, 0, 201, 0, 0, 8, 0, 5, 200, 1, 40, 5, 3, 12})                                                                      // empty rows + weighted repartition
-	f.Add([]byte{7, 200, 0, 0, 10, 40, 0, 20, 41, 1, 0, 42, 1, 252, 43, 2, 0, 44, 2, 251, 45})                                             // wide: u16-delta region boundary (eligible rows around a >2^16-span row)
+	f.Add([]byte{7, 200, 0, 0, 10, 40, 0, 20, 41, 1, 0, 42, 1, 252, 43, 2, 0, 44, 2, 251, 45})                                             // wide: rows around a >2^16-span row, all on u32
 	f.Add([]byte{0, 255, 0, 0, 0, 10, 0, 252, 20, 0, 100, 30})                                                                             // wide: single row spanning past 2^16 columns
 	f.Add([]byte{0, 15, 128, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3})                                // forced segsum: the whole matrix is one row, cut across many regions
 	f.Add(segsumMegaRowSeed())                                                                                                             // forced segsum: one mega-row spanning 3+ regions among short rows
@@ -305,9 +305,8 @@ func FuzzPrepareCompute(f *testing.F) {
 
 		// The same boundary move on the reference instance must keep the two
 		// bit-identical: Repartition re-picks per-region formats without
-		// rebuilding streams, and a region that drifts across a u16-delta
-		// or diagonal eligibility edge must fall back to a wider format,
-		// not drift bits.
+		// rebuilding streams, and a region that drifts across a diagonal
+		// eligibility edge must fall back to u32, not drift bits.
 		if err := refPrep.Repartition(plan); err != nil {
 			t.Fatalf("reference Repartition(%+v) failed: %v", plan, err)
 		}
@@ -395,7 +394,7 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add([]byte{0, 15, 0, 0, 0, 8, 0, 5, 16, 0, 11, 200}, byte(3))                                                                                                                                            // single row
 	f.Add([]byte{31, 31, 0, 1, 1, 4, 9, 9, 8, 30, 2, 252}, byte(9))                                                                                                                                            // short rows, two blocks
 	f.Add([]byte{2, 30, 0, 0, 0, 1, 0, 3, 2, 0, 6, 3, 0, 9, 4, 0, 12, 5, 0, 15, 6, 0, 18, 7, 0, 21, 8, 1, 1, 9, 1, 4, 10, 1, 7, 11, 1, 10, 12, 1, 13, 13, 1, 16, 14, 1, 19, 15, 1, 22, 16, 2, 2, 17}, byte(5)) // long rows
-	f.Add([]byte{7, 200, 0, 0, 10, 40, 0, 20, 41, 1, 0, 42, 1, 252, 43, 2, 0, 44, 2, 251, 45}, byte(5))                                                                                                        // wide: u16-delta region boundary, block path
+	f.Add([]byte{7, 200, 0, 0, 10, 40, 0, 20, 41, 1, 0, 42, 1, 252, 43, 2, 0, 44, 2, 251, 45}, byte(5))                                                                                                        // wide: rows around a >2^16-span row, block path
 	f.Add([]byte{0, 15, 128, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3}, byte(5))                                                                                           // forced segsum: all-one-row matrix, batched fragment patch
 	f.Add(segsumMegaRowSeed(), byte(9))                                                                                                                                                                        // forced segsum: mega-row spanning 3+ regions, batched
 	f.Add(diaDefectSeed(), byte(6))                                                                                                                                                                            // forced dia with defect row, block kernels

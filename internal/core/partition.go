@@ -82,10 +82,10 @@ func ProportionFor(m *amp.Machine, a *sparse.CSR) float64 {
 
 // proportionForBytes is ProportionFor with the index- and value-stream
 // widths as parameters: Prepare passes the effective bytes per nonzero
-// of the streams it actually built (4 for u32, 2 for u16, a per-row-best
-// blend for mixed/diagonal partitions, 8 for the []int reference; 8 for
-// f64 values, 1 for a palette), so the level-1 split prices
-// the working set the kernels will really move.
+// of the streams it actually built (4 for u32 and for the []int
+// reference, a per-row-best blend for diagonal partitions; 8 for f64
+// values, 1 for a palette), so the level-1 split prices the working set
+// the kernels will really move.
 func proportionForBytes(m *amp.Machine, a *sparse.CSR, idxBytes, valBytes float64) float64 {
 	footprint := float64(a.NNZ())*(valBytes+idxBytes) + float64(a.Cols*8+a.Rows*12)
 	capability := func(g *amp.CoreGroup) float64 {

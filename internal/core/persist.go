@@ -39,8 +39,6 @@ type SnapshotMeta struct {
 	HNumShort int
 	// Stream scalars (indexStreams).
 	RunNNZ  int
-	NNZ16   int
-	MaxSpan int
 	BestIdx int64
 	// Value-stream scalars.
 	ValFormat ValueFormat
@@ -75,9 +73,6 @@ type PreparedSnapshot struct {
 
 	// Compressed index streams.
 	Col32   []uint32
-	Col16   []uint16
-	RowBase []int
-	Elig    []int
 	Runs    []kernel.DiaRun
 	RowRun  []int32
 	DiaInel []int
@@ -106,8 +101,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 			HBase:       p.h.Base,
 			HNumShort:   p.h.NumShort,
 			RunNNZ:      st.runNNZ,
-			NNZ16:       st.nnz16,
-			MaxSpan:     st.maxSpan,
 			BestIdx:     st.bestIdx,
 			ValFormat:   vs.format,
 			Distinct:    vs.distinct,
@@ -121,9 +114,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 		EmptyRows:    p.emptyRows,
 		CS:           p.cs,
 		Col32:        st.col32,
-		Col16:        st.col16,
-		RowBase:      st.rowBase,
-		Elig:         st.elig,
 		Runs:         st.runs,
 		RowRun:       st.rowRun,
 		DiaInel:      st.diaInel,
@@ -170,10 +160,6 @@ func checkSnapshot(s *PreparedSnapshot) error {
 	}
 	if s.Col32 != nil && len(s.Col32) != nnz {
 		return fmt.Errorf("core: snapshot u32 stream length %d, want %d", len(s.Col32), nnz)
-	}
-	if s.Col16 != nil && (len(s.Col16) != nnz || len(s.RowBase) != m || len(s.Elig) != m+1) {
-		return fmt.Errorf("core: snapshot u16 stream lengths %d/%d/%d inconsistent with %d rows, %d nnz",
-			len(s.Col16), len(s.RowBase), len(s.Elig), m, nnz)
 	}
 	if s.Runs != nil && (len(s.RowRun) != m+1 || len(s.DiaInel) != m+1) {
 		return fmt.Errorf("core: snapshot dia prefix lengths %d/%d, want %d", len(s.RowRun), len(s.DiaInel), m+1)
@@ -246,10 +232,8 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		opts: opts, emptyRows: snap.EmptyRows, unroll: unroll,
 		cs: snap.CS, cores: cores,
 		streams: indexStreams{
-			col32: snap.Col32, col16: snap.Col16, rowBase: snap.RowBase,
-			elig: snap.Elig, runs: snap.Runs, rowRun: snap.RowRun,
+			col32: snap.Col32, runs: snap.Runs, rowRun: snap.RowRun,
 			diaInel: snap.DiaInel, runNNZ: snap.Meta.RunNNZ,
-			nnz16: snap.Meta.NNZ16, maxSpan: snap.Meta.MaxSpan,
 			bestIdx: snap.Meta.BestIdx,
 		},
 		values: valueStreams{

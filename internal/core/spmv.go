@@ -57,7 +57,7 @@ type Options struct {
 	// cost equally across all cores (ablation).
 	OneLevel bool
 	// Index selects the column-index stream policy (default IndexAuto:
-	// compressed u32/u16/diagonal streams with per-region dispatch).
+	// compressed u32/diagonal streams with per-region dispatch).
 	Index IndexMode
 	// Value selects the value stream policy (default ValueAuto: a 1-byte
 	// palette stream when the matrix has at most PaletteMax distinct
@@ -349,8 +349,6 @@ func (p *Prepared) Assignments() []costmodel.Assignment {
 		switch reg.Format {
 		case Index32:
 			asg.IdxBytes = 4
-		case Index16:
-			asg.IdxBytes = 2
 		case IndexDia:
 			runsIn, inel := p.regionDiaParts(reg)
 			asg.DiagBytes = int(8*runsIn + 4*inel)

@@ -18,10 +18,6 @@ import (
 //
 //   - u32 absolute indices whenever the matrix has fewer than 2^32
 //     columns (4 bytes per nonzero),
-//   - u16 deltas from a per-row base column for regions whose rows all
-//     span at most 65535 columns after the HACSR reorder (2 bytes per
-//     nonzero; short-row reordering clusters exactly the rows where this
-//     holds),
 //   - a DIA-style diagonal descriptor stream for regions dominated by
 //     runs of nonzeros at consecutive columns (banded and stencil
 //     matrices): an 8-byte {end, col-k offset} descriptor per run and
@@ -45,13 +41,13 @@ var (
 	gNNZFormat   = [4]*telemetry.Gauge{
 		telemetry.NewGauge("core_partition_nnz_int"),
 		telemetry.NewGauge("core_partition_nnz_u32"),
-		telemetry.NewGauge("core_partition_nnz_u16"),
+		nil, // Index16 is never assigned
 		telemetry.NewGauge("core_partition_nnz_dia"),
 	}
 	cNNZFormat = [4]*telemetry.Counter{
 		telemetry.NewCounter("core_nnz_int"),
 		telemetry.NewCounter("core_nnz_u32"),
-		telemetry.NewCounter("core_nnz_u16"),
+		nil, // Index16 is never assigned
 		telemetry.NewCounter("core_nnz_dia"),
 	}
 	cNNZValue = [2]*telemetry.Counter{
@@ -71,8 +67,9 @@ const (
 	IndexInt IndexFormat = iota
 	// Index32 walks the u32 absolute stream (4 bytes per index).
 	Index32
-	// Index16 walks the u16 delta stream with a per-row base column
-	// (2 bytes per index).
+	// Index16 is never assigned: no region runs a 2-byte delta stream.
+	// It stays declared so that NNZByFormat keeps its four slots, which
+	// perfbench's per-format shares index.
 	Index16
 	// IndexDia walks run descriptors (8 bytes per *run*, no per-nonzero
 	// index); rows without enough run structure fall back to the u32
@@ -103,8 +100,6 @@ func (f IndexFormat) BytesPerIndex() int {
 	switch f {
 	case Index32:
 		return 4
-	case Index16:
-		return 2
 	case IndexDia:
 		return 0
 	default:
@@ -118,16 +113,16 @@ func (f IndexFormat) BytesPerIndex() int {
 type IndexMode int
 
 const (
-	// IndexAuto builds the u32 stream, u16 deltas for every eligible
-	// row, and diagonal descriptors for every run-structured row; each
-	// region then executes with the cheapest format its rows support.
+	// IndexAuto builds the u32 stream and diagonal descriptors for every
+	// run-structured row; each region then executes with the cheapest
+	// format its rows support.
 	IndexAuto IndexMode = iota
 	// IndexReference skips compression entirely: every region walks the
 	// original []int ColIdx (the oracle the fuzz stage compares against).
 	IndexReference
-	// IndexU32 builds only the u32 stream (no per-row delta or run
-	// analysis); used by benchmarks to isolate the u32 win from the
-	// narrower formats.
+	// IndexU32 builds only the u32 stream (no per-row run analysis);
+	// used by benchmarks to isolate the u32 win from the diagonal
+	// format.
 	IndexU32
 	// IndexForceDia builds the same streams as IndexAuto but assigns
 	// IndexDia to every region not running segmented whenever any row
@@ -151,29 +146,25 @@ func (m IndexMode) String() string {
 	}
 }
 
-// maxSpan16 is the widest row column-span (maxCol-minCol) a u16 delta
-// stream can encode.
-const maxSpan16 = math.MaxUint16
-
 // diaMinSingleRunLen and diaMinRunLen gate rows into the diagonal
 // format on time, not just bytes. Bytes alone would put both bounds at
-// 4 (an 8-byte descriptor over >= 4 nonzeros is <= 2 bytes per nonzero,
-// no worse than u16), but the decoder pays real time the byte count
+// 2 (an 8-byte descriptor over >= 2 nonzeros is <= 4 bytes per nonzero,
+// no worse than u32), but the decoder pays real time the byte count
 // does not see, and how much depends on the row's run structure:
 //
 //   - A single-run row executes through the branch-free contiguous
-//     contiguous path of kernel/diag.go; its only overhead is the per-row
+//     path of kernel/diag.go; its only overhead is the per-row
 //     skip-and-reslice preamble, which a 4-nonzero row cannot amortize.
-//     Measured on short-banded matrices (single runs of ~5), the byte
-//     bound picked dia and ran ~25% slower than the u16 stream; runs of
-//     >= diaMinSingleRunLen amortize the preamble.
+//     Measured on short-banded matrices (single runs of ~5), a bound of
+//     4 picked dia and ran ~25% slower than a 2-byte column stream; runs
+//     of >= diaMinSingleRunLen amortize the preamble.
 //
 //   - A multi-run row walks the general decoder, which takes a boundary
 //     check per unroll group and a per-element catch-up loop in every
 //     group straddling a run end. At mean run ~8 nearly every 8-wide
-//     group straddles (measured ~30% slower than u16 despite 1.57 vs 2
-//     bytes per nonzero); runs of >= diaMinRunLen keep most groups on
-//     the branch-free path.
+//     group straddles (measured ~30% slower than a 2-byte column stream
+//     despite 1.57 vs 2 bytes per nonzero); runs of >= diaMinRunLen keep
+//     most groups on the branch-free path.
 const diaMinSingleRunLen = 8
 
 // diaMinRunLen is the mean-run-length bound for multi-run rows; see
@@ -187,17 +178,6 @@ type indexStreams struct {
 	// col32 is the u32 absolute stream; nil when compression is off
 	// (IndexReference) or impossible (>= 2^32 columns).
 	col32 []uint32
-	// col16 is the u16 delta stream. Entries are valid only inside
-	// u16-eligible rows (others are zero); nil when no row is eligible or
-	// the mode skips delta analysis.
-	col16 []uint16
-	// rowBase[i] is the base column of reordered row i's delta encoding
-	// (the row's minimum column); only present alongside col16.
-	rowBase []int
-	// elig[i] counts u16-eligible reordered rows before row i (len
-	// Rows+1), so a region's rows are all eligible iff the prefix delta
-	// equals its row count. Empty rows are trivially eligible.
-	elig []int
 	// runs holds the diagonal descriptors of every dia-eligible row, in
 	// reordered row order; one row's runs are contiguous and EndK is an
 	// *original* nnz position. Nil when no row qualifies.
@@ -213,13 +193,9 @@ type indexStreams struct {
 	diaInel []int
 	// runNNZ is the nonzero count inside dia-eligible rows.
 	runNNZ int
-	// nnz16 is the nonzero count inside u16-eligible rows; maxSpan the
-	// largest row column-span seen (both only computed under IndexAuto).
-	nnz16   int
-	maxSpan int
 	// bestIdx is the summed per-row minimum of the index-side stream
-	// bytes (u32, u16 where eligible, descriptors where eligible) — the
-	// footprint the assigned formats approach from above.
+	// bytes (u32, or descriptors where eligible) — the footprint the
+	// assigned formats approach from above.
 	bestIdx int64
 }
 
@@ -238,9 +214,8 @@ func (st *indexStreams) effIdxBytes(nnz int) float64 {
 
 // buildStreams derives the compressed streams for a under mode. The u32
 // copy is one chunked parallel sweep over the nonzeros, fused with the
-// per-row delta analysis (min/max column) and run counting; a second
-// sweep fills the delta stream, and a permutation gather moves the
-// per-row metadata into reordered order and materializes the run
+// run counting; a permutation gather then moves the per-row run counts
+// into reordered order and a last sweep materializes the run
 // descriptors — the same two-pass discipline as the rest of the Prepare
 // pipeline.
 func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
@@ -250,7 +225,10 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 	}
 	nnz := a.NNZ()
 	st.col32 = make([]uint32, nnz)
-	if mode == IndexU32 || a.Rows == 0 {
+	// Diagonal descriptors pack positions and offsets into int32s;
+	// anything larger stays on the u32 stream.
+	if mode == IndexU32 || a.Rows == 0 ||
+		int64(a.Cols) > math.MaxInt32 || int64(nnz) > math.MaxInt32 {
 		exec.ParallelRanges(nnz, prepWidth(), prepGrain, func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				st.col32[k] = uint32(a.ColIdx[k])
@@ -259,106 +237,40 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 		return st
 	}
 
-	// Diagonal descriptors pack positions and offsets into int32s;
-	// anything larger stays on the absolute/delta streams.
-	diaOK := int64(a.Cols) <= math.MaxInt32 && int64(nnz) <= math.MaxInt32
-	var runCnt []int32
-	if diaOK {
-		runCnt = make([]int32, a.Rows)
-	}
-
-	// Per-original-row analysis, fused with the u32 copy so the nonzeros
-	// stream through once: min/max column for the delta eligibility, and
-	// the count of consecutive-column runs for the diagonal eligibility.
-	// Each row's metadata depends only on its own entries, so the sweep
-	// chunks freely; per-chunk nnz16 and max-span reductions are combined
-	// serially afterwards. minCol doubles as the delta-eligibility flag
-	// (-1 = row needs the wide stream).
+	// Per-original-row run counting, fused with the u32 copy so the
+	// nonzeros stream through once. Each row's count depends only on its
+	// own entries, so the sweep chunks freely.
 	m := a.Rows
-	minCol := make([]int, m)
-	c := exec.RangeChunks(m, prepWidth(), prepGrain)
-	nnz16s := make([]int, c)
-	spans := make([]int, c)
-	exec.ParallelRanges(m, prepWidth(), prepGrain, func(ch, lo, hi int) {
-		n16, mspan := 0, 0
+	runCnt := make([]int32, m)
+	exec.ParallelRanges(m, prepWidth(), prepGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
 			if rlo == rhi {
 				continue
 			}
-			mn := a.ColIdx[rlo]
-			mx := mn
-			prev := mn
+			prev := a.ColIdx[rlo]
 			runs := int32(1)
-			st.col32[rlo] = uint32(mn)
+			st.col32[rlo] = uint32(prev)
 			for k := rlo + 1; k < rhi; k++ {
 				cix := a.ColIdx[k]
 				st.col32[k] = uint32(cix)
-				if cix < mn {
-					mn = cix
-				} else if cix > mx {
-					mx = cix
-				}
 				if cix != prev+1 {
 					runs++
 				}
 				prev = cix
 			}
-			minCol[i] = mn
-			if span := mx - mn; span > mspan {
-				mspan = span
-			}
-			if mx-mn <= maxSpan16 {
-				n16 += rhi - rlo
-			} else {
-				minCol[i] = -1
-			}
-			if runCnt != nil {
-				runCnt[i] = runs
-			}
+			runCnt[i] = runs
 		}
-		nnz16s[ch], spans[ch] = n16, mspan
 	})
-	for ch := 0; ch < c; ch++ {
-		st.nnz16 += nnz16s[ch]
-		if spans[ch] > st.maxSpan {
-			st.maxSpan = spans[ch]
-		}
-	}
-	if st.nnz16 == 0 && runCnt == nil {
-		return st
-	}
 
-	// Only now that some row qualifies is the delta stream worth its
-	// allocation: fill it for eligible rows (their entries are cache-warm
-	// from the fused sweep on all but the largest matrices).
-	if st.nnz16 > 0 {
-		st.col16 = make([]uint16, nnz)
-		exec.ParallelRanges(m, prepWidth(), prepGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				mn := minCol[i]
-				if mn < 0 {
-					continue
-				}
-				for k, rhi := a.RowPtr[i], a.RowPtr[i+1]; k < rhi; k++ {
-					st.col16[k] = uint16(a.ColIdx[k] - mn)
-				}
-			}
-		})
-		st.rowBase = make([]int, m)
-		st.elig = make([]int, m+1)
-	}
-
-	// Gather the per-row metadata through the reorder permutation:
-	// delta bases and eligibility flags, diagonal eligibility (a
-	// single-run row qualifies at diaMinSingleRunLen, a multi-run row
-	// at the decode-amortizing bound rowLen >= diaMinRunLen*runCount),
-	// and the per-row best-format byte count that prices the auto
-	// proportion.
-	if runCnt != nil {
-		st.rowRun = make([]int32, m+1)
-		st.diaInel = make([]int, m+1)
-	}
+	// Gather the per-row diagonal eligibility through the reorder
+	// permutation (a single-run row qualifies at diaMinSingleRunLen, a
+	// multi-run row at the decode-amortizing bound rowLen >=
+	// diaMinRunLen*runCount), and the per-row best-format byte count
+	// that prices the auto proportion.
+	st.rowRun = make([]int32, m+1)
+	st.diaInel = make([]int, m+1)
+	c := exec.RangeChunks(m, prepWidth(), prepGrain)
 	bests := make([]int64, c)
 	exec.ParallelRanges(m, prepWidth(), prepGrain, func(ch, lo, hi int) {
 		var best int64
@@ -366,25 +278,14 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 			o := h.Perm[i]
 			rl := a.RowPtr[o+1] - a.RowPtr[o]
 			b := int64(4 * rl)
-			if mn := minCol[o]; mn >= 0 {
-				if st.elig != nil {
-					st.rowBase[i] = mn
-					st.elig[i+1] = 1
+			if rc := runCnt[o]; (rc == 1 && rl >= diaMinSingleRunLen) ||
+				(rc > 1 && rl >= diaMinRunLen*int(rc)) {
+				st.rowRun[i+1] = rc
+				if db := 8 * int64(rc); db < b {
+					b = db
 				}
-				if hb := int64(2 * rl); hb < b {
-					b = hb
-				}
-			}
-			if runCnt != nil {
-				if rc := runCnt[o]; (rc == 1 && rl >= diaMinSingleRunLen) ||
-					(rc > 1 && rl >= diaMinRunLen*int(rc)) {
-					st.rowRun[i+1] = rc
-					if db := 8 * int64(rc); db < b {
-						b = db
-					}
-				} else {
-					st.diaInel[i+1] = rl
-				}
+			} else {
+				st.diaInel[i+1] = rl
 			}
 			best += b
 		}
@@ -392,12 +293,6 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 	})
 	for ch := 0; ch < c; ch++ {
 		st.bestIdx += bests[ch]
-	}
-	if st.elig != nil {
-		prefixSum(st.elig[1:])
-	}
-	if runCnt == nil {
-		return st
 	}
 	for i := 1; i <= m; i++ {
 		st.rowRun[i] += st.rowRun[i-1]
@@ -456,10 +351,10 @@ func (p *Prepared) regionDiaParts(r Region) (runs, inelNNZ int64) {
 
 // regionFormat picks the cheapest stream (fewest index-side bytes) the
 // region's rows can execute with. A region may start or end mid-row;
-// delta and run validity are per-row, so a partial fragment of an
-// eligible row still decodes correctly and only the set of *touched*
-// rows matters. Ties keep the earlier (simpler) format, so diagonal
-// execution engages only when descriptors are strictly cheaper.
+// run validity is per-row, so a partial fragment of an eligible row
+// still decodes correctly and only the set of *touched* rows matters.
+// Ties keep u32, so diagonal execution engages only when descriptors
+// are strictly cheaper.
 func (p *Prepared) regionFormat(r Region) IndexFormat {
 	st := &p.streams
 	if st.col32 == nil {
@@ -471,28 +366,16 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 	// Segmented regions walk their interior rows on a column stream (the
 	// segmented kernels have no descriptor decoder), so they never take
 	// IndexDia: it would price run descriptors no kernel reads.
-	dia := st.runs != nil && !r.SegSum
-	if p.opts.Index == IndexForceDia && dia {
+	if st.runs == nil || r.SegSum {
+		return Index32
+	}
+	if p.opts.Index == IndexForceDia {
 		return IndexDia
 	}
-	last := rowOfPosition(p.h, r.Hi-1)
-	n := int64(r.Hi - r.Lo)
-	best, bestBytes := Index32, 4*n
-	if st.col16 != nil && st.elig[last+1]-st.elig[r.StartRow] == last+1-r.StartRow {
-		if b := 2 * n; b < bestBytes {
-			best, bestBytes = Index16, b
-		}
+	if runsIn, inel := p.regionDiaParts(r); runsIn > 0 && 8*runsIn+4*inel < 4*int64(r.Hi-r.Lo) {
+		return IndexDia
 	}
-	if dia {
-		runsIn := int64(st.rowRun[last+1] - st.rowRun[r.StartRow])
-		inel := int64(st.diaInel[last+1] - st.diaInel[r.StartRow])
-		if runsIn > 0 {
-			if b := 8*runsIn + 4*inel; b < bestBytes {
-				best = IndexDia
-			}
-		}
-	}
-	return best
+	return Index32
 }
 
 // assignFormats stamps every region with its index format and the
@@ -500,9 +383,9 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 // gauges. It runs at Prepare and after every Repartition, after
 // assignModes (a segmented region never takes IndexDia) and before the
 // regions slice is published: boundary moves never rebuild streams,
-// they only re-pick formats, and a region that comes to straddle a
-// u16-ineligible row falls back to the cheapest format its new row set
-// supports (dia, u32, or []int when compression is off).
+// they only re-pick formats, so a region whose new row set no longer
+// pays for descriptors falls back to u32 ([]int when compression is
+// off).
 func (p *Prepared) assignFormats(regions []Region) {
 	var bytes, modelIdx, diaRuns int64
 	var nnzBy [4]int64
@@ -535,8 +418,10 @@ func (p *Prepared) assignFormats(regions []Region) {
 	}
 	gStreamBytes.Set(bytes)
 	gDiaRuns.Set(diaRuns)
-	for f := range nnzBy {
-		gNNZFormat[f].Set(nnzBy[f])
+	for f, g := range gNNZFormat {
+		if g != nil {
+			g.Set(nnzBy[f])
+		}
 	}
 	// Cache the modeled structure traffic of one sweep (values at the
 	// built stream's width plus the palette table, indexes at the
@@ -556,18 +441,12 @@ func (p *Prepared) assignFormats(regions []Region) {
 // live partition.
 type IndexStats struct {
 	// NNZByFormat counts assigned nonzeros per execution format, indexed
-	// by IndexFormat (int, u32, u16, dia).
+	// by IndexFormat (int, u32, u16, dia); the Index16 slot stays 0.
 	NNZByFormat [4]int
 	// StreamIndexBytes is the total index bytes one multiply streams
 	// under the current region formats (for dia regions: run descriptors
 	// plus the u32 fallback indices of ineligible rows).
 	StreamIndexBytes int
-	// Eligible16NNZ counts nonzeros in u16-eligible rows (an upper bound
-	// on the u16 assignment; only computed under IndexAuto).
-	Eligible16NNZ int
-	// MaxRowSpan is the largest row column-span observed (only computed
-	// under IndexAuto).
-	MaxRowSpan int
 	// DiaRuns is the number of diagonal run descriptors built (all
 	// dia-eligible rows, whether or not a dia region covers them).
 	DiaRuns int
@@ -580,8 +459,6 @@ type IndexStats struct {
 // row-structure profile of the live partition.
 func (p *Prepared) IndexStats() IndexStats {
 	s := IndexStats{
-		Eligible16NNZ:  p.streams.nnz16,
-		MaxRowSpan:     p.streams.maxSpan,
 		DiaRuns:        len(p.streams.runs),
 		DiaEligibleNNZ: p.streams.runNNZ,
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"haspmv/internal/amp"
@@ -9,7 +10,8 @@ import (
 	"haspmv/internal/sparse"
 )
 
-// narrowMatrix has every row span well under the u16 limit.
+// narrowMatrix has 3-7 entries per row at stride-7 columns, so no row
+// has the run structure the diagonal format needs.
 func narrowMatrix(rows int) *sparse.CSR {
 	c := &sparse.COO{Rows: rows, Cols: 64}
 	for i := 0; i < rows; i++ {
@@ -34,15 +36,8 @@ func TestIndexStatsPerMode(t *testing.T) {
 	nnz := a.NNZ()
 
 	auto := preparedWith(t, a, IndexAuto).IndexStats()
-	if auto.NNZByFormat[Index16] != nnz {
-		t.Errorf("auto on all-narrow rows: u16 nnz = %d, want all %d (split %v)",
-			auto.NNZByFormat[Index16], nnz, auto.NNZByFormat)
-	}
-	if auto.StreamIndexBytes != 2*nnz {
-		t.Errorf("auto stream bytes = %d, want %d", auto.StreamIndexBytes, 2*nnz)
-	}
-	if auto.Eligible16NNZ != nnz {
-		t.Errorf("auto eligible nnz = %d, want %d", auto.Eligible16NNZ, nnz)
+	if auto.NNZByFormat[Index32] != nnz || auto.StreamIndexBytes != 4*nnz || auto.DiaRuns != 0 {
+		t.Errorf("auto on run-free rows = %+v, want all %d nnz at 4 bytes, no runs", auto, nnz)
 	}
 
 	u32 := preparedWith(t, a, IndexU32).IndexStats()
@@ -54,8 +49,8 @@ func TestIndexStatsPerMode(t *testing.T) {
 	if ref.NNZByFormat[IndexInt] != nnz || ref.StreamIndexBytes != 8*nnz {
 		t.Errorf("reference stats = %+v, want all %d nnz at 8 bytes", ref, nnz)
 	}
-	if ref.Eligible16NNZ != 0 {
-		t.Errorf("reference mode computed delta analysis: %+v", ref)
+	if ref.DiaRuns != 0 {
+		t.Errorf("reference mode built run descriptors: %+v", ref)
 	}
 }
 
@@ -84,7 +79,8 @@ func TestAutoFormatSelection(t *testing.T) {
 		opts           Options
 		minDia, maxDia float64 // share of nnz on IndexDia
 		val            ValueFormat
-		// Index and value bytes per nnz stay below these; 0 skips the check.
+		// Index and value bytes per nnz stay at or below these; 0 skips
+		// the check.
 		maxIdxBytes, maxValBytes float64
 	}{
 		{"stencil9/auto", sten, Options{}, 0.9, 1, ValF64, 2, 0},
@@ -105,25 +101,25 @@ func TestAutoFormatSelection(t *testing.T) {
 				t.Errorf("dia nnz share = %.3f, want within [%v, %v] (split %v)",
 					dia, tc.minDia, tc.maxDia, ist.NNZByFormat)
 			}
-			if idx := float64(ist.StreamIndexBytes) / nnz; tc.maxIdxBytes > 0 && (idx <= 0 || idx >= tc.maxIdxBytes) {
-				t.Errorf("index bytes/nnz = %.3f, want within (0, %v)", idx, tc.maxIdxBytes)
+			if idx := float64(ist.StreamIndexBytes) / nnz; tc.maxIdxBytes > 0 && (idx <= 0 || idx > tc.maxIdxBytes) {
+				t.Errorf("index bytes/nnz = %.3f, want within (0, %v]", idx, tc.maxIdxBytes)
 			}
 			if vst.Format != tc.val {
 				t.Errorf("value stream = %s, want %s", vst.Format, tc.val)
 			}
-			if val := float64(vst.StreamValueBytes) / nnz; tc.maxValBytes > 0 && val >= tc.maxValBytes {
-				t.Errorf("value bytes/nnz = %.3f, want below %v", val, tc.maxValBytes)
+			if val := float64(vst.StreamValueBytes) / nnz; tc.maxValBytes > 0 && val > tc.maxValBytes {
+				t.Errorf("value bytes/nnz = %.3f, want at most %v", val, tc.maxValBytes)
 			}
 		})
 	}
 }
 
-// A hub row spanning past 2^16 columns must push the regions that touch
-// it off the delta stream — to u32, or to the diagonal format whose
-// per-row fallback walks the hub through u32 indices — while the narrow
-// rows keep the delta stream, and the mixed dispatch must still
-// reproduce the reference multiply.
-func TestRegionFormatFallbackOnWideRow(t *testing.T) {
+// A hub row spanning past 2^16 columns runs on the u32 stream like the
+// narrow rows around it: auto leaves nothing on the []int path, every
+// nonzero runs u32 or dia (whose per-row fallback walks the hub through
+// u32 indices), and the mixed dispatch reproduces the reference
+// multiply.
+func TestWideColumnSpanRunsU32(t *testing.T) {
 	const cols = 70000
 	c := &sparse.COO{Rows: 200, Cols: cols}
 	for i := 0; i < 200; i++ {
@@ -136,28 +132,11 @@ func TestRegionFormatFallbackOnWideRow(t *testing.T) {
 	}
 	a := c.ToCSR()
 	nnz := a.NNZ()
-	hubLen := a.RowPtr[101] - a.RowPtr[100] // after duplicate merging
 
 	p := preparedWith(t, a, IndexAuto)
 	st := p.IndexStats()
-	if want := cols - 1 - 500 + 500; st.MaxRowSpan < maxSpan16+1 {
-		t.Errorf("max row span = %d, want > %d (hub spans ~%d)", st.MaxRowSpan, maxSpan16, want)
-	}
-	if st.Eligible16NNZ != nnz-hubLen {
-		t.Errorf("eligible nnz = %d, want %d (all but the hub row)", st.Eligible16NNZ, nnz-hubLen)
-	}
-	if st.NNZByFormat[IndexInt] != 0 {
-		t.Errorf("auto left %d nnz on the []int path", st.NNZByFormat[IndexInt])
-	}
-	if wide := st.NNZByFormat[Index32] + st.NNZByFormat[IndexDia]; wide < hubLen {
-		t.Errorf("u32+dia nnz = %d, want at least the hub row's %d (split %v)",
-			wide, hubLen, st.NNZByFormat)
-	}
-	if st.NNZByFormat[Index16] == 0 {
-		t.Error("no region kept the u16 stream despite 200 narrow rows")
-	}
-	if st.NNZByFormat[0]+st.NNZByFormat[1]+st.NNZByFormat[2]+st.NNZByFormat[3] != nnz {
-		t.Errorf("format split %v does not cover %d nnz", st.NNZByFormat, nnz)
+	if wide := st.NNZByFormat[Index32] + st.NNZByFormat[IndexDia]; wide != nnz {
+		t.Errorf("u32+dia nnz = %d, want all %d (split %v)", wide, nnz, st.NNZByFormat)
 	}
 
 	x := make([]float64, a.Cols)
@@ -207,5 +186,50 @@ func TestRepartitionReassignsFormats(t *testing.T) {
 				t.Fatalf("prop %v: y[%d] = %x, reference %x", prop, i, y[i], want[i])
 			}
 		}
+	}
+}
+
+// Auto's level-1 proportion prices the streams the regions run. On a
+// matrix with no dia-eligible rows auto runs every region on u32, so it
+// must resolve the same proportion and cut the same regions as IndexU32,
+// even when a few rows are single-entry rows (a narrower stream could
+// cover those, but no region would stream it). The footprint is above
+// the machine's 8 MB L3, where the proportion depends on the index
+// width.
+func TestAutoProportionPricesAssignedStreams(t *testing.T) {
+	const rows, cols, perRow = 16384, 1 << 17, 40
+	c := &sparse.COO{Rows: rows, Cols: cols}
+	r := uint64(20261019)
+	next := func() uint64 { r ^= r << 13; r ^= r >> 7; r ^= r << 17; return r }
+	for i := 0; i < rows; i++ {
+		n := perRow
+		if i%1024 == 0 {
+			n = 1
+		}
+		for j := 0; j < n; j++ {
+			c.Add(i, int(next()%cols), 1+float64(next()%4096)/64)
+		}
+	}
+	a := c.ToCSR()
+	m := amp.ARMBigLittleLike()
+	if fp := a.NNZ()*12 + cols*8 + rows*12; fp <= m.PGroup().L3Bytes {
+		t.Fatalf("footprint %d B fits the %d B L3", fp, m.PGroup().L3Bytes)
+	}
+	prep := func(mode IndexMode) *Prepared {
+		pr, err := New(Options{Index: mode}).Prepare(m, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pr.(*Prepared)
+	}
+	auto, u32 := prep(IndexAuto), prep(IndexU32)
+	if st := auto.IndexStats(); st.DiaRuns != 0 || st.NNZByFormat[Index32] != a.NNZ() {
+		t.Fatalf("auto streams %+v, want every nonzero on u32 and no runs", st)
+	}
+	if auto.opts.PProportion != u32.opts.PProportion {
+		t.Errorf("auto proportion %v, u32 %v", auto.opts.PProportion, u32.opts.PProportion)
+	}
+	if !reflect.DeepEqual(auto.Regions(), u32.Regions()) {
+		t.Errorf("auto regions differ from u32's:\nauto %+v\nu32  %+v", auto.Regions(), u32.Regions())
 	}
 }

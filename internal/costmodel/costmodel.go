@@ -81,7 +81,7 @@ type Assignment struct {
 	Spans []Span
 	// IdxBytes, when positive, overrides Params.IdxBytes for this
 	// assignment's streaming term: algorithms with compressed per-region
-	// column-index streams (HASpMV's u32/u16 execution streams) price
+	// column-index streams (HASpMV's u32 and diagonal execution streams) price
 	// each region at the width it actually moves.
 	IdxBytes int
 	// ValBytes, when positive, overrides Params.ValBytes: compressed

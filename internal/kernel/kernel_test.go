@@ -76,28 +76,3 @@ func TestDotRangeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// A delta stream with the maximum encodable span (65535) must decode to
-// the right columns — the eligibility boundary core's builder enforces.
-func TestDelta16MaxSpan(t *testing.T) {
-	const span = math.MaxUint16
-	base := 3
-	cols := base + span + 1
-	val := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	col := []int{base, base + span, base + 1, base + span - 1, base + 7, base + 100, base + span, base, base + span/2}
-	x := make([]float64, cols)
-	for i := range x {
-		x[i] = float64(i%17) - 8
-	}
-	col16 := make([]uint16, len(col))
-	for k, c := range col {
-		col16[k] = uint16(c - base)
-	}
-	for _, un := range []int{4, 64} {
-		want := DotRange(val, col, x, 0, len(col), un)
-		got := Dot(val, nil, col16, base, x, 0, len(col), un)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("max-span delta un %d: got %x want %x", un, got, want)
-		}
-	}
-}

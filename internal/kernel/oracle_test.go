@@ -7,7 +7,7 @@ import (
 )
 
 // The differential tests below run every kernel instantiation — index
-// stream {int, u32, u16 delta, dia runs} × value stream {f64, palette} ×
+// stream {int, u32, dia runs} × value stream {f64, palette} ×
 // {single, block} × {fragment, segsum} — against chainOracle, an
 // independent statement of Algorithm 6's accumulation order that shares
 // no code with the kernels, and demand equal float64 bits. Each test
@@ -80,11 +80,8 @@ type kernelData struct {
 	pal   *[256]float64
 	col   []int // decoded columns, all in [base, base+span]
 	col32 []uint32
-	col16 []uint16 // col - base
-	base  int
 	runs  []DiaRun // the same columns as run descriptors
 	segs  []Segment
-	bases []int // base per segment (parallel to segs)
 	X     [][]float64
 	xi    [MaxBlock + 1][]float64 // xi[w] is packTile(X[:w]), built on first use
 }
@@ -112,14 +109,14 @@ func (d *kernelData) tile(w int) []float64 {
 
 // newKernelData builds n nonzeros whose columns form runs of 1..maxRun
 // consecutive columns inside [base, base+span]. The first column is base
-// and the last is base+span, so a u16 stream with span 65535 is at its
-// encodable limit. Segments cut [0, n) into power-law-ish rows (empty,
+// and the last is base+span, so with span 65535 the stream crosses the
+// 2^16 column boundary. Segments cut [0, n) into power-law-ish rows (empty,
 // short, medium and long, with gaps between some of them), as the
 // segmented kernels see them.
 func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 	r := xorshift(seed)
 	const base = 7
-	d := &kernelData{base: base, pal: new([256]float64)}
+	d := &kernelData{pal: new([256]float64)}
 	const palLen = 200
 	for i := 0; i < palLen; i++ {
 		d.pal[i] = r.float()
@@ -142,15 +139,11 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 		k += l
 		d.runs = append(d.runs, DiaRun{EndK: int32(k), ColMinusK: int32(c0 - (k - l))})
 	}
-	for k, c := range d.col {
+	for _, c := range d.col {
 		i := uint8(r.intn(palLen))
 		d.idx = append(d.idx, i)
 		d.val = append(d.val, d.pal[i])
 		d.col32 = append(d.col32, uint32(c))
-		d.col16 = append(d.col16, uint16(c-base))
-		if c-base > math.MaxUint16 {
-			panic(fmt.Sprintf("column %d at %d outside the u16 span", c, k))
-		}
 	}
 	for k := 0; k < n; {
 		var l int
@@ -166,7 +159,6 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 		}
 		l = min(l, n-k)
 		d.segs = append(d.segs, Segment{K0: int32(k), K1: int32(k + l), Dst: int32(len(d.segs))})
-		d.bases = append(d.bases, base)
 		k += l
 		if r.intn(3) == 0 {
 			k += r.intn(5) // a gap: consecutive rows need not be contiguous
@@ -196,18 +188,17 @@ type segFunc func(d *kernelData, block bool, Y [][]float64, sums []float64, unro
 // Stream accessors: one value or index stream of the test data.
 func f64Vals(d *kernelData) ([]float64, *[256]float64) { return d.val, nil }
 func palVals(d *kernelData) ([]uint8, *[256]float64)   { return d.idx, d.pal }
-func intCols(d *kernelData) ([]int, int)               { return d.col, 0 }
-func u32Cols(d *kernelData) ([]uint32, int)            { return d.col32, 0 }
-func u16Cols(d *kernelData) ([]uint16, int)            { return d.col16, d.base }
+func intCols(d *kernelData) []int                      { return d.col }
+func u32Cols(d *kernelData) []uint32                   { return d.col32 }
 
-func gatherFrag[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64), cs func(*kernelData) ([]C, int)) fragFunc {
+func gatherFrag[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64), cs func(*kernelData) []C) fragFunc {
 	return func(d *kernelData, block bool, out []float64, lo, hi, un int) {
 		vals, pal := vs(d)
-		col, base := cs(d)
+		col := cs(d)
 		if block {
-			DotBlock(vals, pal, col, base, d.tile(len(out)), out, lo, hi, un)
+			DotBlock(vals, pal, col, d.tile(len(out)), out, lo, hi, un)
 		} else {
-			out[0] = Dot(vals, pal, col, base, d.X[0], lo, hi, un)
+			out[0] = Dot(vals, pal, col, d.X[0], lo, hi, un)
 		}
 	}
 }
@@ -223,25 +214,21 @@ func diaFrag[V ValSource](vs func(*kernelData) ([]V, *[256]float64)) fragFunc {
 	}
 }
 
-func segRows[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64), cs func(*kernelData) ([]C, int)) segFunc {
+func segRows[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64), cs func(*kernelData) []C) segFunc {
 	return func(d *kernelData, block bool, Y [][]float64, sums []float64, un int) int {
 		vals, pal := vs(d)
-		col, base := cs(d)
-		var bases []int
-		if base != 0 {
-			bases = d.bases
-		}
+		col := cs(d)
 		if block {
-			return SegSumBlock(vals, pal, col, bases, d.tile(len(sums)), Y, sums, d.segs, un)
+			return SegSumBlock(vals, pal, col, d.tile(len(sums)), Y, sums, d.segs, un)
 		}
-		return SegSum(vals, pal, col, bases, d.X[0], Y[0], d.segs, un)
+		return SegSum(vals, pal, col, d.X[0], Y[0], d.segs, un)
 	}
 }
 
 // kernelEntry is one row of the kernel table.
 type kernelEntry struct {
 	name     string
-	idx      string // int, u32, u16, dia
+	idx      string // int, u32, dia
 	valBytes int
 	block    bool
 	w        int // vectors per call
@@ -265,8 +252,6 @@ func kernelTable() []kernelEntry {
 		{"int", "palette", 1, gatherFrag(palVals, intCols), segRows(palVals, intCols)},
 		{"u32", "f64", 8, gatherFrag(f64Vals, u32Cols), segRows(f64Vals, u32Cols)},
 		{"u32", "palette", 1, gatherFrag(palVals, u32Cols), segRows(palVals, u32Cols)},
-		{"u16", "f64", 8, gatherFrag(f64Vals, u16Cols), segRows(f64Vals, u16Cols)},
-		{"u16", "palette", 1, gatherFrag(palVals, u16Cols), segRows(palVals, u16Cols)},
 		{"dia", "f64", 8, diaFrag(f64Vals), nil},
 		{"dia", "palette", 1, diaFrag(palVals), nil},
 	}
@@ -302,7 +287,7 @@ func kernelTable() []kernelEntry {
 }
 
 // oracleData are the differential test's inputs: random gathers, short
-// runs at the maximum u16 span, medium and long runs, and runs longer
+// runs across a 2^16-column span, medium and long runs, and runs longer
 // than a block tile (fragments inside one run take the contiguous dia
 // path).
 func oracleData() []*kernelData {
@@ -330,7 +315,7 @@ func family(e kernelEntry) string {
 		return "TestSegSum" + suffix
 	case e.idx == "dia":
 		return "TestDiag" + suffix
-	case e.idx == "u32" || e.idx == "u16":
+	case e.idx == "u32":
 		return "TestCompressed" + suffix
 	case e.block:
 		return "TestBlockKernelBitIdenticalToDotRange"
@@ -348,7 +333,7 @@ func TestKernelsMatchChainOracle(t *testing.T) { checkFamily(t) }
 func TestBlockKernelBitIdenticalToDotRange(t *testing.T) { checkFamily(t) }
 
 // TestCompressedBitIdentical and TestCompressedBlockBitIdentical check
-// the u32 and u16-delta gathers over float64 values.
+// the u32 gathers over float64 values.
 func TestCompressedBitIdentical(t *testing.T)      { checkFamily(t) }
 func TestCompressedBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
@@ -469,7 +454,7 @@ func BenchmarkKernels(b *testing.B) {
 		if e.idx == "dia" {
 			d = runs
 		}
-		idxBytes := map[string]int{"int": 8 * n, "u32": 4 * n, "u16": 2 * n, "dia": 8 * len(d.runs)}[e.idx]
+		idxBytes := map[string]int{"int": 8 * n, "u32": 4 * n, "dia": 8 * len(d.runs)}[e.idx]
 		bytes := e.valBytes*n + idxBytes
 		if e.seg != nil {
 			bytes += 12 * len(d.segs)

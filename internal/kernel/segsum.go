@@ -34,16 +34,14 @@ type Segment struct {
 }
 
 // SegSum executes segs over one (value, index) stream pair: y[s.Dst] =
-// Dot(vals, pal, col, base, x, s.K0, s.K1, unrollLen) per segment,
-// skipping empty segments (empty rows are pre-zeroed by the caller).
-// bases[i] is the u16 delta base column of segs[i]'s row (bases is
-// parallel to segs); nil means base 0. Returns the number of non-empty
-// segments processed.
+// Dot(vals, pal, col, x, s.K0, s.K1, unrollLen) per segment, skipping
+// empty segments (empty rows are pre-zeroed by the caller). Returns the
+// number of non-empty segments processed.
 //
 // The per-segment dispatch is Dot's — straight-line scalar under
 // ScalarThreshold, dot4 under unrollLen, dot8 above — so each row's
 // chain is bit-identical to the fragment walk's.
-func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, x, y []float64, segs []Segment, unrollLen int) int {
+func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, x, y []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
 		s := segs[i]
@@ -51,10 +49,6 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases
 		length := hi - lo
 		if length <= 0 {
 			continue
-		}
-		base := 0
-		if bases != nil {
-			base = bases[i]
 		}
 		var sum float64
 		if length < ScalarThreshold {
@@ -65,23 +59,23 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases
 			// here, so the row loop overhead is the dominant cost.
 			switch length {
 			case 1:
-				sum += valLoad(vals, pal, lo) * x[base+int(col[lo])]
+				sum += valLoad(vals, pal, lo) * x[int(col[lo])]
 			case 2:
-				sum += valLoad(vals, pal, lo) * x[base+int(col[lo])]
-				sum += valLoad(vals, pal, lo+1) * x[base+int(col[lo+1])]
+				sum += valLoad(vals, pal, lo) * x[int(col[lo])]
+				sum += valLoad(vals, pal, lo+1) * x[int(col[lo+1])]
 			case 3:
-				sum += valLoad(vals, pal, lo) * x[base+int(col[lo])]
-				sum += valLoad(vals, pal, lo+1) * x[base+int(col[lo+1])]
-				sum += valLoad(vals, pal, lo+2) * x[base+int(col[lo+2])]
+				sum += valLoad(vals, pal, lo) * x[int(col[lo])]
+				sum += valLoad(vals, pal, lo+1) * x[int(col[lo+1])]
+				sum += valLoad(vals, pal, lo+2) * x[int(col[lo+2])]
 			default: // only reached if ScalarThreshold grows past 4
 				for k := lo; k < hi; k++ {
-					sum += valLoad(vals, pal, k) * x[base+int(col[k])]
+					sum += valLoad(vals, pal, k) * x[int(col[k])]
 				}
 			}
 		} else if length < unrollLen {
-			sum = dot4(vals, pal, col, base, x, lo, hi)
+			sum = dot4(vals, pal, col, x, lo, hi)
 		} else {
-			sum = dot8(vals, pal, col, base, x, lo, hi)
+			sum = dot8(vals, pal, col, x, lo, hi)
 		}
 		y[s.Dst] = sum
 		done++
@@ -90,34 +84,25 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases
 }
 
 // SegSumBlock is the batch segmented kernel: Y[j][s.Dst] = Dot(vals,
-// pal, col, base, X[j], s.K0, s.K1, unrollLen) for j in [0, len(sums)),
+// pal, col, X[j], s.K0, s.K1, unrollLen) for j in [0, len(sums)),
 // bit-identical per vector to SegSum, reading X through the interleaved
 // tile xi (xi[c*w+j] = X[j][c], see DotBlock). sums is the caller's
 // pooled per-core block buffer; its length, up to MaxBlock, is the tile
 // width. Every touchSegs segments it first touches the next ones'
 // x lines (see touch). Returns the number of non-empty segments
 // processed.
-func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, bases []int, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
 		if i%touchSegs == 0 {
-			end := min(i+touchSegs, len(segs))
-			var tb []int
-			if bases != nil {
-				tb = bases[i:end]
-			}
-			touch(col, tb, len(sums), xi, segs[i:end])
+			touch(col, len(sums), xi, segs[i:min(i+touchSegs, len(segs))])
 		}
 		s := segs[i]
 		lo, hi := int(s.K0), int(s.K1)
 		if hi <= lo {
 			continue
 		}
-		base := 0
-		if bases != nil {
-			base = bases[i]
-		}
-		DotBlock(vals, pal, col, base, xi, sums, lo, hi, unrollLen)
+		DotBlock(vals, pal, col, xi, sums, lo, hi, unrollLen)
 		for j, sum := range sums {
 			Y[j][s.Dst] = sum
 		}
@@ -139,14 +124,10 @@ const touchSegs = 16
 // which ignores them, cannot let the compiler drop the loads.
 //
 //go:noinline
-func touch[C ColIndex](col []C, bases []int, w int, xi []float64, segs []Segment) (sink uint64) {
-	for i, s := range segs {
-		base := 0
-		if bases != nil {
-			base = bases[i]
-		}
+func touch[C ColIndex](col []C, w int, xi []float64, segs []Segment) (sink uint64) {
+	for _, s := range segs {
 		for k := int(s.K0); k < int(s.K1); k++ {
-			sink ^= math.Float64bits(xi[(base+int(col[k]))*w])
+			sink ^= math.Float64bits(xi[int(col[k])*w])
 		}
 	}
 	return sink

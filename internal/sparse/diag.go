@@ -11,7 +11,7 @@ import (
 // that decompose into few contiguous runs, and dedups the value stream
 // into a byte-indexed palette when the matrix holds at most 256 distinct
 // values. These helpers let tools report what a matrix will get before
-// any Prepare runs, mirroring ComputeColSpanStats for the u16 stream.
+// any Prepare runs.
 
 // DiagStats summarizes how diagonal a matrix's structure is.
 type DiagStats struct {

@@ -1,12 +1,9 @@
 package sparse
 
-import "math"
-
-// Column-span statistics feeding the compressed-index execution streams:
-// the core Prepare pipeline stores column indices as u32 whenever they
-// fit 32 bits and as u16 deltas from a per-row base column for rows whose
-// column span (maxCol-minCol) fits 16 bits. These helpers let tools
-// report which formats a matrix will get before any Prepare runs.
+// Column-index width feeding the compressed-index execution streams: the
+// core Prepare pipeline stores column indices as u32 whenever they fit
+// 32 bits. IndexWidthBits lets tools report the width a matrix needs
+// before any Prepare runs.
 
 // IndexWidthBits returns the narrowest conventional unsigned width (8,
 // 16, 32 or 64 bits) that can hold every column index of a matrix with
@@ -22,46 +19,4 @@ func IndexWidthBits(cols int) int {
 	default:
 		return 64
 	}
-}
-
-// ColSpanStats summarizes the per-row column spans of a matrix.
-type ColSpanStats struct {
-	// MaxSpan is the largest row column-span (maxCol-minCol; 0 for empty
-	// and single-entry rows).
-	MaxSpan int
-	// Rows16 counts rows whose span fits a 16-bit delta encoding
-	// (span <= 65535; empty rows count as trivially encodable).
-	Rows16 int
-	// NNZ16 counts the nonzeros inside those rows — the share of the
-	// matrix a u16-delta execution stream can cover.
-	NNZ16 int
-}
-
-// ComputeColSpanStats scans the matrix once and returns its column-span
-// profile.
-func ComputeColSpanStats(a *CSR) ColSpanStats {
-	var s ColSpanStats
-	for i := 0; i < a.Rows; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		if lo == hi {
-			s.Rows16++
-			continue
-		}
-		mn, mx := a.ColIdx[lo], a.ColIdx[lo]
-		for k := lo + 1; k < hi; k++ {
-			if c := a.ColIdx[k]; c < mn {
-				mn = c
-			} else if c > mx {
-				mx = c
-			}
-		}
-		if span := mx - mn; span > s.MaxSpan {
-			s.MaxSpan = span
-		}
-		if mx-mn <= math.MaxUint16 {
-			s.Rows16++
-			s.NNZ16 += hi - lo
-		}
-	}
-	return s
 }

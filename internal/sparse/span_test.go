@@ -24,29 +24,3 @@ func TestIndexWidthBits(t *testing.T) {
 		}
 	}
 }
-
-func TestComputeColSpanStats(t *testing.T) {
-	// Rows: span 3 (eligible), empty (trivially eligible), span 65535
-	// (the u16 boundary, eligible), span 65536 (ineligible).
-	wide := math.MaxUint16 + 1
-	a := &CSR{
-		Rows:   4,
-		Cols:   wide + 10,
-		RowPtr: []int{0, 2, 2, 4, 6},
-		ColIdx: []int{5, 8, 3, 3 + math.MaxUint16, 0, wide},
-		Val:    []float64{1, 1, 1, 1, 1, 1},
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s := ComputeColSpanStats(a)
-	if s.MaxSpan != wide {
-		t.Errorf("MaxSpan = %d, want %d", s.MaxSpan, wide)
-	}
-	if s.Rows16 != 3 {
-		t.Errorf("Rows16 = %d, want 3", s.Rows16)
-	}
-	if s.NNZ16 != 4 {
-		t.Errorf("NNZ16 = %d, want 4", s.NNZ16)
-	}
-}

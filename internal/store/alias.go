@@ -46,20 +46,6 @@ func u32OfBytes(b []byte, n int) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
 }
 
-func bytesOfU16(s []uint16) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 2*len(s))
-}
-
-func u16OfBytes(b []byte, n int) []uint16 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), n)
-}
-
 func bytesOfI32(s []int32) []byte {
 	if len(s) == 0 {
 		return nil

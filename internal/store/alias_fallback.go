@@ -48,22 +48,6 @@ func u32OfBytes(b []byte, n int) []uint32 {
 	return s
 }
 
-func bytesOfU16(s []uint16) []byte {
-	b := make([]byte, 2*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint16(b[2*i:], v)
-	}
-	return b
-}
-
-func u16OfBytes(b []byte, n int) []uint16 {
-	s := make([]uint16, n)
-	for i := range s {
-		s[i] = binary.LittleEndian.Uint16(b[2*i:])
-	}
-	return s
-}
-
 func bytesOfI32(s []int32) []byte {
 	b := make([]byte, 4*len(s))
 	for i, v := range s {

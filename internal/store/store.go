@@ -42,7 +42,7 @@ import (
 // Version is the on-disk format version. Bump it on any layout or
 // semantic change; Load rejects every other version with ErrVersion,
 // and the CI store cache keys on it so stale caches die with the bump.
-const Version = 2
+const Version = 3
 
 const (
 	headerSize  = 64
@@ -94,7 +94,6 @@ type fileMeta struct {
 var elemWidth = map[string]int64{
 	"i64":   8,
 	"u32":   4,
-	"u16":   2,
 	"i32":   4,
 	"f64":   8,
 	"u8":    1,
@@ -133,9 +132,6 @@ func sectionsOf(s *core.PreparedSnapshot) ([]rawSection, int64) {
 	add("emptyrows", "i64", bytesOfInts(s.EmptyRows), len(s.EmptyRows), s.EmptyRows != nil)
 	add("cs", "i64", bytesOfInts(s.CS), len(s.CS), s.CS != nil)
 	add("col32", "u32", bytesOfU32(s.Col32), len(s.Col32), s.Col32 != nil)
-	add("col16", "u16", bytesOfU16(s.Col16), len(s.Col16), s.Col16 != nil)
-	add("rowbase", "i64", bytesOfInts(s.RowBase), len(s.RowBase), s.RowBase != nil)
-	add("elig", "i64", bytesOfInts(s.Elig), len(s.Elig), s.Elig != nil)
 	add("runs", "dia8", bytesOfRuns(s.Runs), len(s.Runs), s.Runs != nil)
 	add("rowrun", "i32", bytesOfI32(s.RowRun), len(s.RowRun), s.RowRun != nil)
 	add("diainel", "i64", bytesOfInts(s.DiaInel), len(s.DiaInel), s.DiaInel != nil)
@@ -574,8 +570,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 	ints(&snap.HRowBeginNNZ, "hrowbeginnnz")
 	ints(&snap.EmptyRows, "emptyrows")
 	ints(&snap.CS, "cs")
-	ints(&snap.RowBase, "rowbase")
-	ints(&snap.Elig, "elig")
 	ints(&snap.DiaInel, "diainel")
 	if err != nil {
 		return nil, err
@@ -594,11 +588,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 		return nil, e
 	} else if ok {
 		snap.Col32 = nonNil(u32OfBytes(b, n), n)
-	}
-	if b, n, ok, e := sec("col16", "u16"); e != nil {
-		return nil, e
-	} else if ok {
-		snap.Col16 = nonNil(u16OfBytes(b, n), n)
 	}
 	if b, n, ok, e := sec("runs", "dia8"); e != nil {
 		return nil, e

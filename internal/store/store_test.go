@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -18,7 +19,7 @@ import (
 )
 
 // snapCases spans the format matrix: every index stream (reference,
-// u32, u16+dia mix, forced dia) crossed with every value stream
+// u32, u32+dia mix, forced dia) crossed with every value stream
 // (reference f64, palette), plus the degenerate shapes, the natural
 // order, a one-level partition and a palette-eligible matrix pinned to
 // the f64 stream.
@@ -185,6 +186,22 @@ func TestVersionBumpRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "re-run Prepare") {
 		t.Fatalf("version error %q does not tell the operator how to recover", err)
+	}
+}
+
+// A file from an older format version — version 2 still carried the
+// u16-delta column sections — must be refused with ErrVersion naming
+// the file's version, not decoded against this build's section list.
+func TestOlderVersionRejected(t *testing.T) {
+	path, buf := writeSample(t)
+	binary.LittleEndian.PutUint32(buf[8:12], Version-1)
+	binary.LittleEndian.PutUint32(buf[60:64], crc32.Checksum(buf[0:60], castagnoli))
+	err := reloadBytes(t, path, buf)
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("got %v, want ErrVersion", err)
+	}
+	if !strings.Contains(err.Error(), fmt.Sprintf("format version %d", Version-1)) {
+		t.Fatalf("version error %q does not name the file's version", err)
 	}
 }
 

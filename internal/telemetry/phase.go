@@ -12,7 +12,7 @@ const (
 	// PhaseReorder is the HACSR conversion (Algorithm 2).
 	PhaseReorder Phase = iota
 	// PhaseStreams is the compressed column-index stream build (u32 and
-	// u16-delta execution streams derived from the reordered matrix).
+	// diagonal execution streams derived from the reordered matrix).
 	PhaseStreams
 	// PhaseCacheLineCost is the per-row cost computation and prefix sum
 	// (Algorithm 3), for whichever CostMetric is selected.

@@ -67,7 +67,8 @@ type Trace struct {
 	MaxCoreNs int64 `json:"max_core_ns,omitempty"`
 	// NNZByFormat records the per-region IndexFormat picks the multiply
 	// executed with (nonzeros through the []int, u32, u16-delta and
-	// diagonal kernels, in that order).
+	// diagonal kernels, in that order; no region runs u16-delta, so its
+	// slot is 0).
 	NNZByFormat [4]int64 `json:"nnz_by_format,omitempty"`
 
 	// Status is the HTTP status the request was answered with, and Err
@@ -96,7 +97,8 @@ type ComputeBreakdown struct {
 	Cores     int
 	MaxCoreNs int64
 	// NNZByFormat counts nonzeros executed per column-index format
-	// ([]int, u32, u16-delta, diagonal).
+	// ([]int, u32, u16-delta, diagonal), indexed by core.IndexFormat; the
+	// u16-delta slot stays 0.
 	NNZByFormat [4]int64
 	// Bytes is the modeled memory traffic of the multiply (value, index,
 	// pointer and vector streams at the cost model's widths).
