@@ -173,7 +173,7 @@ func BenchmarkSpMVCompute(b *testing.B) {
 // narrowing the 8-byte []int indices is the whole effect; the committed
 // bench baseline records the u32 win and cmd/benchdiff gates it. The
 // stencil-* and graph01-* subtests cover the pluggable per-region
-// formats on the matrices where they engage — diagonal run descriptors
+// formats on the matrices where they engage — diagonal row offsets
 // on a 9-point stencil with a trace of defect rows, the one-byte
 // palette stream on a 0/1 adjacency matrix — and refuse to run if the
 // new hot paths allocate or the format failed to engage.

@@ -55,8 +55,8 @@ func run(args []string) error {
 	// compressed stream is u32 whenever it is at most 32).
 	fmt.Printf("index-width=u%d\n", sparse.IndexWidthBits(a.Cols))
 	// Diagonal structure and value-stream compressibility — what the
-	// diagonal run-descriptor format and the palette value stream would
-	// get out of this matrix.
+	// diagonal offset format and the palette value stream would get out
+	// of this matrix.
 	ds := sparse.ComputeDiagStats(a, 8)
 	fmt.Printf("diagonals=%d top%d-diag-nnz=%.1f%% runs=%d mean-run-len=%.2f max-run-len=%d run-hist[%s]\n",
 		ds.Diagonals, ds.TopD, 100*ds.TopShare, ds.Runs, ds.MeanRunLen, ds.MaxRunLen, ds.HistString())

@@ -203,8 +203,8 @@ func (s *batchScratch) run(id int) {
 // their sums straight to y, wider tiles (kernel.MinBlock and up) the
 // block ones through sums (DotBlock on the tile's interleaved x,
 // DotDiaBlock on X); all produce Dot's bits. In a dia region the rows
-// with run descriptors take the descriptor kernels and the others the
-// u32 stream in col. Returns the fragments processed.
+// with a diagonal offset take the dia kernels and the others the u32
+// stream in col. Returns the fragments processed.
 func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r, v0, w int, vals []V, pal *[PaletteMax]float64, col []C) int {
 	p := s.p
 	h, st := p.h, &p.streams
@@ -223,11 +223,11 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 		}
 		o := h.RowBeginNNZ[r]
 		klo, khi := o+(pos-rowStart), o+(fragEnd-rowStart)
-		diaRow := dia && st.rowRun[r+1] > st.rowRun[r]
+		diaRow := dia && st.rowDia[r+1] > st.rowDia[r]
 		if w == 1 {
 			var sum float64
 			if diaRow {
-				sum = kernel.DotDia(vals, pal, st.runs, int(st.rowRun[r]), x, klo, khi, un)
+				sum = kernel.DotDia(vals, pal, int(st.diaOff[st.rowDia[r]]), x, klo, khi, un)
 			} else {
 				sum = kernel.Dot(vals, pal, col, x, klo, khi, un)
 			}
@@ -241,7 +241,7 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 			}
 		} else {
 			if diaRow {
-				kernel.DotDiaBlock(vals, pal, st.runs, int(st.rowRun[r]), X, sums, klo, khi, un)
+				kernel.DotDiaBlock(vals, pal, int(st.diaOff[st.rowDia[r]]), X, sums, klo, khi, un)
 			} else {
 				kernel.DotBlock(vals, pal, col, s.tile(v0, w), sums, klo, khi, un)
 			}

@@ -17,7 +17,7 @@ import (
 
 // TestComputeBatchMatchesCompute checks every batch column bit for bit
 // against its single-vector Compute on the test matrices, and on two
-// 9-diagonal bands that run on diagonal run descriptors: a stencil with
+// 9-diagonal bands that run on diagonal row offsets: a stencil with
 // off-band defect rows, whose u32 fallback fragments read the
 // interleaved x tiles inside dia regions, and a band whose every row is
 // one 9-column run, where no row gathers and the pack pass is skipped.
@@ -27,7 +27,7 @@ func TestComputeBatchMatchesCompute(t *testing.T) {
 		name         string
 		a            *sparse.CSR
 		nvs          []int
-		dia, gathers bool // every region on dia descriptors; some row gathers
+		dia, gathers bool // every region on dia offsets; some row gathers
 	}
 	cases := []tcase{
 		{"stencil9-defects", gen.StencilSpec{Rows: 4096, Cols: 4096, Diagonals: 9, NoiseFrac: 0.01, Seed: 20260801}.Generate(),
@@ -49,7 +49,7 @@ func TestComputeBatchMatchesCompute(t *testing.T) {
 			t.Fatalf("%s: gathers = %v, want %v", tc.name, !tc.gathers, tc.gathers)
 		}
 		if tc.dia && p.IndexStats().NNZByFormat[IndexDia] != a.NNZ() {
-			t.Fatalf("%s: nonzeros by format %v, want all on dia descriptors", tc.name, p.IndexStats().NNZByFormat)
+			t.Fatalf("%s: nonzeros by format %v, want all on dia offsets", tc.name, p.IndexStats().NNZByFormat)
 		}
 		r := rand.New(rand.NewSource(77))
 		for _, nv := range tc.nvs {

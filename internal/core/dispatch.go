@@ -11,8 +11,8 @@ import "haspmv/internal/kernel"
 // shares (walkBatchFragments, or batchSegSumRegion for a segmented
 // region). Inside a region the only per-fragment choices left are the
 // tile width (width 1 takes Dot/DotDia/SegSum, wider tiles the block
-// kernels) and whether a dia region's row has run descriptors: the
-// descriptor stream only covers dia-eligible rows, and a fragment of an
+// kernels) and whether a dia region's row has a diagonal offset: the
+// offset stream only covers dia-eligible rows, and a fragment of an
 // ineligible row falls back to the u32 stream. Segmented regions are
 // never stamped IndexDia (see regionFormat). Everything here is a plain
 // function with scalar arguments (no closures, no per-call state), so
@@ -39,7 +39,7 @@ func batchRegionCols[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id 
 
 // gathers reports whether any row of the partition regs reads x through
 // a column stream — every non-empty region but a dia region whose rows
-// all have run descriptors — and so whether a batch call must interleave
+// all have diagonal offsets — and so whether a batch call must interleave
 // its x tiles for the block kernels.
 func (p *Prepared) gathers(regs []Region) bool {
 	inel := p.streams.diaInel

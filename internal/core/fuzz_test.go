@@ -123,8 +123,8 @@ func segsumMegaRowSeed() []byte {
 
 // diaDefectSeed builds the banded-with-defect fuzz seed: option bits 5-6
 // force the diagonal format, rows 0-7 are 8-long contiguous runs
-// (descriptor eligible) and row 5 is an off-band defect row of isolated
-// entries, so diagonal regions mix descriptor rows with the per-row u32
+// (offset eligible) and row 5 is an off-band defect row of isolated
+// entries, so diagonal regions mix offset rows with the per-row u32
 // fallback. The first entry's row byte is 0, leaving the value stream on
 // auto (the small distinct-value set palettes).
 func diaDefectSeed() []byte {
@@ -133,7 +133,7 @@ func diaDefectSeed() []byte {
 		if i == 5 {
 			continue
 		}
-		// 8-wide bands: a single run long enough to clear diaMinRunLen.
+		// 8-wide bands: one run long enough to clear diaMinSingleRunLen.
 		for j := 0; j < 8; j++ {
 			data = append(data, byte(i), byte(3*i+j), byte(4+i+j))
 		}

@@ -73,8 +73,8 @@ type PreparedSnapshot struct {
 
 	// Compressed index streams.
 	Col32   []uint32
-	Runs    []kernel.DiaRun
-	RowRun  []int32
+	DiaOff  []int32
+	RowDia  []int32
 	DiaInel []int
 
 	// Compressed value streams.
@@ -114,8 +114,8 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 		EmptyRows:    p.emptyRows,
 		CS:           p.cs,
 		Col32:        st.col32,
-		Runs:         st.runs,
-		RowRun:       st.rowRun,
+		DiaOff:       st.diaOff,
+		RowDia:       st.rowDia,
 		DiaInel:      st.diaInel,
 		PalIdx:       vs.palIdx,
 		Pal:          vs.pal,
@@ -161,8 +161,11 @@ func checkSnapshot(s *PreparedSnapshot) error {
 	if s.Col32 != nil && len(s.Col32) != nnz {
 		return fmt.Errorf("core: snapshot u32 stream length %d, want %d", len(s.Col32), nnz)
 	}
-	if s.Runs != nil && (len(s.RowRun) != m+1 || len(s.DiaInel) != m+1) {
-		return fmt.Errorf("core: snapshot dia prefix lengths %d/%d, want %d", len(s.RowRun), len(s.DiaInel), m+1)
+	if s.DiaOff != nil && (len(s.RowDia) != m+1 || len(s.DiaInel) != m+1) {
+		return fmt.Errorf("core: snapshot dia prefix lengths %d/%d, want %d", len(s.RowDia), len(s.DiaInel), m+1)
+	}
+	if s.DiaOff != nil && int(s.RowDia[m]) != len(s.DiaOff) {
+		return fmt.Errorf("core: snapshot dia prefix counts %d rows, %d offsets", s.RowDia[m], len(s.DiaOff))
 	}
 	if s.PalIdx != nil && len(s.PalIdx) != nnz {
 		return fmt.Errorf("core: snapshot palette stream length %d, want %d", len(s.PalIdx), nnz)
@@ -232,7 +235,7 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		opts: opts, emptyRows: snap.EmptyRows, unroll: unroll,
 		cs: snap.CS, cores: cores,
 		streams: indexStreams{
-			col32: snap.Col32, runs: snap.Runs, rowRun: snap.RowRun,
+			col32: snap.Col32, diaOff: snap.DiaOff, rowDia: snap.RowDia,
 			diaInel: snap.DiaInel, runNNZ: snap.Meta.RunNNZ,
 			bestIdx: snap.Meta.BestIdx,
 		},

@@ -84,6 +84,15 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		{"segs-short", func(s *PreparedSnapshot) {
 			s.Segs = make([]kernel.Segment, 1)
 		}},
+		{"dia-prefix-past-offsets", func(s *PreparedSnapshot) {
+			// Every row claims an offset, but only one is stored.
+			s.DiaOff = []int32{0}
+			s.RowDia = make([]int32, s.Meta.Rows+1)
+			for i := range s.RowDia {
+				s.RowDia[i] = int32(i)
+			}
+			s.DiaInel = make([]int, s.Meta.Rows+1)
+		}},
 	}
 	for _, tc := range muts {
 		t.Run(tc.name, func(t *testing.T) {

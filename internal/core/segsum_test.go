@@ -237,14 +237,25 @@ func TestComputeSegSumZeroAllocs(t *testing.T) {
 
 // A segmented region walks its interior rows on a column stream and the
 // palette value stream, so it must be stamped and priced as exactly
-// that: never IndexDia (whose run descriptors no segmented kernel
-// reads), and with the 1-byte palette it actually streams. A 0/1
-// power-law matrix has enough runs of consecutive columns that the
-// cheapest-bytes choice would pick dia for some of its regions.
+// that: never IndexDia (whose row offsets no segmented kernel reads),
+// and with the 1-byte palette it actually streams. On a 0/1 power-law
+// matrix whose rows of 8 or more nonzeros are laid out as one run of
+// consecutive columns, the cheapest-bytes choice would pick dia for
+// some of its regions.
 func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
 	a := gen.ZipfSpec{Rows: 200000, Cols: 200000, TargetNNZ: 600000, Seed: 1}.Generate()
 	for i := range a.Val {
 		a.Val[i] = 1
+	}
+	for i := 0; i < a.Rows; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		if hi-lo < diaMinSingleRunLen {
+			continue
+		}
+		c0 := min(a.ColIdx[lo], a.Cols-(hi-lo))
+		for k := lo; k < hi; k++ {
+			a.ColIdx[k] = c0 + k - lo
+		}
 	}
 	m := amp.IntelI912900KF()
 	pp, err := New(Options{}).Prepare(m, a)
@@ -272,6 +283,9 @@ func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
 		t.Fatal("auto picked no segmented region on a power-law matrix")
 	}
 	s := p.IndexStats()
+	if s.DiaEligibleNNZ == 0 {
+		t.Fatal("no row qualifies for diagonal offsets")
+	}
 	if s.NNZByFormat[IndexDia] != 0 {
 		t.Errorf("%d nonzeros priced as dia", s.NNZByFormat[IndexDia])
 	}

@@ -344,14 +344,13 @@ func (p *Prepared) Assignments() []costmodel.Assignment {
 		// reference keeps the zero value (the model then prices the
 		// paper's 4-byte baseline, as before this representation existed).
 		// Diagonal regions have no per-nonzero width — their index-side
-		// traffic is the total descriptor plus fallback bytes, reported
+		// traffic is the total offset plus fallback bytes, reported
 		// through DiagBytes instead.
 		switch reg.Format {
 		case Index32:
 			asg.IdxBytes = 4
 		case IndexDia:
-			runsIn, inel := p.regionDiaParts(reg)
-			asg.DiagBytes = int(8*runsIn + 4*inel)
+			asg.DiagBytes = int(diaBytes(p.regionDiaParts(reg)))
 		}
 		// And which value width (palette); ValF64 keeps the zero value
 		// so the model's default ValBytes applies.

@@ -6,7 +6,6 @@ import (
 
 	"haspmv/internal/costmodel"
 	"haspmv/internal/exec"
-	"haspmv/internal/kernel"
 	"haspmv/internal/sparse"
 	"haspmv/internal/telemetry"
 )
@@ -18,14 +17,13 @@ import (
 //
 //   - u32 absolute indices whenever the matrix has fewer than 2^32
 //     columns (4 bytes per nonzero),
-//   - a DIA-style diagonal descriptor stream for regions dominated by
-//     runs of nonzeros at consecutive columns (banded and stencil
-//     matrices): an 8-byte {end, col-k offset} descriptor per run and
-//     *no per-nonzero index at all*. Rows whose run structure is too
-//     fragmented to pay for descriptors stay on the u32 stream inside
-//     the same region — the per-row fallback mirrors the SegSum
-//     fragment discipline, so one defective row never disqualifies a
-//     whole band.
+//   - a DIA-style diagonal stream for regions dominated by rows whose
+//     nonzeros are one run of consecutive columns (banded and stencil
+//     matrices): a 4-byte column offset per row and *no per-nonzero
+//     index at all*. Every other row stays on the u32 stream inside the
+//     same region — the per-row fallback mirrors the SegSum fragment
+//     discipline, so one defective row never disqualifies a whole
+//     band.
 //
 // The []int stream is kept as the fallback and as the reference oracle
 // the fuzz bit-equality stage compares against; results are
@@ -37,7 +35,7 @@ import (
 var (
 	gStreamBytes = telemetry.NewGauge("core_index_stream_bytes")
 	gValueBytes  = telemetry.NewGauge("core_value_stream_bytes")
-	gDiaRuns     = telemetry.NewGauge("core_partition_dia_runs")
+	gDiaRows     = telemetry.NewGauge("core_partition_dia_rows")
 	gNNZFormat   = [4]*telemetry.Gauge{
 		telemetry.NewGauge("core_partition_nnz_int"),
 		telemetry.NewGauge("core_partition_nnz_u32"),
@@ -71,9 +69,9 @@ const (
 	// It stays declared so that NNZByFormat keeps its four slots, which
 	// perfbench's per-format shares index.
 	Index16
-	// IndexDia walks run descriptors (8 bytes per *run*, no per-nonzero
-	// index); rows without enough run structure fall back to the u32
-	// stream inside the region.
+	// IndexDia reads one column offset per row (4 bytes per *row*, no
+	// per-nonzero index); rows that are not one long run fall back to
+	// the u32 stream inside the region.
 	IndexDia
 )
 
@@ -93,7 +91,7 @@ func (f IndexFormat) String() string {
 }
 
 // BytesPerIndex returns the per-nonzero stream width of the format.
-// IndexDia has no per-nonzero index — its descriptor traffic is per run
+// IndexDia has no per-nonzero index — its offset traffic is per row
 // (see IndexStats.StreamIndexBytes for the real byte accounting) — so
 // it reports 0 here.
 func (f IndexFormat) BytesPerIndex() int {
@@ -113,9 +111,9 @@ func (f IndexFormat) BytesPerIndex() int {
 type IndexMode int
 
 const (
-	// IndexAuto builds the u32 stream and diagonal descriptors for every
-	// run-structured row; each region then executes with the cheapest
-	// format its rows support.
+	// IndexAuto builds the u32 stream and a diagonal offset for every
+	// one-run row; each region then executes with the cheapest format
+	// its rows support.
 	IndexAuto IndexMode = iota
 	// IndexReference skips compression entirely: every region walks the
 	// original []int ColIdx (the oracle the fuzz stage compares against).
@@ -146,30 +144,24 @@ func (m IndexMode) String() string {
 	}
 }
 
-// diaMinSingleRunLen and diaMinRunLen gate rows into the diagonal
-// format on time, not just bytes. Bytes alone would put both bounds at
-// 2 (an 8-byte descriptor over >= 2 nonzeros is <= 4 bytes per nonzero,
-// no worse than u32), but the decoder pays real time the byte count
-// does not see, and how much depends on the row's run structure:
-//
-//   - A single-run row executes through the branch-free contiguous
-//     path of kernel/diag.go; its only overhead is the per-row
-//     skip-and-reslice preamble, which a 4-nonzero row cannot amortize.
-//     Measured on short-banded matrices (single runs of ~5), a bound of
-//     4 picked dia and ran ~25% slower than a 2-byte column stream; runs
-//     of >= diaMinSingleRunLen amortize the preamble.
-//
-//   - A multi-run row walks the general decoder, which takes a boundary
-//     check per unroll group and a per-element catch-up loop in every
-//     group straddling a run end. At mean run ~8 nearly every 8-wide
-//     group straddles (measured ~30% slower than a 2-byte column stream
-//     despite 1.57 vs 2 bytes per nonzero); runs of >= diaMinRunLen keep
-//     most groups on the branch-free path.
+// diaMinSingleRunLen gates rows into the diagonal format on time, not
+// just bytes. A row qualifies only when its nonzeros are one run of
+// consecutive columns, which executes through the branch-free
+// contiguous bodies of kernel/diag.go. Bytes alone would put the bound
+// at 2 (a 4-byte offset over >= 2 nonzeros undercuts u32), but the
+// per-row reslice preamble costs time the byte count does not see:
+// measured on short-banded matrices (single runs of ~5), a bound of 4
+// picked dia and ran ~25% slower than a 2-byte column stream; runs of
+// >= diaMinSingleRunLen amortize the preamble. Rows of several runs stay
+// on u32: on the Table II matrices where such rows hold much of the
+// nonzeros (pdb1HYS, Ga41As41H72, mip1), a general run decoder ran at
+// or behind u32 despite moving fewer bytes.
 const diaMinSingleRunLen = 8
 
-// diaMinRunLen is the mean-run-length bound for multi-run rows; see
-// diaMinSingleRunLen.
-const diaMinRunLen = 16
+// diaNone marks a row with no diagonal offset while the streams are
+// built. A real offset is a column minus an nnz position, both below
+// 2^31, so it is never math.MinInt32.
+const diaNone = math.MinInt32
 
 // indexStreams holds the compressed column-index streams, all indexed by
 // *original* nnz position (parallel to CSR.ColIdx) so the fragment walk
@@ -178,15 +170,13 @@ type indexStreams struct {
 	// col32 is the u32 absolute stream; nil when compression is off
 	// (IndexReference) or impossible (>= 2^32 columns).
 	col32 []uint32
-	// runs holds the diagonal descriptors of every dia-eligible row, in
-	// reordered row order; one row's runs are contiguous and EndK is an
-	// *original* nnz position. Nil when no row qualifies.
-	runs []kernel.DiaRun
-	// rowRun[i] counts run descriptors of dia-eligible reordered rows
-	// before row i (len Rows+1): row i's descriptors are
-	// runs[rowRun[i]:rowRun[i+1]], and the row is dia-eligible iff that
-	// slice is nonempty.
-	rowRun []int32
+	// diaOff holds one column offset per dia-eligible row, in reordered
+	// row order: that row's nonzero at original nnz position k sits in
+	// column diaOff[rowDia[i]] + k. Nil when no row qualifies.
+	diaOff []int32
+	// rowDia[i] counts dia-eligible reordered rows before row i (len
+	// Rows+1): row i is dia-eligible iff rowDia[i+1] > rowDia[i].
+	rowDia []int32
 	// diaInel[i] counts nonzeros of dia-*ineligible* reordered rows
 	// before row i (len Rows+1) — the nonzeros a dia region executes
 	// through the per-row u32 fallback.
@@ -194,7 +184,7 @@ type indexStreams struct {
 	// runNNZ is the nonzero count inside dia-eligible rows.
 	runNNZ int
 	// bestIdx is the summed per-row minimum of the index-side stream
-	// bytes (u32, or descriptors where eligible) — the footprint the
+	// bytes (u32, or the offset where eligible) — the footprint the
 	// assigned formats approach from above.
 	bestIdx int64
 }
@@ -214,10 +204,10 @@ func (st *indexStreams) effIdxBytes(nnz int) float64 {
 
 // buildStreams derives the compressed streams for a under mode. The u32
 // copy is one chunked parallel sweep over the nonzeros, fused with the
-// run counting; a permutation gather then moves the per-row run counts
-// into reordered order and a last sweep materializes the run
-// descriptors — the same two-pass discipline as the rest of the Prepare
-// pipeline.
+// one-run test of each row; a permutation gather then moves the per-row
+// eligibility into reordered order and a last sweep over the rows
+// stores the offsets — the same two-pass discipline as the rest of the
+// Prepare pipeline.
 func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 	var st indexStreams
 	if mode == IndexReference || uint64(a.Cols) > math.MaxUint32 {
@@ -225,8 +215,8 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 	}
 	nnz := a.NNZ()
 	st.col32 = make([]uint32, nnz)
-	// Diagonal descriptors pack positions and offsets into int32s;
-	// anything larger stays on the u32 stream.
+	// Diagonal offsets are int32s; anything larger stays on the u32
+	// stream.
 	if mode == IndexU32 || a.Rows == 0 ||
 		int64(a.Cols) > math.MaxInt32 || int64(nnz) > math.MaxInt32 {
 		exec.ParallelRanges(nnz, prepWidth(), prepGrain, func(_, lo, hi int) {
@@ -237,38 +227,42 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 		return st
 	}
 
-	// Per-original-row run counting, fused with the u32 copy so the
-	// nonzeros stream through once. Each row's count depends only on its
-	// own entries, so the sweep chunks freely.
+	// Per-original-row offsets, fused with the u32 copy so the nonzeros
+	// stream through once: a row of one run of at least
+	// diaMinSingleRunLen columns gets its column-minus-position offset,
+	// every other row diaNone. Each row depends only on its own entries,
+	// so the sweep chunks freely.
 	m := a.Rows
-	runCnt := make([]int32, m)
+	rowOff := make([]int32, m)
 	exec.ParallelRanges(m, prepWidth(), prepGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
+			rowOff[i] = diaNone
 			rlo, rhi := a.RowPtr[i], a.RowPtr[i+1]
 			if rlo == rhi {
 				continue
 			}
 			prev := a.ColIdx[rlo]
-			runs := int32(1)
+			one := rhi-rlo >= diaMinSingleRunLen
 			st.col32[rlo] = uint32(prev)
 			for k := rlo + 1; k < rhi; k++ {
 				cix := a.ColIdx[k]
 				st.col32[k] = uint32(cix)
 				if cix != prev+1 {
-					runs++
+					one = false
 				}
 				prev = cix
 			}
-			runCnt[i] = runs
+			if one {
+				rowOff[i] = int32(a.ColIdx[rlo] - rlo)
+			}
 		}
 	})
 
 	// Gather the per-row diagonal eligibility through the reorder
-	// permutation (a single-run row qualifies at diaMinSingleRunLen, a
-	// multi-run row at the decode-amortizing bound rowLen >=
-	// diaMinRunLen*runCount), and the per-row best-format byte count
-	// that prices the auto proportion.
-	st.rowRun = make([]int32, m+1)
+	// permutation, and the per-row best-format byte count that prices
+	// the auto proportion: 4 bytes for an eligible row's offset, 4 per
+	// nonzero on u32 otherwise.
+	st.rowDia = make([]int32, m+1)
 	st.diaInel = make([]int, m+1)
 	c := exec.RangeChunks(m, prepWidth(), prepGrain)
 	bests := make([]int64, c)
@@ -276,18 +270,14 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 		var best int64
 		for i := lo; i < hi; i++ {
 			o := h.Perm[i]
-			rl := a.RowPtr[o+1] - a.RowPtr[o]
-			b := int64(4 * rl)
-			if rc := runCnt[o]; (rc == 1 && rl >= diaMinSingleRunLen) ||
-				(rc > 1 && rl >= diaMinRunLen*int(rc)) {
-				st.rowRun[i+1] = rc
-				if db := 8 * int64(rc); db < b {
-					b = db
-				}
+			if rowOff[o] != diaNone {
+				st.rowDia[i+1] = 1
+				best += 4
 			} else {
+				rl := a.RowPtr[o+1] - a.RowPtr[o]
 				st.diaInel[i+1] = rl
+				best += int64(4 * rl)
 			}
-			best += b
 		}
 		bests[ch] = best
 	})
@@ -295,65 +285,54 @@ func buildStreams(a *sparse.CSR, h *HACSR, mode IndexMode) indexStreams {
 		st.bestIdx += bests[ch]
 	}
 	for i := 1; i <= m; i++ {
-		st.rowRun[i] += st.rowRun[i-1]
+		st.rowDia[i] += st.rowDia[i-1]
 		st.diaInel[i] += st.diaInel[i-1]
 	}
-	total := int(st.rowRun[m])
+	total := int(st.rowDia[m])
 	if total == 0 {
-		st.rowRun, st.diaInel = nil, nil
+		st.rowDia, st.diaInel = nil, nil
 		return st
 	}
 	st.runNNZ = nnz - st.diaInel[m]
 
-	// Materialize the descriptors for eligible rows, in reordered order
-	// so one row's runs are contiguous and indexed by the rowRun prefix.
-	// EndK stays an original nnz position — the same offsets the
-	// fragment walk uses for every other stream.
-	st.runs = make([]kernel.DiaRun, total)
+	// Store the eligible rows' offsets in reordered order, indexed by
+	// the rowDia prefix.
+	st.diaOff = make([]int32, total)
 	exec.ParallelRanges(m, prepWidth(), prepGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ri := int(st.rowRun[i])
-			if int(st.rowRun[i+1]) == ri {
-				continue
+			if st.rowDia[i+1] > st.rowDia[i] {
+				st.diaOff[st.rowDia[i]] = rowOff[h.Perm[i]]
 			}
-			o := h.Perm[i]
-			klo, khi := a.RowPtr[o], a.RowPtr[o+1]
-			c0, start := a.ColIdx[klo], klo
-			for k := klo + 1; k < khi; k++ {
-				if a.ColIdx[k] != a.ColIdx[k-1]+1 {
-					st.runs[ri] = kernel.DiaRun{EndK: int32(k), ColMinusK: int32(c0 - start)}
-					ri++
-					c0, start = a.ColIdx[k], k
-				}
-			}
-			st.runs[ri] = kernel.DiaRun{EndK: int32(khi), ColMinusK: int32(c0 - start)}
 		}
 	})
 	return st
 }
 
-// regionDiaParts returns the run-descriptor and fallback-nonzero counts
-// a diagonal execution of the region walks: descriptors of every
-// dia-eligible row it touches, plus the nonzeros of its ineligible rows
-// (executed through the per-row u32 fallback). Both are full-row counts
-// — a region may start or end mid-row, and the boundary fragments reuse
-// the whole row's descriptors — so the byte estimate is an upper bound
-// for boundary rows, exact everywhere else.
-func (p *Prepared) regionDiaParts(r Region) (runs, inelNNZ int64) {
+// regionDiaParts returns the offset-row and fallback-nonzero counts a
+// diagonal execution of the region walks: every dia-eligible row it
+// touches, plus the nonzeros of its ineligible rows (executed through
+// the per-row u32 fallback). Both are full-row counts — a region may
+// start or end mid-row — so the byte estimate is an upper bound for
+// boundary rows, exact everywhere else.
+func (p *Prepared) regionDiaParts(r Region) (rows, inelNNZ int64) {
 	st := &p.streams
-	if st.runs == nil || r.Lo >= r.Hi {
+	if st.diaOff == nil || r.Lo >= r.Hi {
 		return 0, 0
 	}
 	last := rowOfPosition(p.h, r.Hi-1)
-	return int64(st.rowRun[last+1] - st.rowRun[r.StartRow]),
+	return int64(st.rowDia[last+1] - st.rowDia[r.StartRow]),
 		int64(st.diaInel[last+1] - st.diaInel[r.StartRow])
 }
 
+// diaBytes is the index-side bytes a diagonal execution streams for
+// rows offset rows and inel fallback nonzeros.
+func diaBytes(rows, inel int64) int64 { return 4*rows + 4*inel }
+
 // regionFormat picks the cheapest stream (fewest index-side bytes) the
 // region's rows can execute with. A region may start or end mid-row;
-// run validity is per-row, so a partial fragment of an eligible row
-// still decodes correctly and only the set of *touched* rows matters.
-// Ties keep u32, so diagonal execution engages only when descriptors
+// an offset is per-row, so a partial fragment of an eligible row still
+// reads the right columns and only the set of *touched* rows matters.
+// Ties keep u32, so diagonal execution engages only when the offsets
 // are strictly cheaper.
 func (p *Prepared) regionFormat(r Region) IndexFormat {
 	st := &p.streams
@@ -364,15 +343,15 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 		return Index32
 	}
 	// Segmented regions walk their interior rows on a column stream (the
-	// segmented kernels have no descriptor decoder), so they never take
-	// IndexDia: it would price run descriptors no kernel reads.
-	if st.runs == nil || r.SegSum {
+	// segmented kernels read no offsets), so they never take IndexDia:
+	// it would price offsets no kernel reads.
+	if st.diaOff == nil || r.SegSum {
 		return Index32
 	}
 	if p.opts.Index == IndexForceDia {
 		return IndexDia
 	}
-	if runsIn, inel := p.regionDiaParts(r); runsIn > 0 && 8*runsIn+4*inel < 4*int64(r.Hi-r.Lo) {
+	if rows, inel := p.regionDiaParts(r); rows > 0 && diaBytes(rows, inel) < 4*int64(r.Hi-r.Lo) {
 		return IndexDia
 	}
 	return Index32
@@ -384,10 +363,9 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 // assignModes (a segmented region never takes IndexDia) and before the
 // regions slice is published: boundary moves never rebuild streams,
 // they only re-pick formats, so a region whose new row set no longer
-// pays for descriptors falls back to u32 ([]int when compression is
-// off).
+// pays for offsets falls back to u32 ([]int when compression is off).
 func (p *Prepared) assignFormats(regions []Region) {
-	var bytes, modelIdx, diaRuns int64
+	var bytes, modelIdx, diaRows int64
 	var nnzBy [4]int64
 	vf := p.values.format
 	for i := range regions {
@@ -399,9 +377,9 @@ func (p *Prepared) assignFormats(regions []Region) {
 		var b int64
 		switch f {
 		case IndexDia:
-			runsIn, inel := p.regionDiaParts(regions[i])
-			b = 8*runsIn + 4*inel
-			diaRuns += runsIn
+			rows, inel := p.regionDiaParts(regions[i])
+			b = diaBytes(rows, inel)
+			diaRows += rows
 			bytes += b
 			modelIdx += b
 		case IndexInt:
@@ -417,7 +395,7 @@ func (p *Prepared) assignFormats(regions []Region) {
 		}
 	}
 	gStreamBytes.Set(bytes)
-	gDiaRuns.Set(diaRuns)
+	gDiaRows.Set(diaRows)
 	for f, g := range gNNZFormat {
 		if g != nil {
 			g.Set(nnzBy[f])
@@ -444,14 +422,14 @@ type IndexStats struct {
 	// by IndexFormat (int, u32, u16, dia); the Index16 slot stays 0.
 	NNZByFormat [4]int
 	// StreamIndexBytes is the total index bytes one multiply streams
-	// under the current region formats (for dia regions: run descriptors
+	// under the current region formats (for dia regions: row offsets
 	// plus the u32 fallback indices of ineligible rows).
 	StreamIndexBytes int
-	// DiaRuns is the number of diagonal run descriptors built (all
-	// dia-eligible rows, whether or not a dia region covers them).
-	DiaRuns int
+	// DiaRows is the number of diagonal offsets built (all dia-eligible
+	// rows, whether or not a dia region covers them).
+	DiaRows int
 	// DiaEligibleNNZ counts nonzeros in dia-eligible rows (an upper
-	// bound on the descriptor-covered assignment).
+	// bound on the offset-covered assignment).
 	DiaEligibleNNZ int
 }
 
@@ -459,15 +437,14 @@ type IndexStats struct {
 // row-structure profile of the live partition.
 func (p *Prepared) IndexStats() IndexStats {
 	s := IndexStats{
-		DiaRuns:        len(p.streams.runs),
+		DiaRows:        len(p.streams.diaOff),
 		DiaEligibleNNZ: p.streams.runNNZ,
 	}
 	for _, r := range *p.regions.Load() {
 		n := r.Hi - r.Lo
 		s.NNZByFormat[r.Format] += n
 		if r.Format == IndexDia {
-			runsIn, inel := p.regionDiaParts(r)
-			s.StreamIndexBytes += int(8*runsIn + 4*inel)
+			s.StreamIndexBytes += int(diaBytes(p.regionDiaParts(r)))
 		} else {
 			s.StreamIndexBytes += n * r.Format.BytesPerIndex()
 		}

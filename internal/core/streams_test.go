@@ -36,7 +36,7 @@ func TestIndexStatsPerMode(t *testing.T) {
 	nnz := a.NNZ()
 
 	auto := preparedWith(t, a, IndexAuto).IndexStats()
-	if auto.NNZByFormat[Index32] != nnz || auto.StreamIndexBytes != 4*nnz || auto.DiaRuns != 0 {
+	if auto.NNZByFormat[Index32] != nnz || auto.StreamIndexBytes != 4*nnz || auto.DiaRows != 0 {
 		t.Errorf("auto on run-free rows = %+v, want all %d nnz at 4 bytes, no runs", auto, nnz)
 	}
 
@@ -49,21 +49,32 @@ func TestIndexStatsPerMode(t *testing.T) {
 	if ref.NNZByFormat[IndexInt] != nnz || ref.StreamIndexBytes != 8*nnz {
 		t.Errorf("reference stats = %+v, want all %d nnz at 8 bytes", ref, nnz)
 	}
-	if ref.DiaRuns != 0 {
-		t.Errorf("reference mode built run descriptors: %+v", ref)
+	if ref.DiaRows != 0 {
+		t.Errorf("reference mode built diagonal offsets: %+v", ref)
 	}
 }
 
 // Auto format selection on the two shapes the per-region formats exist
 // for: a 9-diagonal stencil with a trace of off-band defect rows, where
-// diagonal run descriptors carry almost every nonzero (the defect rows
-// ride the u32 fallback) and continuous values keep the palette out,
-// and a 0/1 random graph, where the one-entry palette engages and the
-// scattered columns keep the diagonal format out.
+// diagonal offsets carry almost every nonzero (the defect rows ride the
+// u32 fallback) and continuous values keep the palette out, and a 0/1
+// random graph, where the one-entry palette engages and the scattered
+// columns keep the diagonal format out. A band of two 16-column runs per
+// row gets no diagonal offsets: under auto every nonzero runs on u32,
+// and forcing the diagonal format leaves every row on its u32 fallback.
+// Each instance's y equals the []int+f64 reference's at its cuts.
 func TestAutoFormatSelection(t *testing.T) {
 	sten := gen.StencilSpec{
 		Name: "stencil9", Rows: 4096, Cols: 4096,
 		Diagonals: 9, NoiseFrac: 0.002, Seed: 20260801,
+	}.Generate()
+	var twoRuns []int
+	for o := 0; o < 16; o++ {
+		twoRuns = append(twoRuns, o, 40+o)
+	}
+	band2 := gen.StencilSpec{
+		Name: "band2x16", Rows: 2048, Cols: 2048 + 56,
+		Offsets: twoRuns, Seed: 20260803,
 	}.Generate()
 	graph := gen.Spec{
 		Name: "graph01", Rows: 2048, Cols: 2048,
@@ -82,12 +93,16 @@ func TestAutoFormatSelection(t *testing.T) {
 		// Index and value bytes per nnz stay at or below these; 0 skips
 		// the check.
 		maxIdxBytes, maxValBytes float64
+		// noDiaRows demands no diagonal offsets and every nonzero on u32.
+		noDiaRows bool
 	}{
-		{"stencil9/auto", sten, Options{}, 0.9, 1, ValF64, 2, 0},
-		{"stencil9/dia", sten, Options{Index: IndexForceDia, Value: ValueReference}, 0.9, 1, ValF64, 2, 0},
-		{"graph01/auto", graph, Options{}, 0, 0.05, ValPalette, 4, 1.5},
-		{"graph01/u32-palette", graph, Options{Index: IndexU32}, 0, 0, ValPalette, 0, 1.5},
-		{"graph01/reference", graph, Options{Index: IndexReference, Value: ValueReference}, 0, 0, ValF64, 0, 0},
+		{"stencil9/auto", sten, Options{}, 0.9, 1, ValF64, 2, 0, false},
+		{"stencil9/dia", sten, Options{Index: IndexForceDia, Value: ValueReference}, 0.9, 1, ValF64, 2, 0, false},
+		{"graph01/auto", graph, Options{}, 0, 0.05, ValPalette, 4, 1.5, false},
+		{"graph01/u32-palette", graph, Options{Index: IndexU32}, 0, 0, ValPalette, 0, 1.5, false},
+		{"graph01/reference", graph, Options{Index: IndexReference, Value: ValueReference}, 0, 0, ValF64, 0, 0, false},
+		{"band2x16/auto", band2, Options{}, 0, 0, ValF64, 4, 0, true},
+		{"band2x16/dia", band2, Options{Index: IndexForceDia, Value: ValueReference}, 0, 0, ValF64, 4, 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prep, err := New(tc.opts).Prepare(amp.IntelI912900KF(), tc.a)
@@ -109,6 +124,21 @@ func TestAutoFormatSelection(t *testing.T) {
 			}
 			if val := float64(vst.StreamValueBytes) / nnz; tc.maxValBytes > 0 && val > tc.maxValBytes {
 				t.Errorf("value bytes/nnz = %.3f, want at most %v", val, tc.maxValBytes)
+			}
+			if tc.noDiaRows && (ist.DiaRows != 0 || ist.NNZByFormat[Index32] != tc.a.NNZ()) {
+				t.Errorf("index stats %+v, want no diagonal offsets and all %d nnz on u32", ist, tc.a.NNZ())
+			}
+			x := make([]float64, tc.a.Cols)
+			for i := range x {
+				x[i] = float64(i%17) - 8.5
+			}
+			y, want := make([]float64, tc.a.Rows), make([]float64, tc.a.Rows)
+			p.Compute(y, x)
+			referencePrepared(t, p, tc.a, tc.opts).Compute(want, x)
+			for i := range y {
+				if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("y[%d] = %x, reference %x", i, math.Float64bits(y[i]), math.Float64bits(want[i]))
+				}
 			}
 		})
 	}
@@ -223,7 +253,7 @@ func TestAutoProportionPricesAssignedStreams(t *testing.T) {
 		return pr.(*Prepared)
 	}
 	auto, u32 := prep(IndexAuto), prep(IndexU32)
-	if st := auto.IndexStats(); st.DiaRuns != 0 || st.NNZByFormat[Index32] != a.NNZ() {
+	if st := auto.IndexStats(); st.DiaRows != 0 || st.NNZByFormat[Index32] != a.NNZ() {
 		t.Fatalf("auto streams %+v, want every nonzero on u32 and no runs", st)
 	}
 	if auto.opts.PProportion != u32.opts.PProportion {

@@ -89,8 +89,8 @@ type Assignment struct {
 	// width the kernels actually stream.
 	ValBytes int
 	// DiagBytes, when positive, replaces the per-nonzero index term
-	// entirely with this total: a DIA-style region streams 8-byte run
-	// descriptors plus u32 fallback indices for its non-diagonal rows,
+	// entirely with this total: a DIA-style region streams a 4-byte
+	// column offset per row plus u32 fallback indices for its other rows,
 	// which has no meaningful per-nonzero width.
 	DiagBytes int
 }

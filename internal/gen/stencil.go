@@ -13,10 +13,11 @@ import (
 // finite-difference and finite-element discretizations. Where the
 // Placement-based generators only produce bands *statistically*, the
 // stencil generator pins the diagonal set exactly, so tests and benches
-// can rely on every row decomposing into at most len(Offsets) constant-
-// offset runs — the shape the diagonal index format exists for — and can
-// dirty that structure in controlled doses (BandFill holes, NoiseFrac
-// off-band defects).
+// can rely on every row decomposing into at most len(Offsets) runs of
+// consecutive columns — one run when the offsets are consecutive, the
+// shape the diagonal index format exists for — and can dirty that
+// structure in controlled doses (BandFill holes, NoiseFrac off-band
+// defects).
 //
 // The value stream is independently controllable: PaletteK restricts
 // values to K distinct floats, producing matrices eligible (K <= 256)

@@ -11,9 +11,9 @@
 // the value operand V (ValSource: the matrix's own []float64 or 1-byte
 // palette indices) and, for the gather family, the column index C
 // (ColIndex: the []int reference or the u32 absolute stream). The
-// shapes are the gather (Dot, DotBlock), the diagonal-run decode
-// (DotDia, DotDiaBlock) and the segmented row walk (SegSum,
-// SegSumBlock). The batch gathers (DotBlock, SegSumBlock) read x from a
+// shapes are the gather (Dot, DotBlock), the one-run diagonal read at
+// a per-row column offset (DotDia, DotDiaBlock) and the segmented row
+// walk (SegSum, SegSumBlock). The batch gathers (DotBlock, SegSumBlock) read x from a
 // column-interleaved tile, so the one random cache line a nonzero
 // fetches serves every vector of the batch; DotDiaBlock reads each
 // vector's contiguous run directly. Every instantiation assigns

@@ -7,7 +7,7 @@ import (
 )
 
 // The differential tests below run every kernel instantiation — index
-// stream {int, u32, dia runs} × value stream {f64, palette} ×
+// stream {int, u32, dia offset} × value stream {f64, palette} ×
 // {single, block} × {fragment, segsum} — against chainOracle, an
 // independent statement of Algorithm 6's accumulation order that shares
 // no code with the kernels, and demand equal float64 bits. Each test
@@ -80,10 +80,26 @@ type kernelData struct {
 	pal   *[256]float64
 	col   []int // decoded columns, all in [base, base+span]
 	col32 []uint32
-	runs  []DiaRun // the same columns as run descriptors
+	runs  []diaRun // the runs of consecutive columns in col
 	segs  []Segment
 	X     [][]float64
 	xi    [MaxBlock + 1][]float64 // xi[w] is packTile(X[:w]), built on first use
+}
+
+// diaRun is one run of consecutive columns, nonzeros [lo, hi): the
+// one-run rows the dia kernels read.
+type diaRun struct{ lo, hi int }
+
+// runWindow returns the start of the fragment of l nonzeros that begins
+// skip nonzeros into the first run long enough to hold it, and false
+// when no run is.
+func (d *kernelData) runWindow(skip, l int) (int, bool) {
+	for _, r := range d.runs {
+		if r.hi-r.lo >= skip+l {
+			return r.lo + skip, true
+		}
+	}
+	return 0, false
 }
 
 // packTile is the interleaved tile the block kernels read:
@@ -108,7 +124,8 @@ func (d *kernelData) tile(w int) []float64 {
 }
 
 // newKernelData builds n nonzeros whose columns form runs of 1..maxRun
-// consecutive columns inside [base, base+span]. The first column is base
+// consecutive columns inside [base, base+span], or one run of all n when
+// maxRun >= n. The first column is base
 // and the last is base+span, so with span 65535 the stream crosses the
 // 2^16 column boundary. Segments cut [0, n) into power-law-ish rows (empty,
 // short, medium and long, with gaps between some of them), as the
@@ -123,7 +140,7 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 	}
 	for k := 0; k < n; {
 		l := 1 + r.intn(maxRun)
-		if k+l > n {
+		if k+l > n || maxRun >= n {
 			l = n - k
 		}
 		c0 := base + r.intn(span-l+2)
@@ -136,8 +153,8 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 		for j := 0; j < l; j++ {
 			d.col = append(d.col, c0+j)
 		}
+		d.runs = append(d.runs, diaRun{k, k + l})
 		k += l
-		d.runs = append(d.runs, DiaRun{EndK: int32(k), ColMinusK: int32(c0 - (k - l))})
 	}
 	for _, c := range d.col {
 		i := uint8(r.intn(palLen))
@@ -177,7 +194,7 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 // fragFunc runs one fragment [lo, hi) through a kernel: Dot or DotDia
 // into out[0] for a single entry, DotBlock (on the interleaved tile of
 // the first len(out) vectors) or DotDiaBlock (on X) into out for a block
-// entry.
+// entry. A dia fragment must lie inside one run.
 type fragFunc func(d *kernelData, block bool, out []float64, lo, hi, unrollLen int)
 
 // segFunc runs every segment of d through SegSum (a single entry, into
@@ -206,10 +223,14 @@ func gatherFrag[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float6
 func diaFrag[V ValSource](vs func(*kernelData) ([]V, *[256]float64)) fragFunc {
 	return func(d *kernelData, block bool, out []float64, lo, hi, un int) {
 		vals, pal := vs(d)
+		off := 0
+		if lo < hi {
+			off = d.col[lo] - lo
+		}
 		if block {
-			DotDiaBlock(vals, pal, d.runs, 0, d.X, out, lo, hi, un)
+			DotDiaBlock(vals, pal, off, d.X, out, lo, hi, un)
 		} else {
-			out[0] = DotDia(vals, pal, d.runs, 0, d.X[0], lo, hi, un)
+			out[0] = DotDia(vals, pal, off, d.X[0], lo, hi, un)
 		}
 	}
 }
@@ -287,9 +308,9 @@ func kernelTable() []kernelEntry {
 }
 
 // oracleData are the differential test's inputs: random gathers, short
-// runs across a 2^16-column span, medium and long runs, and runs longer
-// than a block tile (fragments inside one run take the contiguous dia
-// path).
+// runs across a 2^16-column span, medium and long runs, runs longer than
+// a block tile, and one run over every nonzero, which holds a dia
+// fragment of every tested length.
 func oracleData() []*kernelData {
 	return []*kernelData{
 		newKernelData(1, 4096, 511, 1),
@@ -297,6 +318,7 @@ func oracleData() []*kernelData {
 		newKernelData(3, 4096, 4095, 20),
 		newKernelData(4, 4096, 8191, 500),
 		newKernelData(5, 4096, 8191, 1500),
+		newKernelData(6, 4096, 8191, 4096),
 	}
 }
 
@@ -338,8 +360,8 @@ func TestCompressedBitIdentical(t *testing.T)      { checkFamily(t) }
 func TestCompressedBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
 // TestDiagBitIdentical and TestDiagBlockBitIdentical check the diagonal
-// run walkers over float64 values, including fragments that start
-// mid-run and fragments inside one run.
+// kernels over float64 values, on fragments that start at a run's first
+// nonzero and inside it.
 func TestDiagBitIdentical(t *testing.T)      { checkFamily(t) }
 func TestDiagBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
@@ -355,14 +377,18 @@ func TestValueStreamsBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
 // checkFamily checks the kernel table entries of the calling test's
 // family bit for bit against chainOracle, over lengths 0-3, 4,
-// unrollLen-1..unrollLen+1 and past one block tile, fragments that start
-// mid-run or span several runs, and every block width.
+// unrollLen-1..unrollLen+1 and past one block tile, and every block
+// width. Gather fragments start at 0, 5 or 13 and may span several runs;
+// a dia fragment of the same length starts that far into the first run
+// that holds it, and every length must find one.
 func checkFamily(t *testing.T) {
 	t.Helper()
 	var tab []kernelEntry
+	hasDia := false
 	for _, e := range kernelTable() {
 		if family(e) == t.Name() {
 			tab = append(tab, e)
+			hasDia = hasDia || e.idx == "dia"
 		}
 	}
 	if len(tab) == 0 {
@@ -370,6 +396,8 @@ func checkFamily(t *testing.T) {
 	}
 	data := oracleData()
 	unrolls := []int{4, 32, DefaultUnrollThreshold, 1 << 30}
+	// diaFound records each (unrollLen, skip, length) that found a run.
+	diaFound := map[[3]int]bool{}
 	for di, d := range data {
 		for _, un := range unrolls {
 			lengths := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 63, 64, 65, 127, 128, 1000, 1023, 1024, 1025, 2000, 3000}
@@ -377,17 +405,34 @@ func checkFamily(t *testing.T) {
 				lengths = append(lengths, un-1, un, un+1)
 			}
 			// Fragments.
-			for _, lo := range []int{0, 5, 13} {
+			wants := func(lo, hi int) (want [MaxBlock]float64) {
+				for j := range want {
+					want[j] = chainOracle(d.val, d.col, d.X[j], lo, hi, un)
+				}
+				return want
+			}
+			for _, skip := range []int{0, 5, 13} {
 				for _, l := range lengths {
-					hi := lo + l
-					var want [MaxBlock]float64
-					for j := range want {
-						want[j] = chainOracle(d.val, d.col, d.X[j], lo, hi, un)
+					gatherWant := wants(skip, skip+l)
+					diaLo, diaOK := d.runWindow(skip, l)
+					var diaWant [MaxBlock]float64
+					if diaOK {
+						diaWant = wants(diaLo, diaLo+l)
 					}
+					key := [3]int{un, skip, l}
+					diaFound[key] = diaFound[key] || diaOK
 					for _, e := range tab {
 						if e.frag == nil {
 							continue
 						}
+						lo, want := skip, gatherWant
+						if e.idx == "dia" {
+							if !diaOK {
+								continue
+							}
+							lo, want = diaLo, diaWant
+						}
+						hi := lo + l
 						out := make([]float64, e.w)
 						e.frag(d, e.block, out, lo, hi, un)
 						for j, got := range out {
@@ -435,16 +480,22 @@ func checkFamily(t *testing.T) {
 			}
 		}
 	}
+	for key, found := range diaFound {
+		if hasDia && !found {
+			t.Fatalf("no run holds %d nonzeros from %d in (unrollLen %d)", key[2], key[1], key[0])
+		}
+	}
 }
 
 // benchSink keeps the benchmarked results live.
 var benchSink float64
 
 // BenchmarkKernels prices every kernel table entry on 64k nonzeros over
-// a 16k-column x: gathers and segments on random columns, dia entries on
-// runs of 1..16 columns. SetBytes is the value and index bytes the call
-// streams (block calls stream them once for all vectors; segsum adds the
-// 12-byte descriptors), so MB/s reads as effective stream bandwidth.
+// a 16k-column x: gathers and segments on random columns, dia entries
+// one call per run of 1..16 columns (a one-run row each). SetBytes is
+// the value and index bytes the calls stream (block calls stream them
+// once for all vectors; dia streams a 4-byte offset per row; segsum adds
+// the 12-byte descriptors), so MB/s reads as effective stream bandwidth.
 func BenchmarkKernels(b *testing.B) {
 	const n = 1 << 16
 	gather := newKernelData(1, n, 1<<14-1, 1)
@@ -454,7 +505,7 @@ func BenchmarkKernels(b *testing.B) {
 		if e.idx == "dia" {
 			d = runs
 		}
-		idxBytes := map[string]int{"int": 8 * n, "u32": 4 * n, "dia": 8 * len(d.runs)}[e.idx]
+		idxBytes := map[string]int{"int": 8 * n, "u32": 4 * n, "dia": 4 * len(d.runs)}[e.idx]
 		bytes := e.valBytes*n + idxBytes
 		if e.seg != nil {
 			bytes += 12 * len(d.segs)
@@ -467,10 +518,16 @@ func BenchmarkKernels(b *testing.B) {
 				Y[j] = make([]float64, len(d.segs))
 			}
 			for i := 0; i < b.N; i++ {
-				if e.seg != nil {
+				switch {
+				case e.seg != nil:
 					e.seg(d, e.block, Y, out, DefaultUnrollThreshold)
 					benchSink += Y[0][len(d.segs)-1]
-				} else {
+				case e.idx == "dia":
+					for _, r := range d.runs {
+						e.frag(d, e.block, out, r.lo, r.hi, DefaultUnrollThreshold)
+					}
+					benchSink += out[0]
+				default:
 					e.frag(d, e.block, out, 0, n, DefaultUnrollThreshold)
 					benchSink += out[0]
 				}

@@ -7,8 +7,8 @@ import (
 
 // Diagonal-structure and value-stream statistics feeding the pluggable
 // per-region execution formats: the core Prepare pipeline replaces
-// per-nonzero column indices with constant-offset run descriptors on rows
-// that decompose into few contiguous runs, and dedups the value stream
+// per-nonzero column indices with one column offset on rows that are a
+// single run of consecutive columns, and dedups the value stream
 // into a byte-indexed palette when the matrix holds at most 256 distinct
 // values. These helpers let tools report what a matrix will get before
 // any Prepare runs.
@@ -23,8 +23,9 @@ type DiagStats struct {
 	// (1.0 for an empty matrix's vacuous cover).
 	TopShare float64
 	// Runs counts maximal constant-offset runs (stretches of consecutive
-	// columns within one row) — the descriptors a diagonal execution
-	// stream would store instead of per-nonzero indices.
+	// columns within one row); a row that is one run of 8 or more
+	// executes from a single column offset instead of per-nonzero
+	// indices.
 	Runs int
 	// MaxRunLen is the longest run; MeanRunLen is nnz/Runs.
 	MaxRunLen  int

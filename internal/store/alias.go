@@ -74,20 +74,6 @@ func f64OfBytes(b []byte, n int) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
 }
 
-func bytesOfRuns(s []kernel.DiaRun) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), diaRunBytes*len(s))
-}
-
-func runsOfBytes(b []byte, n int) []kernel.DiaRun {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*kernel.DiaRun)(unsafe.Pointer(&b[0])), n)
-}
-
 func bytesOfSegs(s []kernel.Segment) []byte {
 	if len(s) == 0 {
 		return nil

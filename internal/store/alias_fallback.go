@@ -80,24 +80,6 @@ func f64OfBytes(b []byte, n int) []float64 {
 	return s
 }
 
-func bytesOfRuns(s []kernel.DiaRun) []byte {
-	b := make([]byte, diaRunBytes*len(s))
-	for i, r := range s {
-		binary.LittleEndian.PutUint32(b[8*i:], uint32(r.EndK))
-		binary.LittleEndian.PutUint32(b[8*i+4:], uint32(r.ColMinusK))
-	}
-	return b
-}
-
-func runsOfBytes(b []byte, n int) []kernel.DiaRun {
-	s := make([]kernel.DiaRun, n)
-	for i := range s {
-		s[i].EndK = int32(binary.LittleEndian.Uint32(b[8*i:]))
-		s[i].ColMinusK = int32(binary.LittleEndian.Uint32(b[8*i+4:]))
-	}
-	return s
-}
-
 func bytesOfSegs(s []kernel.Segment) []byte {
 	b := make([]byte, segBytes*len(s))
 	for i, g := range s {

@@ -19,7 +19,9 @@ func fuzzSeedCases() []struct {
 	a    *sparse.CSR
 	opts core.Options
 } {
-	banded := gen.Spec{Name: "b", Rows: 96, Cols: 96, Dist: gen.ConstLen{L: 5},
+	// Rows of 8 consecutive columns: long enough for diagonal offsets,
+	// so the dia sections are in the corpus.
+	banded := gen.Spec{Name: "b", Rows: 96, Cols: 96, Dist: gen.ConstLen{L: 8},
 		Place: gen.Banded, Seed: 3}.Generate()
 	scattered := gen.Spec{Name: "s", Rows: 80, Cols: 80, TargetNNZ: 400,
 		Dist: gen.UniformLen{Min: 0, Max: 12}, Place: gen.Random, Seed: 4}.Generate()

@@ -42,13 +42,12 @@ import (
 // Version is the on-disk format version. Bump it on any layout or
 // semantic change; Load rejects every other version with ErrVersion,
 // and the CI store cache keys on it so stale caches die with the bump.
-const Version = 3
+const Version = 4
 
 const (
-	headerSize  = 64
-	chunkSize   = 1 << 20
-	diaRunBytes = 8  // kernel.DiaRun: 2×int32
-	segBytes    = 12 // kernel.Segment: 3×int32
+	headerSize = 64
+	chunkSize  = 1 << 20
+	segBytes   = 12 // kernel.Segment: 3×int32
 
 	endianMark = 0x01020304
 )
@@ -97,7 +96,6 @@ var elemWidth = map[string]int64{
 	"i32":   4,
 	"f64":   8,
 	"u8":    1,
-	"dia8":  diaRunBytes,
 	"seg12": segBytes,
 }
 
@@ -132,8 +130,8 @@ func sectionsOf(s *core.PreparedSnapshot) ([]rawSection, int64) {
 	add("emptyrows", "i64", bytesOfInts(s.EmptyRows), len(s.EmptyRows), s.EmptyRows != nil)
 	add("cs", "i64", bytesOfInts(s.CS), len(s.CS), s.CS != nil)
 	add("col32", "u32", bytesOfU32(s.Col32), len(s.Col32), s.Col32 != nil)
-	add("runs", "dia8", bytesOfRuns(s.Runs), len(s.Runs), s.Runs != nil)
-	add("rowrun", "i32", bytesOfI32(s.RowRun), len(s.RowRun), s.RowRun != nil)
+	add("diaoff", "i32", bytesOfI32(s.DiaOff), len(s.DiaOff), s.DiaOff != nil)
+	add("rowdia", "i32", bytesOfI32(s.RowDia), len(s.RowDia), s.RowDia != nil)
 	add("diainel", "i64", bytesOfInts(s.DiaInel), len(s.DiaInel), s.DiaInel != nil)
 	add("palidx", "u8", s.PalIdx, len(s.PalIdx), s.PalIdx != nil)
 	add("pal", "f64", bytesOfF64(s.Pal), len(s.Pal), s.Pal != nil)
@@ -589,15 +587,15 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 	} else if ok {
 		snap.Col32 = nonNil(u32OfBytes(b, n), n)
 	}
-	if b, n, ok, e := sec("runs", "dia8"); e != nil {
+	if b, n, ok, e := sec("diaoff", "i32"); e != nil {
 		return nil, e
 	} else if ok {
-		snap.Runs = nonNil(runsOfBytes(b, n), n)
+		snap.DiaOff = nonNil(i32OfBytes(b, n), n)
 	}
-	if b, n, ok, e := sec("rowrun", "i32"); e != nil {
+	if b, n, ok, e := sec("rowdia", "i32"); e != nil {
 		return nil, e
 	} else if ok {
-		snap.RowRun = nonNil(i32OfBytes(b, n), n)
+		snap.RowDia = nonNil(i32OfBytes(b, n), n)
 	}
 	if b, n, ok, e := sec("palidx", "u8"); e != nil {
 		return nil, e
@@ -641,9 +639,6 @@ func nonNil[T any](s []T, n int) []T {
 	return s
 }
 
-// Compile-time guards: the on-disk element widths assume these struct
-// sizes (the zero-copy aliasing in alias.go reslices them in place).
-var (
-	_ = [1]struct{}{}[diaRunBytes-unsafe.Sizeof(kernel.DiaRun{})]
-	_ = [1]struct{}{}[segBytes-unsafe.Sizeof(kernel.Segment{})]
-)
+// Compile-time guard: the on-disk element width assumes this struct
+// size (the zero-copy aliasing in alias.go reslices it in place).
+var _ = [1]struct{}{}[segBytes-unsafe.Sizeof(kernel.Segment{})]

@@ -190,18 +190,21 @@ func TestVersionBumpRejected(t *testing.T) {
 }
 
 // A file from an older format version — version 2 still carried the
-// u16-delta column sections — must be refused with ErrVersion naming
-// the file's version, not decoded against this build's section list.
+// u16-delta column sections, version 3 the 8-byte diagonal run
+// descriptors — must be refused with ErrVersion naming the file's
+// version, not decoded against this build's section list.
 func TestOlderVersionRejected(t *testing.T) {
-	path, buf := writeSample(t)
-	binary.LittleEndian.PutUint32(buf[8:12], Version-1)
-	binary.LittleEndian.PutUint32(buf[60:64], crc32.Checksum(buf[0:60], castagnoli))
-	err := reloadBytes(t, path, buf)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("format version %d", Version-1)) {
-		t.Fatalf("version error %q does not name the file's version", err)
+	for _, v := range []uint32{2, 3} {
+		path, buf := writeSample(t)
+		binary.LittleEndian.PutUint32(buf[8:12], v)
+		binary.LittleEndian.PutUint32(buf[60:64], crc32.Checksum(buf[0:60], castagnoli))
+		err := reloadBytes(t, path, buf)
+		if !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) {
+			t.Fatalf("version error %q does not name the file's version %d", err, v)
+		}
 	}
 }
 
