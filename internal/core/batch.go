@@ -333,8 +333,15 @@ func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *t
 	// One regions snapshot per call: every worker of this multiply walks
 	// the same tiling even if Repartition swaps the partition mid-flight.
 	s.Y, s.X, s.batch, s.timed, s.tel, s.regs = Y, X, batch, timed, tel, *p.regions.Load()
+	// No fragment walk visits an empty row, so they are zeroed here.
+	// When they are most of the rows (zipf) one clear per vector beats
+	// the scattered stores; every other row gets its direct store anyway.
 	for _, y := range Y {
-		zeroRows(y, p.emptyRows)
+		if 2*len(p.emptyRows) > len(y) {
+			clear(y)
+		} else {
+			zeroRows(y, p.emptyRows)
+		}
 	}
 	s.packed = 0
 	if nv >= kernel.MinBlock && p.gathers(s.regs) {
@@ -404,7 +411,7 @@ func (p *Prepared) multiply(s *batchScratch, Y, X [][]float64, batch bool, bd *t
 // zeroRows stores 0 to y[r] for every r in rows: the empty rows, which
 // no fragment walk visits. It stays out of line because, inlined into
 // multiply, the loop index spills to the stack on every row (go1.24),
-// which shows on matrices with many empty rows such as the zipf class.
+// which shows on matrices with many empty rows.
 //
 //go:noinline
 func zeroRows(y []float64, rows []int) {

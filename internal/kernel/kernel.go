@@ -1,11 +1,15 @@
 // Package kernel provides the inner dot-product kernels of Algorithm 6.
 // The paper uses AVX2 intrinsics (_mm256_loadu_pd / _mm256_set_pd /
-// _mm256_fmadd_pd) with an extra level of loop unrolling for long rows; Go
-// has no intrinsics, so the kernels keep the exact algorithmic structure —
-// a scalar path for rows shorter than 4, a 4-wide accumulator path, an
-// 8-wide doubly-unrolled path for rows past the Len threshold, and a
-// scalar remainder loop — using independent accumulators that modern
-// compilers and the cost model treat as SIMD lanes.
+// _mm256_fmadd_pd) with an extra level of loop unrolling for long rows.
+// Go has no intrinsics, so the Go bodies keep the exact algorithmic
+// structure — a scalar path for rows shorter than 4, a 4-wide
+// accumulator path, an 8-wide doubly-unrolled path for rows past the
+// Len threshold, and a scalar remainder loop — using independent
+// accumulators that the cost model treats as SIMD lanes. One body is
+// also written in amd64 assembly: the 8-vector segmented-sum tile over
+// float64 values and u32 columns (segsum_amd64.s), where a tile row of
+// 8 vectors is exactly two YMM registers. It runs on AVX2 hosts; every
+// other host, width and stream type runs the Go body.
 //
 // There is one body per loop shape, generic over the streams it reads:
 // the value operand V (ValSource: the matrix's own []float64 or 1-byte

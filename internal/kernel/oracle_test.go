@@ -240,10 +240,15 @@ func segRows[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64),
 		vals, pal := vs(d)
 		col := cs(d)
 		if block {
-			return SegSumBlock(vals, pal, col, d.tile(len(sums)), Y, sums, d.segs, un)
+			return segSumBlockGo(vals, pal, col, d.tile(len(sums)), Y, sums, d.segs, un)
 		}
 		return SegSum(vals, pal, col, d.X[0], Y[0], d.segs, un)
 	}
+}
+
+// avx2Rows runs every segment of d through the AVX2 body (runAVX2).
+func avx2Rows(d *kernelData, _ bool, Y [][]float64, _ []float64, un int) int {
+	return runAVX2(d, d.col32, Y, d.segs, un)
 }
 
 // kernelEntry is one row of the kernel table.
@@ -261,7 +266,9 @@ type kernelEntry struct {
 // stream pair as a single-vector call and as a block of 1..MaxBlock
 // vectors over fragments, and (except dia, which segmented regions
 // never use) as a single-vector call and a block of 2..MaxBlock vectors
-// over segments.
+// over segments, the block ones through the Go body. On an AVX2 host a
+// last entry runs the assembly body of the 8-vector u32 × float64
+// segments.
 func kernelTable() []kernelEntry {
 	pairs := []struct {
 		idx, val string
@@ -303,6 +310,9 @@ func kernelTable() []kernelEntry {
 				tab = append(tab, e)
 			}
 		}
+	}
+	if hasAVX2 {
+		tab = append(tab, kernelEntry{name: "u32/f64/block8/segsum-avx2", idx: "u32", valBytes: 8, block: true, w: MaxBlock, seg: avx2Rows})
 	}
 	return tab
 }

@@ -91,7 +91,21 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, x, y 
 // width. Every touchSegs segments it first touches the next ones'
 // x lines (see touch). Returns the number of non-empty segments
 // processed.
+//
+// A tile of 8 vectors over float64 values and uint32 columns runs the
+// AVX2 body where the host has it (segSumBlock8), every other call the
+// Go body segSumBlockGo; both store the same bits (but for a NaN's
+// payload, which the compiler may vary in the Go body).
 func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+	if done, ok := segSumBlock8(vals, col, xi, Y, sums, segs, unrollLen); ok {
+		return done
+	}
+	return segSumBlockGo(vals, pal, col, xi, Y, sums, segs, unrollLen)
+}
+
+// segSumBlockGo is SegSumBlock's portable body: DotBlock per segment,
+// then the w stores.
+func segSumBlockGo[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
 		if i%touchSegs == 0 {
