@@ -145,16 +145,6 @@ const (
 	IndexForceDia  = haspmvcore.IndexForceDia
 )
 
-// ValueMode selects the value stream policy (see core.ValueMode).
-type ValueMode = haspmvcore.ValueMode
-
-// Value-stream policies: auto palette compression (bit-exact) or the
-// []float64 reference.
-const (
-	ValueAuto      = haspmvcore.ValueAuto
-	ValueReference = haspmvcore.ValueReference
-)
-
 // ModelParams are the performance-model calibration constants.
 type ModelParams = costmodel.Params
 

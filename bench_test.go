@@ -172,11 +172,10 @@ func BenchmarkSpMVCompute(b *testing.B) {
 // stream, and the auto u32/dia mix. SpMV is stream bound, so
 // narrowing the 8-byte []int indices is the whole effect; the committed
 // bench baseline records the u32 win and cmd/benchdiff gates it. The
-// stencil-* and graph01-* subtests cover the pluggable per-region
-// formats on the matrices where they engage — diagonal row offsets
-// on a 9-point stencil with a trace of defect rows, the one-byte
-// palette stream on a 0/1 adjacency matrix — and refuse to run if the
-// new hot paths allocate or the format failed to engage.
+// stencil-* subtests cover diagonal row offsets on a 9-point stencil
+// with a trace of defect rows, where stencil-auto refuses to run if the
+// hot path allocates or the format failed to engage; graph01-u32 is
+// the u32 gather on a 0/1 adjacency matrix, the path auto takes there.
 func BenchmarkCompute(b *testing.B) {
 	m := haspmv.IntelI912900KF()
 	a := haspmv.Representative("webbase-1M", 2)
@@ -242,24 +241,18 @@ func BenchmarkCompute(b *testing.B) {
 		Name: "stencil9", Rows: 500_000, Cols: 500_000,
 		Diagonals: 9, NoiseFrac: 0.002, Seed: 20260801,
 	}.Generate()
-	runFormat("stencil-u32", sten, haspmvcore.Options{Index: haspmvcore.IndexU32, Value: haspmvcore.ValueReference}, nil)
+	runFormat("stencil-u32", sten, haspmvcore.Options{Index: haspmvcore.IndexU32}, nil)
 	runFormat("stencil-auto", sten, haspmvcore.Options{}, func(b *testing.B, hp *haspmvcore.Prepared) {
 		if share := float64(hp.IndexStats().NNZByFormat[haspmvcore.IndexDia]) / float64(sten.NNZ()); share < 0.9 {
 			b.Fatalf("stencil auto dia share = %v, want >= 0.9", share)
 		}
 	})
 	graph := graph01Matrix()
-	runFormat("graph01-u32", graph, haspmvcore.Options{Index: haspmvcore.IndexU32, Value: haspmvcore.ValueReference}, nil)
-	runFormat("graph01-palette", graph, haspmvcore.Options{Index: haspmvcore.IndexU32}, func(b *testing.B, hp *haspmvcore.Prepared) {
-		if f := hp.ValueStats().Format; f != haspmvcore.ValPalette {
-			b.Fatalf("graph01 value stream = %s, want palette", f)
-		}
-	})
+	runFormat("graph01-u32", graph, haspmvcore.Options{Index: haspmvcore.IndexU32}, nil)
 }
 
 // graph01Matrix is perfbench spmv-mix's graph01 class: a 0/1 random
-// graph, 200k rows of mean 16 nonzeros, every stored value exactly 1.0,
-// so the palette value stream engages.
+// graph, 200k rows of mean 16 nonzeros, every stored value exactly 1.0.
 func graph01Matrix() *sparse.CSR {
 	graph := gen.Spec{
 		Name: "graph01", Rows: 200_000, Cols: 200_000,
@@ -475,8 +468,8 @@ func benchBatch(nv, rows, cols int) (X, Y [][]float64) {
 // BenchmarkPrepare measures the real preprocessing cost (the Figure 10
 // quantity) of each method. The 1M sub-benchmark runs HASpMV's parallel
 // Prepare pipeline on a >1.5M-nnz matrix, the scale where the chunked
-// sweeps engage; the graph01 one prices palette discovery and fill on a
-// 3.2M-nnz matrix of one value (not in the committed baseline).
+// sweeps engage; the graph01 one prices spmv-mix's 3.2M-nnz graph01
+// class (not in the committed baseline).
 func BenchmarkPrepare(b *testing.B) {
 	m := haspmv.IntelI912900KF()
 	a := haspmv.Representative("webbase-1M", 16)

@@ -6,7 +6,7 @@
 //	corpusgen -dir /tmp/corpus -n 50 -maxnnz 1000000
 //	corpusgen -dir /tmp/rep -representative -scale 16
 //	corpusgen -dir /tmp/zipf -zipf -rows 65536 -cols 65536 -nnz 600000
-//	corpusgen -dir /tmp/sten -stencil -rows 65536 -cols 65536 -diags 9 -noise 0.01 -palette 4
+//	corpusgen -dir /tmp/sten -stencil -rows 65536 -cols 65536 -diags 9 -noise 0.01
 package main
 
 import (
@@ -45,7 +45,6 @@ func run(args []string) error {
 	diags := fs.Int("diags", 5, "stencil diagonal count (offsets nearest 0)")
 	fill := fs.Float64("fill", 1, "stencil band fill probability (0 or 1 = dense bands)")
 	noise := fs.Float64("noise", 0, "fraction of rows receiving one off-band defect entry")
-	palette := fs.Int("palette", 0, "restrict values to this many distinct floats (0 = continuous)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -70,7 +69,7 @@ func run(args []string) error {
 		sp := gen.StencilSpec{
 			Name: fmt.Sprintf("stencil-%dx%d-d%d", *rows, *cols, *diags),
 			Rows: *rows, Cols: *cols, Diagonals: *diags,
-			BandFill: *fill, NoiseFrac: *noise, PaletteK: *palette, Seed: *seed,
+			BandFill: *fill, NoiseFrac: *noise, Seed: *seed,
 		}
 		return write(sp.Name, sp.Generate())
 	}

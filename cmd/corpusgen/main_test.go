@@ -46,7 +46,7 @@ func TestRepresentativeGeneration(t *testing.T) {
 func TestStencilGeneration(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-dir", dir, "-stencil", "-rows", "2000", "-cols", "2000",
-		"-diags", "9", "-noise", "0.01", "-palette", "4"}
+		"-diags", "9", "-noise", "0.01"}
 	if err := run(args); err != nil {
 		t.Fatal(err)
 	}
@@ -57,12 +57,8 @@ func TestStencilGeneration(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	distinct := map[float64]bool{}
-	for _, v := range a.Val {
-		distinct[v] = true
-	}
-	if len(distinct) != 4 {
-		t.Fatalf("palette 4 produced %d distinct values", len(distinct))
+	if a.Rows != 2000 || a.Cols != 2000 {
+		t.Fatalf("shape %dx%d, want 2000x2000", a.Rows, a.Cols)
 	}
 }
 

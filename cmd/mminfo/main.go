@@ -54,18 +54,11 @@ func run(args []string) error {
 	// The absolute column-index width the matrix needs (Prepare's
 	// compressed stream is u32 whenever it is at most 32).
 	fmt.Printf("index-width=u%d\n", sparse.IndexWidthBits(a.Cols))
-	// Diagonal structure and value-stream compressibility — what the
-	// diagonal offset format and the palette value stream would get out
+	// Diagonal structure — what the diagonal offset format would get out
 	// of this matrix.
 	ds := sparse.ComputeDiagStats(a, 8)
 	fmt.Printf("diagonals=%d top%d-diag-nnz=%.1f%% runs=%d mean-run-len=%.2f max-run-len=%d run-hist[%s]\n",
 		ds.Diagonals, ds.TopD, 100*ds.TopShare, ds.Runs, ds.MeanRunLen, ds.MaxRunLen, ds.HistString())
-	vs := sparse.ComputeValueStats(a)
-	distinct := fmt.Sprintf("%d", vs.Distinct)
-	if vs.Capped {
-		distinct = fmt.Sprintf(">%d", vs.Distinct-1)
-	}
-	fmt.Printf("distinct-values=%s palette-eligible=%v\n", distinct, vs.PaletteEligible())
 	// Row-length skew — the same numbers the execution-mode dispatch
 	// reads, so segmented-sum eligibility is predictable from this line:
 	// hub share (max-row-nnz over nnz), Gini, and how many rows an
@@ -93,18 +86,13 @@ func run(args []string) error {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "method\ttime(ms)\tGFlops\tbound")
 		algs := bench.AlgorithmsFor(m)
-		base := 0.0
-		for i, alg := range algs {
+		for _, alg := range algs {
 			prep, err := alg.Prepare(m, a)
 			if err != nil {
 				return err
 			}
 			r := exec.Simulate(m, costmodel.DefaultParams(), a, prep)
-			if i == 0 {
-				base = r.Seconds
-			}
 			fmt.Fprintf(tw, "%s\t%.4f\t%.2f\t%s\n", alg.Name(), 1e3*r.Seconds, r.GFlops, r.BoundBy)
-			_ = base
 		}
 		tw.Flush()
 		fmt.Printf("auto P-proportion: %.3f, auto base: %d\n",

@@ -1,18 +1,14 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"haspmv/internal/amp"
 	"haspmv/internal/mmio"
 	"haspmv/internal/sparse"
-
-	haspmvcore "haspmv/internal/core"
 )
 
 func writeTestMatrix(t *testing.T) string {
@@ -69,14 +65,11 @@ func runOutput(t *testing.T, path string) string {
 	return buf.String()
 }
 
-func TestDiagAndValueLines(t *testing.T) {
+func TestDiagLine(t *testing.T) {
 	out := runOutput(t, writeTestMatrix(t))
 	// The 3x3 tridiagonal test matrix: 3 diagonals carry all nnz, every
-	// row is one contiguous run, values {4,-1} are palette eligible.
-	for _, want := range []string{
-		"diagonals=3", "top8-diag-nnz=100.0%", "runs=3",
-		"distinct-values=2", "palette-eligible=true",
-	} {
+	// row is one contiguous run.
+	for _, want := range []string{"diagonals=3", "top8-diag-nnz=100.0%", "runs=3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -85,47 +78,16 @@ func TestDiagAndValueLines(t *testing.T) {
 
 // The index line reports only the absolute column-index width: the
 // 3-column test matrix fits u8, and no per-row span or delta-stream
-// figures are printed, since Prepare streams u32 and dia only.
+// figures are printed, since Prepare streams u32 and dia only. Nor is a
+// distinct-value count: Prepare streams every matrix's own values.
 func TestIndexWidthLine(t *testing.T) {
 	out := runOutput(t, writeTestMatrix(t))
 	if !strings.Contains(out, "index-width=u8\n") {
 		t.Errorf("output missing the index-width=u8 line:\n%s", out)
 	}
-	for _, gone := range []string{"max-row-col-span", "u16-delta"} {
+	for _, gone := range []string{"max-row-col-span", "u16-delta", "distinct-values", "palette-eligible"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("output still reports %q:\n%s", gone, out)
-		}
-	}
-}
-
-// mminfo's distinct-values count and Prepare's palette discovery share
-// one counter, so they agree on every side of the palette limit.
-func TestDistinctValuesMatchPrepare(t *testing.T) {
-	for _, k := range []int{1, 5, 256, 257} {
-		const n = 600
-		c := &sparse.COO{Rows: n, Cols: n}
-		for i := 0; i < n; i++ {
-			c.Add(i, i, float64(1+i%k))
-		}
-		a := c.ToCSR()
-		path := filepath.Join(t.TempDir(), "m.mtx")
-		if err := mmio.WriteFile(path, a); err != nil {
-			t.Fatal(err)
-		}
-		prep, err := haspmvcore.New(haspmvcore.Options{}).Prepare(amp.IntelI912900KF(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		distinct := prep.(*haspmvcore.Prepared).ValueStats().Distinct
-		if distinct != min(k, haspmvcore.PaletteMax+1) {
-			t.Fatalf("%d distinct values: Prepare counts %d", k, distinct)
-		}
-		want := fmt.Sprintf("distinct-values=%d ", distinct)
-		if distinct > haspmvcore.PaletteMax {
-			want = fmt.Sprintf("distinct-values=>%d ", haspmvcore.PaletteMax)
-		}
-		if out := runOutput(t, path); !strings.Contains(out, want) {
-			t.Errorf("%d distinct values: Prepare counts %d, mminfo printed:\n%s", k, distinct, out)
 		}
 	}
 }

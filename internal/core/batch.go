@@ -134,7 +134,6 @@ func (s *batchScratch) tile(v0, w int) []float64 {
 // at a time when it is not); the cut-row patch signals follow the last
 // tile.
 func (s *batchScratch) run(id int) {
-	p := s.p
 	s.extraRow[id] = -1
 	s.durNs[id] = 0
 	reg := s.regs[id]
@@ -152,12 +151,7 @@ func (s *batchScratch) run(id int) {
 		if w = min(nv-v0, kernel.MaxBlock); w < kernel.MinBlock {
 			w = 1
 		}
-		var f int
-		if reg.Val == ValF64 {
-			f = batchRegion(s, id, reg, v0, w, p.mat.Val, nil)
-		} else {
-			f = batchRegion(s, id, reg, v0, w, p.values.palIdx, p.values.tab)
-		}
+		f := batchRegion(s, id, reg, v0, w)
 		if v0 == 0 {
 			frags = f
 		}
@@ -171,7 +165,6 @@ func (s *batchScratch) run(id int) {
 	}
 	nnzDone := reg.Hi - reg.Lo
 	cNNZFormat[reg.Format].Add(int64(nnzDone))
-	cNNZValue[reg.Val].Add(int64(nnzDone))
 	if !s.timed {
 		return
 	}
@@ -205,9 +198,9 @@ func (s *batchScratch) run(id int) {
 // DotDiaBlock on X); all produce Dot's bits. In a dia region the rows
 // with a diagonal offset take the dia kernels and the others the u32
 // stream in col. Returns the fragments processed.
-func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r, v0, w int, vals []V, pal *[PaletteMax]float64, col []C) int {
+func walkBatchFragments[C kernel.ColIndex](s *batchScratch, id int, reg Region, lo, hi, r, v0, w int, col []C) int {
 	p := s.p
-	h, st := p.h, &p.streams
+	h, st, vals := p.h, &p.streams, p.mat.Val
 	X, Y := s.X[v0:v0+w], s.Y[v0:v0+w]
 	x, y := X[0], Y[0]
 	dia := reg.Format == IndexDia
@@ -227,9 +220,9 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 		if w == 1 {
 			var sum float64
 			if diaRow {
-				sum = kernel.DotDia(vals, pal, int(st.diaOff[st.rowDia[r]]), x, klo, khi, un)
+				sum = kernel.DotDia(vals, int(st.diaOff[st.rowDia[r]]), x, klo, khi, un)
 			} else {
-				sum = kernel.Dot(vals, pal, col, x, klo, khi, un)
+				sum = kernel.Dot(vals, col, x, klo, khi, un)
 			}
 			if pos == rowStart {
 				// This core owns the row's first fragment: direct store
@@ -241,9 +234,9 @@ func walkBatchFragments[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, 
 			}
 		} else {
 			if diaRow {
-				kernel.DotDiaBlock(vals, pal, int(st.diaOff[st.rowDia[r]]), X, sums, klo, khi, un)
+				kernel.DotDiaBlock(vals, int(st.diaOff[st.rowDia[r]]), X, sums, klo, khi, un)
 			} else {
-				kernel.DotBlock(vals, pal, col, s.tile(v0, w), sums, klo, khi, un)
+				kernel.DotBlock(vals, col, s.tile(v0, w), sums, klo, khi, un)
 			}
 			orig := h.Perm[r]
 			if pos == rowStart {

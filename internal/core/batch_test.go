@@ -84,14 +84,10 @@ func TestComputeBatchMatchesCompute(t *testing.T) {
 // is 8+8+1, nv = 9 is 8+1, nv = 5 one 5-wide tile), and every tile width
 // must agree with per-vector Compute, including on rows cut across
 // regions (hub-row's giant row), on the width-1 remainder tile of a
-// segmented and of a palette region, and after shrinking nv below a
-// previous call's capacity (scratch reuse).
+// segmented region, and after shrinking nv below a previous call's
+// capacity (scratch reuse).
 func TestComputeBatchMatchesComputeAcrossNV(t *testing.T) {
 	m := amp.IntelI912900KF()
-	ones := algtest.Matrix("hub-row")
-	for k := range ones.Val {
-		ones.Val[k] = 1 // a 0/1 matrix: auto picks the palette stream
-	}
 	for _, tc := range []struct {
 		name string
 		a    *sparse.CSR
@@ -101,7 +97,6 @@ func TestComputeBatchMatchesComputeAcrossNV(t *testing.T) {
 		{"hub-row", algtest.Matrix("hub-row"), Options{}},
 		{"alternating-empty", algtest.Matrix("alternating-empty"), Options{}},
 		{"hub-row/segsum", algtest.Matrix("hub-row"), Options{Exec: ExecSegSum}},
-		{"hub-row-01/palette", ones, Options{}},
 	} {
 		name, a := tc.name, tc.a
 		prep, err := New(tc.opts).Prepare(m, a)
@@ -120,9 +115,6 @@ func TestComputeBatchMatchesComputeAcrossNV(t *testing.T) {
 		}
 		if tc.opts.Exec == ExecSegSum && p.SegSumNNZ() != int64(a.NNZ()) {
 			t.Fatalf("%s: %d of %d nonzeros segmented", name, p.SegSumNNZ(), a.NNZ())
-		}
-		if a == ones && p.ValueStats().Format != ValPalette {
-			t.Fatalf("%s: value stream %v, want palette", name, p.ValueStats().Format)
 		}
 		r := rand.New(rand.NewSource(42))
 		// Descending order makes later iterations reuse a scratch whose

@@ -75,33 +75,18 @@ func fuzzOptions(b byte) Options {
 	}
 }
 
-// fuzzValueOptions maps a second input byte (data[3], which doubles as
-// the first entry's row byte) onto the value-stream ablation space: a
-// low two-bit value of 1 pins the []float64 reference, anything else
-// leaves the value stream on auto. The other bit patterns are ignored
-// rather than renumbered, so every checked-in seed keeps decoding to the
-// options it was written for.
-func fuzzValueOptions(o *Options, b byte) {
-	if b&3 == 1 {
-		o.Value = ValueReference
-	}
-}
-
 // referencePrepared builds the []int oracle instance for a prepared
-// compressed instance: same options, reference index mode, reference
-// (uncompressed f64) value mode, serial epilogue execution, and the
-// resolved proportion pinned so both cut identical regions (the auto
-// proportion is stream-aware, so leaving it auto could move boundaries).
-// Pinning ExecSerial means a primary instance running segmented-sum is
-// checked bit-for-bit against the extraY serial-epilogue path it
-// replaces; pinning ValueReference means a palette instance is checked
-// against the matrix's own value array.
+// compressed instance: same options, reference index mode, serial
+// epilogue execution, and the resolved proportion pinned so both cut
+// identical regions (the auto proportion is stream-aware, so leaving it
+// auto could move boundaries). Pinning ExecSerial means a primary
+// instance running segmented-sum is checked bit-for-bit against the
+// extraY serial-epilogue path it replaces.
 func referencePrepared(t *testing.T, hp *Prepared, a *sparse.CSR, opts Options) *Prepared {
 	t.Helper()
 	refOpts := opts
 	refOpts.Index = IndexReference
 	refOpts.Exec = ExecSerial
-	refOpts.Value = ValueReference
 	refOpts.PProportion = hp.Plan().PProportion
 	ref, err := New(refOpts).Prepare(amp.IntelI912900KF(), a)
 	if err != nil {
@@ -125,8 +110,7 @@ func segsumMegaRowSeed() []byte {
 // force the diagonal format, rows 0-7 are 8-long contiguous runs
 // (offset eligible) and row 5 is an off-band defect row of isolated
 // entries, so diagonal regions mix offset rows with the per-row u32
-// fallback. The first entry's row byte is 0, leaving the value stream on
-// auto (the small distinct-value set palettes).
+// fallback.
 func diaDefectSeed() []byte {
 	data := []byte{7, 30, 96}
 	for i := 0; i < 8; i++ {
@@ -142,9 +126,9 @@ func diaDefectSeed() []byte {
 }
 
 // adjacencySeed builds the 0/1 adjacency fuzz seed: every value byte is
-// 4 (stored value exactly 1.0), so the palette stream engages with a
-// single entry, and row 3 holds 16 of the nonzeros so the equal-nnz cut
-// straddles a region boundary through palette-format regions.
+// 4 (stored value exactly 1.0), so the matrix holds a single value, and
+// row 3 holds 16 of the nonzeros so the equal-nnz cut straddles a region
+// boundary.
 func adjacencySeed() []byte {
 	data := []byte{31, 31, 0}
 	for j := 0; j < 16; j++ {
@@ -175,15 +159,6 @@ func shuffledBandSeed() []byte {
 	return data
 }
 
-// adjacencyReferenceSeed is adjacencySeed with the value stream pinned
-// to the []float64 reference: it leads with one more 1.0 entry, at row
-// byte 33 (row 1, and 33&3 == 1 selects ValueReference), so a
-// palette-eligible matrix runs on the f64 stream.
-func adjacencyReferenceSeed() []byte {
-	data := adjacencySeed()
-	return append([]byte{data[0], data[1], data[2], 33, 20, 4}, data[3:]...)
-}
-
 // FuzzPrepareCompute feeds random small matrices through the full
 // HASpMV pipeline — HACSR reorder, cost partition, conflict-resolving
 // executor — checks the result against the naive reference multiply plus
@@ -196,12 +171,11 @@ func adjacencyReferenceSeed() []byte {
 // mega-row holding most of the nonzeros, both of which cut one row
 // across several regions so the parallel fragment patch is exercised,
 // and the pluggable-format shapes: a forced-diagonal banded matrix with
-// an off-band defect row and a 0/1 adjacency matrix whose single-entry
-// palette straddles a region boundary (also pinned to the f64 value
-// reference), plus a scrambled band the short/long sort permutes,
-// forced segsum over a forced-diagonal or one-level partition, and the
-// adjacency matrix under forced segsum, whose segmented interiors read
-// the palette (checked bit for bit against the []int/f64 reference).
+// an off-band defect row and a single-value 0/1 adjacency matrix whose
+// hub row straddles a region boundary, plus a scrambled band the
+// short/long sort permutes, forced segsum over a forced-diagonal or
+// one-level partition, and the adjacency matrix under forced segsum
+// (checked bit for bit against the []int reference).
 func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{7, 7, 0})                                                                                                                 // 8x8, all rows empty
 	f.Add([]byte{0, 15, 1, 0, 0, 8, 0, 5, 16, 0, 11, 200})                                                                                 // single row, reorder off
@@ -213,12 +187,11 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{0, 15, 128, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3})                                // forced segsum: the whole matrix is one row, cut across many regions
 	f.Add(segsumMegaRowSeed())                                                                                                             // forced segsum: one mega-row spanning 3+ regions among short rows
 	f.Add(diaDefectSeed())                                                                                                                 // forced dia: banded rows + one off-band defect row on the u32 fallback
-	f.Add(adjacencySeed())                                                                                                                 // 0/1 adjacency: single-entry palette across a region boundary
-	f.Add(adjacencyReferenceSeed())                                                                                                        // 0/1 adjacency pinned to the f64 value reference
+	f.Add(adjacencySeed())                                                                                                                 // 0/1 adjacency: one value, a hub row across a region boundary
 	f.Add(shuffledBandSeed())                                                                                                              // scrambled band of 1-6 entry rows, base 4: sorted vs natural order
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...))                                                                              // forced dia under forced segsum
 	f.Add(append([]byte{5, 31, 131}, segsumMegaRowSeed()[3:]...))                                                                          // forced segsum mega-row, one-level partition, reorder off
-	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...))                                                                             // 0/1 adjacency under forced segsum: palette segmented interiors
+	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...))                                                                             // 0/1 adjacency under forced segsum
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return // keep Prepare cost bounded
@@ -228,9 +201,6 @@ func FuzzPrepareCompute(f *testing.F) {
 			return
 		}
 		opts := fuzzOptions(optByte)
-		if len(data) > 3 {
-			fuzzValueOptions(&opts, data[3])
-		}
 		prep, err := New(opts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
 			t.Fatalf("Prepare failed on a valid %dx%d matrix (%d nnz, opts %+v): %v",
@@ -258,9 +228,9 @@ func FuzzPrepareCompute(f *testing.F) {
 			}
 		}
 
-		// Bit-equality against the []int/f64 reference streams: index and
-		// palette compression are only legal because on the same partition
-		// they reproduce the reference kernels' float64 bits exactly.
+		// Bit-equality against the []int reference stream: index
+		// compression is only legal because on the same partition it
+		// reproduces the reference kernels' float64 bits exactly.
 		refPrep := referencePrepared(t, hp, a, opts)
 		ref := make([]float64, a.Rows)
 		refPrep.Compute(ref, x)
@@ -338,7 +308,7 @@ func FuzzPrepareCompute(f *testing.F) {
 		// repartition.
 		roOpts := Options{
 			Metric: RowCost, Index: IndexReference, Exec: ExecSerial,
-			Value: ValueReference, Base: opts.Base, DisableReorder: opts.DisableReorder,
+			Base: opts.Base, DisableReorder: opts.DisableReorder,
 		}
 		rp, err := New(roOpts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
@@ -398,11 +368,10 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add([]byte{0, 15, 128, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3}, byte(5))                                                                                           // forced segsum: all-one-row matrix, batched fragment patch
 	f.Add(segsumMegaRowSeed(), byte(9))                                                                                                                                                                        // forced segsum: mega-row spanning 3+ regions, batched
 	f.Add(diaDefectSeed(), byte(6))                                                                                                                                                                            // forced dia with defect row, block kernels
-	f.Add(adjacencySeed(), byte(8))                                                                                                                                                                            // 0/1 adjacency palette across a region boundary, full block
-	f.Add(adjacencyReferenceSeed(), byte(8))                                                                                                                                                                   // 0/1 adjacency pinned to the f64 value reference, full block
+	f.Add(adjacencySeed(), byte(8))                                                                                                                                                                            // 0/1 adjacency: one value, a hub row across a region boundary, full block
 	f.Add(shuffledBandSeed(), byte(7))                                                                                                                                                                         // scrambled band, base 4 sort, block kernels
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...), byte(5))                                                                                                                                         // forced dia under forced segsum, batched
-	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under forced segsum: palette segmented interiors, batched
+	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under forced segsum, batched
 	f.Add(shuffledBandSeed(), byte(17))                                                                                                                                                                        // X[1] aliases X[0], full block
 	f.Add([]byte{31, 31, 0, 1, 1, 4, 9, 9, 8, 30, 2, 252}, byte(12))                                                                                                                                           // X[1] aliases X[0], three-wide tile
 	f.Add(shuffledBandSeed(), byte(27))                                                                                                                                                                        // ±0 and subnormal x, full block
@@ -419,9 +388,6 @@ func FuzzComputeBatch(f *testing.F) {
 		nv := 1 + int(nvByte)%10
 		alias, tiny := nvByte/10&1 != 0, nvByte/10&2 != 0
 		opts := fuzzOptions(optByte)
-		if len(data) > 3 {
-			fuzzValueOptions(&opts, data[3])
-		}
 		prep, err := New(opts).Prepare(amp.IntelI912900KF(), a)
 		if err != nil {
 			t.Fatalf("Prepare: %v", err)
@@ -458,7 +424,7 @@ func FuzzComputeBatch(f *testing.F) {
 			}
 		}
 
-		// The compressed block kernels must also match the []int/f64
+		// The compressed block kernels must also match the []int
 		// reference block kernels bit for bit on the same partition.
 		refPrep := referencePrepared(t, prep.(*Prepared), a, opts)
 		refY := make([][]float64, nv)

@@ -26,12 +26,6 @@ type Region struct {
 	// stamped by assignFormats after every partition or repartition. The
 	// zero value dispatches to the []int reference kernels.
 	Format IndexFormat
-	// Val is the value stream this region executes with, stamped by
-	// assignFormats alongside Format (one stream per instance, so every
-	// region carries the same value; keeping it on the region lets the
-	// hot path dispatch without touching the Prepared). The zero value
-	// reads the matrix's own []float64.
-	Val ValueFormat
 	// SegSum selects segmented-sum execution for this region, stamped by
 	// assignModes after every partition or repartition. The zero value
 	// keeps the classic fragment walk with the serial extraY epilogue.
@@ -77,17 +71,17 @@ func DefaultProportion(m *amp.Machine) float64 {
 // between 32MB and 96MB, the paper's bandwidth-test-driven calibration.
 // SpMV is memory bound, so memory capability dominates the weighting.
 func ProportionFor(m *amp.Machine, a *sparse.CSR) float64 {
-	return proportionForBytes(m, a, 4, 8)
+	return proportionForBytes(m, a, 4)
 }
 
-// proportionForBytes is ProportionFor with the index- and value-stream
-// widths as parameters: Prepare passes the effective bytes per nonzero
-// of the streams it actually built (4 for u32 and for the []int
-// reference, a per-row-best blend for diagonal partitions; 8 for f64
-// values, 1 for a palette), so the level-1 split prices the working set
-// the kernels will really move.
-func proportionForBytes(m *amp.Machine, a *sparse.CSR, idxBytes, valBytes float64) float64 {
-	footprint := float64(a.NNZ())*(valBytes+idxBytes) + float64(a.Cols*8+a.Rows*12)
+// proportionForBytes is ProportionFor with the index-stream width as a
+// parameter: Prepare passes the effective bytes per nonzero of the
+// index stream it actually built (4 for u32 and for the []int
+// reference, a per-row-best blend for diagonal partitions) beside the
+// 8-byte values, so the level-1 split prices the working set the
+// kernels will really move.
+func proportionForBytes(m *amp.Machine, a *sparse.CSR, idxBytes float64) float64 {
+	footprint := float64(a.NNZ())*(8+idxBytes) + float64(a.Cols*8+a.Rows*12)
 	capability := func(g *amp.CoreGroup) float64 {
 		compute := g.FreqGHz * float64(g.SIMDLanes)
 		r3 := 1.0

@@ -11,7 +11,7 @@ import (
 
 // Prepared-state persistence. A Prepared instance is a pile of flat
 // arrays (the matrix, the HACSR indirection, the cost prefix sums, the
-// compressed index/value streams, the segment descriptors) plus a
+// compressed index streams, the segment descriptors) plus a
 // handful of scalars; everything else — regions, scratch, calibration
 // gauges — is cheaply derivable. Snapshot exposes exactly that split so
 // internal/store can serialize the arrays as raw sections (and mmap
@@ -40,9 +40,6 @@ type SnapshotMeta struct {
 	// Stream scalars (indexStreams).
 	RunNNZ  int
 	BestIdx int64
-	// Value-stream scalars.
-	ValFormat ValueFormat
-	Distinct  int
 	// Skew is the row-length profile driving execution-mode dispatch
 	// (recomputing it needs a counting sort over the row lengths).
 	Skew costmodel.RowSkew
@@ -77,10 +74,6 @@ type PreparedSnapshot struct {
 	RowDia  []int32
 	DiaInel []int
 
-	// Compressed value streams.
-	PalIdx []uint8
-	Pal    []float64
-
 	// Segment descriptors (nil when segmented execution is off for
 	// this instance).
 	Segs []kernel.Segment
@@ -91,7 +84,7 @@ type PreparedSnapshot struct {
 // hold them across a mutation of the instance (there are none today:
 // Repartition only moves boundaries).
 func (p *Prepared) Snapshot() *PreparedSnapshot {
-	st, vs := &p.streams, &p.values
+	st := &p.streams
 	s := &PreparedSnapshot{
 		Meta: SnapshotMeta{
 			MachineName: p.machine.Name,
@@ -102,8 +95,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 			HNumShort:   p.h.NumShort,
 			RunNNZ:      st.runNNZ,
 			BestIdx:     st.bestIdx,
-			ValFormat:   vs.format,
-			Distinct:    vs.distinct,
 			Skew:        p.skew,
 		},
 		RowPtr:       p.mat.RowPtr,
@@ -117,8 +108,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 		DiaOff:       st.diaOff,
 		RowDia:       st.rowDia,
 		DiaInel:      st.diaInel,
-		PalIdx:       vs.palIdx,
-		Pal:          vs.pal,
 		Segs:         p.segs,
 	}
 	if st.col32 == nil {
@@ -167,21 +156,8 @@ func checkSnapshot(s *PreparedSnapshot) error {
 	if s.DiaOff != nil && int(s.RowDia[m]) != len(s.DiaOff) {
 		return fmt.Errorf("core: snapshot dia prefix counts %d rows, %d offsets", s.RowDia[m], len(s.DiaOff))
 	}
-	if s.PalIdx != nil && len(s.PalIdx) != nnz {
-		return fmt.Errorf("core: snapshot palette stream length %d, want %d", len(s.PalIdx), nnz)
-	}
 	if s.Segs != nil && len(s.Segs) != m {
 		return fmt.Errorf("core: snapshot segment count %d, want %d", len(s.Segs), m)
-	}
-	switch s.Meta.ValFormat {
-	case ValPalette:
-		if s.PalIdx == nil || len(s.Pal) == 0 || len(s.Pal) > PaletteMax {
-			return fmt.Errorf("core: snapshot palette format without a valid palette")
-		}
-	case ValF64:
-		// The matrix's own values; nothing more to check.
-	default:
-		return fmt.Errorf("core: snapshot value format %v unknown", s.Meta.ValFormat)
 	}
 	return nil
 }
@@ -238,10 +214,6 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 			col32: snap.Col32, diaOff: snap.DiaOff, rowDia: snap.RowDia,
 			diaInel: snap.DiaInel, runNNZ: snap.Meta.RunNNZ,
 			bestIdx: snap.Meta.BestIdx,
-		},
-		values: valueStreams{
-			format: snap.Meta.ValFormat, palIdx: snap.PalIdx,
-			pal: snap.Pal, tab: paletteTable(snap.Pal), distinct: snap.Meta.Distinct,
 		},
 		segs: snap.Segs,
 		skew: snap.Meta.Skew,

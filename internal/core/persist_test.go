@@ -26,7 +26,7 @@ func snapshotOf(t *testing.T, opts Options) (*Prepared, *PreparedSnapshot) {
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	for _, opts := range []Options{
 		{},
-		{Index: IndexReference, Value: ValueReference},
+		{Index: IndexReference},
 		{Exec: ExecSegSum},
 		{DisableReorder: true},
 		{Metric: NNZCost, OneLevel: true},
@@ -76,11 +76,6 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		{"cs-short", func(s *PreparedSnapshot) { s.CS = s.CS[:len(s.CS)-1] }},
 		{"bad-proportion", func(s *PreparedSnapshot) { s.Meta.Opts.PProportion = 1.5 }},
 		{"negative-rows", func(s *PreparedSnapshot) { s.Meta.Rows = -1 }},
-		{"palette-missing", func(s *PreparedSnapshot) {
-			s.Meta.ValFormat = ValPalette
-			s.PalIdx, s.Pal = nil, nil
-		}},
-		{"unknown-value-format", func(s *PreparedSnapshot) { s.Meta.ValFormat = ValPalette + 1 }},
 		{"segs-short", func(s *PreparedSnapshot) {
 			s.Segs = make([]kernel.Segment, 1)
 		}},

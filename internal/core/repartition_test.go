@@ -60,7 +60,7 @@ func checkLive(t *testing.T, a *sparse.CSR, hp *Prepared) {
 
 // checkReferenceBits asserts that a weightless repartition cuts exactly
 // the regions a fresh Prepare at the same proportion cuts, and that the
-// product equals the []int+f64 reference prepared there bit for bit —
+// product equals the []int reference prepared there bit for bit —
 // a boundary move must not change the summation order a Prepare would
 // have chosen.
 func checkReferenceBits(t *testing.T, a *sparse.CSR, hp *Prepared, opts Options) {

@@ -224,7 +224,7 @@ func (p *Prepared) SegSumNNZ() int64 {
 // heads. It returns the fragments (rows) processed. The caller has
 // already reset extraRow/durNs, rejected empty regions, and sends the
 // group patch signals after the last tile.
-func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, id int, reg Region, v0, w int, vals []V, pal *[PaletteMax]float64, col []C) int {
+func batchSegSumRegion[C kernel.ColIndex](s *batchScratch, id int, reg Region, v0, w int, col []C) int {
 	p := s.p
 	h := p.h
 	frags := 0
@@ -233,7 +233,7 @@ func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, i
 	// sum is a fragment — patched in parallel when the whole group is
 	// segmented, merged by the serial epilogue otherwise.
 	if reg.Lo > h.RowPtr[r0] {
-		frags += walkBatchFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, v0, w, vals, pal, col)
+		frags += walkBatchFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, v0, w, col)
 		r0++
 	}
 	// Trailing fragment exists when the region's last row continues
@@ -247,17 +247,17 @@ func batchSegSumRegion[V kernel.ValSource, C kernel.ColIndex](s *batchScratch, i
 	if r0 <= rLast {
 		segs := p.segs[r0 : rLast+1]
 		if w == 1 {
-			frags += kernel.SegSum(vals, pal, col, s.X[v0], s.Y[v0], segs, p.unroll[id])
+			frags += kernel.SegSum(p.mat.Val, col, s.X[v0], s.Y[v0], segs, p.unroll[id])
 		} else {
 			sums := s.sums[id*kernel.MaxBlock : id*kernel.MaxBlock+w]
-			frags += kernel.SegSumBlock(vals, pal, col, s.tile(v0, w), s.Y[v0:], sums, segs, p.unroll[id])
+			frags += kernel.SegSumBlock(p.mat.Val, col, s.tile(v0, w), s.Y[v0:], sums, segs, p.unroll[id])
 		}
 	}
 	if tailClip {
 		// This region owns the cut row's first fragment: direct store,
 		// exactly like the fragment walk's pos==rowStart arm. The patch
 		// (or the epilogue) adds the continuations on top.
-		frags += walkBatchFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, v0, w, vals, pal, col)
+		frags += walkBatchFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, v0, w, col)
 	}
 	return frags
 }

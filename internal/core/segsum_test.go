@@ -235,18 +235,13 @@ func TestComputeSegSumZeroAllocs(t *testing.T) {
 	}
 }
 
-// A segmented region walks its interior rows on a column stream and the
-// palette value stream, so it must be stamped and priced as exactly
-// that: never IndexDia (whose row offsets no segmented kernel reads),
-// and with the 1-byte palette it actually streams. On a 0/1 power-law
-// matrix whose rows of 8 or more nonzeros are laid out as one run of
+// A segmented region walks its interior rows on a column stream, so it
+// must be stamped and priced as exactly that: never IndexDia (whose row
+// offsets no segmented kernel reads). On a power-law matrix whose rows of 8 or more nonzeros are laid out as one run of
 // consecutive columns, the cheapest-bytes choice would pick dia for
 // some of its regions.
 func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
 	a := gen.ZipfSpec{Rows: 200000, Cols: 200000, TargetNNZ: 600000, Seed: 1}.Generate()
-	for i := range a.Val {
-		a.Val[i] = 1
-	}
 	for i := 0; i < a.Rows; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		if hi-lo < diaMinSingleRunLen {
@@ -263,9 +258,6 @@ func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pp.(*Prepared)
-	if vs := p.ValueStats(); vs.Format != ValPalette {
-		t.Fatalf("value format %v, want palette", vs.Format)
-	}
 	var segRegions, wantIdx int
 	for i, r := range p.Regions() {
 		if !r.SegSum {
@@ -274,9 +266,6 @@ func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
 		segRegions++
 		if r.Format == IndexDia {
 			t.Errorf("segmented region %d stamped %v", i, r.Format)
-		}
-		if r.Val != ValPalette {
-			t.Errorf("segmented region %d value format %v, want palette", i, r.Val)
 		}
 	}
 	if segRegions == 0 {
@@ -296,8 +285,8 @@ func TestSegSumRegionsPricedAsStreamed(t *testing.T) {
 		t.Errorf("StreamIndexBytes %d, want %d", s.StreamIndexBytes, wantIdx)
 	}
 
-	// The palette interiors reproduce the []int/f64 serial oracle's bits.
-	rp, err := New(Options{Index: IndexReference, Value: ValueReference, Exec: ExecSerial,
+	// The segmented interiors reproduce the []int serial oracle's bits.
+	rp, err := New(Options{Index: IndexReference, Exec: ExecSerial,
 		PProportion: p.Plan().PProportion}).Prepare(m, a)
 	if err != nil {
 		t.Fatal(err)

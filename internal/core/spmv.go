@@ -59,9 +59,8 @@ type Options struct {
 	// Index selects the column-index stream policy (default IndexAuto:
 	// compressed u32/diagonal streams with per-region dispatch).
 	Index IndexMode
-	// Value selects the value stream policy (default ValueAuto: a 1-byte
-	// palette stream when the matrix has at most PaletteMax distinct
-	// values — bit-exact — and the []float64 reference otherwise).
+	// Value is ignored: every instance streams the matrix's own
+	// []float64. It stays because perfbench's pinned reference sets it.
 	Value ValueMode
 	// Exec selects how rows cut across cores are resolved (default
 	// ExecAuto: segmented-sum execution with a parallel patch when the
@@ -113,15 +112,14 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 		t0 = time.Now()
 	}
 	streams := buildStreams(mat, h, opts.Index)
-	values := buildValues(mat, opts.Value)
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseStreams, time.Since(t0))
 		t0 = time.Now()
 	}
 	// The auto level-1 proportion prices the working set the kernels will
-	// actually stream, so it sees the compressed index and value widths.
+	// actually stream, so it sees the compressed index width.
 	if opts.PProportion <= 0 || opts.PProportion >= 1 {
-		opts.PProportion = proportionForBytes(m, mat, streams.effIdxBytes(mat.NNZ()), values.effValBytes())
+		opts.PProportion = proportionForBytes(m, mat, streams.effIdxBytes(mat.NNZ()))
 	}
 	cs := costSum(mat, h, opts.Metric)
 	if tel != nil {
@@ -146,7 +144,7 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	p := &Prepared{
 		mat: mat, h: h, machine: m,
 		opts: opts, emptyRows: empty, unroll: unroll,
-		cs: cs, cores: cores, streams: streams, values: values,
+		cs: cs, cores: cores, streams: streams,
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {
@@ -218,9 +216,6 @@ type Prepared struct {
 	// streams holds the compressed column-index streams built once at
 	// Prepare; Repartition only re-picks per-region formats over them.
 	streams indexStreams
-	// values holds the compressed value stream (palette), also
-	// built once at Prepare and shared by every region.
-	values valueStreams
 	// segs is the per-reordered-row segment descriptor stream for
 	// segmented-sum execution (nil when the mode is off for this
 	// instance); like streams it is built once at Prepare and survives
@@ -351,11 +346,6 @@ func (p *Prepared) Assignments() []costmodel.Assignment {
 			asg.IdxBytes = 4
 		case IndexDia:
 			asg.DiagBytes = int(diaBytes(p.regionDiaParts(reg)))
-		}
-		// And which value width (palette); ValF64 keeps the zero value
-		// so the model's default ValBytes applies.
-		if reg.Val != ValF64 {
-			asg.ValBytes = reg.Val.BytesPerValue()
 		}
 		if reg.Lo < reg.Hi {
 			r := reg.StartRow

@@ -48,10 +48,6 @@ var (
 		nil, // Index16 is never assigned
 		telemetry.NewCounter("core_nnz_dia"),
 	}
-	cNNZValue = [2]*telemetry.Counter{
-		telemetry.NewCounter("core_nnz_val_f64"),
-		telemetry.NewCounter("core_nnz_val_palette"),
-	}
 )
 
 // IndexFormat is the physical column-index encoding one region executes
@@ -357,21 +353,19 @@ func (p *Prepared) regionFormat(r Region) IndexFormat {
 	return Index32
 }
 
-// assignFormats stamps every region with its index format and the
-// instance's value format, and refreshes the partition-level stream
-// gauges. It runs at Prepare and after every Repartition, after
-// assignModes (a segmented region never takes IndexDia) and before the
-// regions slice is published: boundary moves never rebuild streams,
-// they only re-pick formats, so a region whose new row set no longer
-// pays for offsets falls back to u32 ([]int when compression is off).
+// assignFormats stamps every region with its index format and refreshes
+// the partition-level stream gauges. It runs at Prepare and after every
+// Repartition, after assignModes (a segmented region never takes
+// IndexDia) and before the regions slice is published: boundary moves
+// never rebuild streams, they only re-pick formats, so a region whose
+// new row set no longer pays for offsets falls back to u32 ([]int when
+// compression is off).
 func (p *Prepared) assignFormats(regions []Region) {
 	var bytes, modelIdx, diaRows int64
 	var nnzBy [4]int64
-	vf := p.values.format
 	for i := range regions {
 		f := p.regionFormat(regions[i])
 		regions[i].Format = f
-		regions[i].Val = vf
 		n := int64(regions[i].Hi - regions[i].Lo)
 		nnzBy[f] += n
 		var b int64
@@ -401,16 +395,12 @@ func (p *Prepared) assignFormats(regions []Region) {
 			g.Set(nnzBy[f])
 		}
 	}
-	// Cache the modeled structure traffic of one sweep (values at the
-	// built stream's width plus the palette table, indexes at the
-	// assigned widths, row pointers) for the per-multiply
+	// Cache the modeled structure traffic of one sweep (values, indexes
+	// at the assigned widths, row pointers) for the per-multiply
 	// effective-bandwidth gauge; runs before the regions are published,
 	// so multiplies always see a price matching their formats.
 	pm := costmodel.DefaultParams()
 	valBytes := int64(p.mat.NNZ()) * int64(pm.ValBytes)
-	if vf != ValF64 {
-		valBytes = int64(p.mat.NNZ())*int64(vf.BytesPerValue()) + 8*int64(len(p.values.pal))
-	}
 	gValueBytes.Set(valBytes)
 	p.structBytes.Store(valBytes + modelIdx + int64(p.mat.Rows)*int64(pm.PtrBytes))
 }

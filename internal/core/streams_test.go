@@ -57,12 +57,11 @@ func TestIndexStatsPerMode(t *testing.T) {
 // Auto format selection on the two shapes the per-region formats exist
 // for: a 9-diagonal stencil with a trace of off-band defect rows, where
 // diagonal offsets carry almost every nonzero (the defect rows ride the
-// u32 fallback) and continuous values keep the palette out, and a 0/1
-// random graph, where the one-entry palette engages and the scattered
-// columns keep the diagonal format out. A band of two 16-column runs per
+// u32 fallback), and a 0/1 random graph, where the scattered columns
+// keep the diagonal format out. A band of two 16-column runs per
 // row gets no diagonal offsets: under auto every nonzero runs on u32,
 // and forcing the diagonal format leaves every row on its u32 fallback.
-// Each instance's y equals the []int+f64 reference's at its cuts.
+// Each instance's y equals the []int reference's at its cuts.
 func TestAutoFormatSelection(t *testing.T) {
 	sten := gen.StencilSpec{
 		Name: "stencil9", Rows: 4096, Cols: 4096,
@@ -89,20 +88,18 @@ func TestAutoFormatSelection(t *testing.T) {
 		a              *sparse.CSR
 		opts           Options
 		minDia, maxDia float64 // share of nnz on IndexDia
-		val            ValueFormat
-		// Index and value bytes per nnz stay at or below these; 0 skips
-		// the check.
-		maxIdxBytes, maxValBytes float64
+		// Index bytes per nnz stay at or below this; 0 skips the check.
+		maxIdxBytes float64
 		// noDiaRows demands no diagonal offsets and every nonzero on u32.
 		noDiaRows bool
 	}{
-		{"stencil9/auto", sten, Options{}, 0.9, 1, ValF64, 2, 0, false},
-		{"stencil9/dia", sten, Options{Index: IndexForceDia, Value: ValueReference}, 0.9, 1, ValF64, 2, 0, false},
-		{"graph01/auto", graph, Options{}, 0, 0.05, ValPalette, 4, 1.5, false},
-		{"graph01/u32-palette", graph, Options{Index: IndexU32}, 0, 0, ValPalette, 0, 1.5, false},
-		{"graph01/reference", graph, Options{Index: IndexReference, Value: ValueReference}, 0, 0, ValF64, 0, 0, false},
-		{"band2x16/auto", band2, Options{}, 0, 0, ValF64, 4, 0, true},
-		{"band2x16/dia", band2, Options{Index: IndexForceDia, Value: ValueReference}, 0, 0, ValF64, 4, 0, true},
+		{"stencil9/auto", sten, Options{}, 0.9, 1, 2, false},
+		{"stencil9/dia", sten, Options{Index: IndexForceDia}, 0.9, 1, 2, false},
+		{"graph01/auto", graph, Options{}, 0, 0.05, 4, false},
+		{"graph01/u32", graph, Options{Index: IndexU32}, 0, 0, 0, false},
+		{"graph01/reference", graph, Options{Index: IndexReference}, 0, 0, 0, false},
+		{"band2x16/auto", band2, Options{}, 0, 0, 4, true},
+		{"band2x16/dia", band2, Options{Index: IndexForceDia}, 0, 0, 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prep, err := New(tc.opts).Prepare(amp.IntelI912900KF(), tc.a)
@@ -110,7 +107,7 @@ func TestAutoFormatSelection(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := prep.(*Prepared)
-			ist, vst := p.IndexStats(), p.ValueStats()
+			ist := p.IndexStats()
 			nnz := float64(tc.a.NNZ())
 			if dia := float64(ist.NNZByFormat[IndexDia]) / nnz; dia < tc.minDia || dia > tc.maxDia {
 				t.Errorf("dia nnz share = %.3f, want within [%v, %v] (split %v)",
@@ -118,12 +115,6 @@ func TestAutoFormatSelection(t *testing.T) {
 			}
 			if idx := float64(ist.StreamIndexBytes) / nnz; tc.maxIdxBytes > 0 && (idx <= 0 || idx > tc.maxIdxBytes) {
 				t.Errorf("index bytes/nnz = %.3f, want within (0, %v]", idx, tc.maxIdxBytes)
-			}
-			if vst.Format != tc.val {
-				t.Errorf("value stream = %s, want %s", vst.Format, tc.val)
-			}
-			if val := float64(vst.StreamValueBytes) / nnz; tc.maxValBytes > 0 && val > tc.maxValBytes {
-				t.Errorf("value bytes/nnz = %.3f, want at most %v", val, tc.maxValBytes)
 			}
 			if tc.noDiaRows && (ist.DiaRows != 0 || ist.NNZByFormat[Index32] != tc.a.NNZ()) {
 				t.Errorf("index stats %+v, want no diagonal offsets and all %d nnz on u32", ist, tc.a.NNZ())

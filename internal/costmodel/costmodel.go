@@ -84,10 +84,6 @@ type Assignment struct {
 	// column-index streams (HASpMV's u32 and diagonal execution streams) price
 	// each region at the width it actually moves.
 	IdxBytes int
-	// ValBytes, when positive, overrides Params.ValBytes: compressed
-	// value streams (HASpMV's 1-byte palette) price each multiply at the
-	// width the kernels actually stream.
-	ValBytes int
 	// DiagBytes, when positive, replaces the per-nonzero index term
 	// entirely with this total: a DIA-style region streams a 4-byte
 	// column offset per row plus u32 fallback indices for its other rows,
@@ -181,11 +177,7 @@ func EstimateSpMV(m *amp.Machine, p Params, a *sparse.CSR, asgs []Assignment) Re
 		if asg.DiagBytes > 0 {
 			idxTraffic = asg.DiagBytes
 		}
-		valBytes := p.ValBytes
-		if asg.ValBytes > 0 {
-			valBytes = asg.ValBytes
-		}
-		streamBytes := float64(cc.NNZ*valBytes + idxTraffic + rows*(p.PtrBytes+8))
+		streamBytes := float64(cc.NNZ*p.ValBytes + idxTraffic + rows*(p.PtrBytes+8))
 		caps := effectiveCaches(m, g, activeP, activeE)
 		share := xShare(xBytes, streamBytes, caps)
 

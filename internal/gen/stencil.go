@@ -19,10 +19,6 @@ import (
 // structure in controlled doses (BandFill holes, NoiseFrac off-band
 // defects).
 //
-// The value stream is independently controllable: PaletteK restricts
-// values to K distinct floats, producing matrices eligible (K <= 256)
-// or just-ineligible (K = 257) for palette value compression.
-//
 // Generation is deterministic for a given spec.
 type StencilSpec struct {
 	Name string
@@ -45,11 +41,7 @@ type StencilSpec struct {
 	// constraint rows and boundary conditions that keep real FEM
 	// matrices from being perfectly banded.
 	NoiseFrac float64
-	// PaletteK restricts values to K distinct floats (drawn uniformly
-	// from a fixed K-value palette); 0 draws continuous values in
-	// (0.1, 1.1) like the other generators.
-	PaletteK int
-	Seed     int64
+	Seed      int64
 }
 
 // offsets returns the sorted, deduplicated diagonal set.
@@ -80,21 +72,6 @@ func (s StencilSpec) offsets() []int {
 	return out[:k]
 }
 
-// Palette returns the K-value palette the spec draws from (nil when
-// PaletteK is 0). Exposed so tests can assert the generated value set.
-func (s StencilSpec) Palette() []float64 {
-	if s.PaletteK <= 0 {
-		return nil
-	}
-	pal := make([]float64, s.PaletteK)
-	for j := range pal {
-		// Distinct, nonzero, well-conditioned — same range as the
-		// continuous generators.
-		pal[j] = 0.1 + float64(j+1)/float64(s.PaletteK+1)
-	}
-	return pal
-}
-
 // Generate materializes the stencil matrix.
 func (s StencilSpec) Generate() *sparse.CSR {
 	if s.Rows < 0 || s.Cols <= 0 {
@@ -105,15 +82,10 @@ func (s StencilSpec) Generate() *sparse.CSR {
 	if fill <= 0 || fill >= 1 {
 		fill = 1
 	}
-	pal := s.Palette()
 	r := rand.New(rand.NewSource(s.Seed))
 
-	value := func() float64 {
-		if pal != nil {
-			return pal[r.Intn(len(pal))]
-		}
-		return 0.1 + r.Float64()
-	}
+	// Continuous values in (0.1, 1.1) like the other generators.
+	value := func() float64 { return 0.1 + r.Float64() }
 
 	a := &sparse.CSR{Rows: s.Rows, Cols: s.Cols, RowPtr: make([]int, s.Rows+1)}
 	cols := make([]int, 0, len(offs)+1)

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"math"
 	"testing"
 )
 
@@ -81,28 +80,5 @@ func TestStencilNoiseDefects(t *testing.T) {
 	if lo, hi := a.Rows/8, a.Rows/2; defects < lo || defects > hi {
 		t.Fatalf("NoiseFrac 0.25 produced %d defects over %d rows, want within [%d,%d]",
 			defects, a.Rows, lo, hi)
-	}
-}
-
-func TestStencilPaletteValues(t *testing.T) {
-	sp := StencilSpec{Rows: 3000, Cols: 3000, Diagonals: 5, PaletteK: 7, Seed: 5}
-	a := sp.Generate()
-	pal := map[uint64]bool{}
-	for _, v := range sp.Palette() {
-		pal[math.Float64bits(v)] = true
-	}
-	if len(pal) != 7 {
-		t.Fatalf("palette has %d distinct values, want 7", len(pal))
-	}
-	seen := map[uint64]bool{}
-	for _, v := range a.Val {
-		b := math.Float64bits(v)
-		if !pal[b] {
-			t.Fatalf("value %v not in the declared palette", v)
-		}
-		seen[b] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("generated values used %d of 7 palette entries", len(seen))
 	}
 }

@@ -19,11 +19,10 @@ package kernel
 // chains, assigned, reduced and finished by the sequential remainder
 // exactly as Dot's scalar/4-wide/8-wide dispatch, so
 //
-//	DotBlock(vals, pal, col, xi, sums, lo, hi, un)
+//	DotBlock(vals, col, xi, sums, lo, hi, un)
 //
-// stores exactly Dot(vals, pal, col, X[j], lo, hi, un) into
-// sums[j], bit-for-bit. The serving layer's dynamic batcher depends on
-// this: a request must produce the same float64 bits whether it was
+// stores exactly Dot(vals, col, X[j], lo, hi, un) into sums[j],
+// bit-for-bit. The serving layer's dynamic batcher depends on this: a request must produce the same float64 bits whether it was
 // computed alone or coalesced with up to MaxBlock-1 neighbours.
 
 // MaxBlock is the widest vector block the batch kernel processes in one
@@ -42,11 +41,11 @@ const MinBlock = 4
 // assignment.
 const blockTile = 1024
 
-// DotBlock computes sums[j] = Dot(vals, pal, col, X[j], lo, hi, unrollLen)
+// DotBlock computes sums[j] = Dot(vals, col, X[j], lo, hi, unrollLen)
 // for j in [0, len(sums)), reading X through the interleaved tile xi
 // (xi[c*w+j] = X[j][c], w = len(sums)). len(sums) must be between 1 and
 // MaxBlock; the executor calls it from MinBlock on.
-func DotBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi, sums []float64, lo, hi, unrollLen int) {
+func DotBlock[C ColIndex](vals []float64, col []C, xi, sums []float64, lo, hi, unrollLen int) {
 	w := len(sums)
 	n := hi - lo
 	if n < ScalarThreshold {
@@ -55,7 +54,7 @@ func DotBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi,
 		for j := range sums {
 			sum := 0.0
 			for k := lo; k < hi; k++ {
-				sum += valLoad(vals, pal, k) * xi[int(col[k])*w+j]
+				sum += vals[k] * xi[int(col[k])*w+j]
 			}
 			sums[j] = sum
 		}
@@ -70,7 +69,7 @@ func DotBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi,
 	}
 	var acc [8][MaxBlock]float64
 	for kEnd := lo + n&^(chains-1); k < kEnd; k++ {
-		v := valLoad(vals, pal, k)
+		v := vals[k]
 		x := xi[int(col[k])*w:][:w]
 		a := acc[(k-lo)&(chains-1)][:w]
 		for j, xv := range x {
@@ -88,7 +87,7 @@ func DotBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi,
 	}
 	// The sequential remainder after the reduction.
 	for ; k < hi; k++ {
-		v := valLoad(vals, pal, k)
+		v := vals[k]
 		x := xi[int(col[k])*w:][:w]
 		for j, xv := range x {
 			sums[j] += v * xv

@@ -7,8 +7,7 @@ import (
 )
 
 // The differential tests below run every kernel instantiation — index
-// stream {int, u32, dia offset} × value stream {f64, palette} ×
-// {single, block} × {fragment, segsum} — against chainOracle, an
+// stream {int, u32, dia offset} × {single, block} × {fragment, segsum} — against chainOracle, an
 // independent statement of Algorithm 6's accumulation order that shares
 // no code with the kernels, and demand equal float64 bits. Each test
 // takes one family of instantiations (see family). The kernels
@@ -73,11 +72,9 @@ func (s *xorshift) float() float64 {
 }
 
 // kernelData is one set of streams over the same nonzeros: every index
-// stream decodes to col and every value stream resolves to val.
+// stream decodes to col.
 type kernelData struct {
-	val   []float64 // the values the oracle reads: val[k] == pal[idx[k]]
-	idx   []uint8
-	pal   *[256]float64
+	val   []float64
 	col   []int // decoded columns, all in [base, base+span]
 	col32 []uint32
 	runs  []diaRun // the runs of consecutive columns in col
@@ -133,11 +130,7 @@ func (d *kernelData) tile(w int) []float64 {
 func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 	r := xorshift(seed)
 	const base = 7
-	d := &kernelData{pal: new([256]float64)}
-	const palLen = 200
-	for i := 0; i < palLen; i++ {
-		d.pal[i] = r.float()
-	}
+	d := &kernelData{}
 	for k := 0; k < n; {
 		l := 1 + r.intn(maxRun)
 		if k+l > n || maxRun >= n {
@@ -157,9 +150,7 @@ func newKernelData(seed uint64, n, span, maxRun int) *kernelData {
 		k += l
 	}
 	for _, c := range d.col {
-		i := uint8(r.intn(palLen))
-		d.idx = append(d.idx, i)
-		d.val = append(d.val, d.pal[i])
+		d.val = append(d.val, r.float())
 		d.col32 = append(d.col32, uint32(c))
 	}
 	for k := 0; k < n; {
@@ -202,47 +193,40 @@ type fragFunc func(d *kernelData, block bool, out []float64, lo, hi, unrollLen i
 // first len(sums) vectors).
 type segFunc func(d *kernelData, block bool, Y [][]float64, sums []float64, unrollLen int) int
 
-// Stream accessors: one value or index stream of the test data.
-func f64Vals(d *kernelData) ([]float64, *[256]float64) { return d.val, nil }
-func palVals(d *kernelData) ([]uint8, *[256]float64)   { return d.idx, d.pal }
-func intCols(d *kernelData) []int                      { return d.col }
-func u32Cols(d *kernelData) []uint32                   { return d.col32 }
+// Stream accessors: one index stream of the test data.
+func intCols(d *kernelData) []int    { return d.col }
+func u32Cols(d *kernelData) []uint32 { return d.col32 }
 
-func gatherFrag[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64), cs func(*kernelData) []C) fragFunc {
+func gatherFrag[C ColIndex](cs func(*kernelData) []C) fragFunc {
 	return func(d *kernelData, block bool, out []float64, lo, hi, un int) {
-		vals, pal := vs(d)
 		col := cs(d)
 		if block {
-			DotBlock(vals, pal, col, d.tile(len(out)), out, lo, hi, un)
+			DotBlock(d.val, col, d.tile(len(out)), out, lo, hi, un)
 		} else {
-			out[0] = Dot(vals, pal, col, d.X[0], lo, hi, un)
+			out[0] = Dot(d.val, col, d.X[0], lo, hi, un)
 		}
 	}
 }
 
-func diaFrag[V ValSource](vs func(*kernelData) ([]V, *[256]float64)) fragFunc {
-	return func(d *kernelData, block bool, out []float64, lo, hi, un int) {
-		vals, pal := vs(d)
-		off := 0
-		if lo < hi {
-			off = d.col[lo] - lo
-		}
-		if block {
-			DotDiaBlock(vals, pal, off, d.X, out, lo, hi, un)
-		} else {
-			out[0] = DotDia(vals, pal, off, d.X[0], lo, hi, un)
-		}
+func diaFrag(d *kernelData, block bool, out []float64, lo, hi, un int) {
+	off := 0
+	if lo < hi {
+		off = d.col[lo] - lo
+	}
+	if block {
+		DotDiaBlock(d.val, off, d.X, out, lo, hi, un)
+	} else {
+		out[0] = DotDia(d.val, off, d.X[0], lo, hi, un)
 	}
 }
 
-func segRows[V ValSource, C ColIndex](vs func(*kernelData) ([]V, *[256]float64), cs func(*kernelData) []C) segFunc {
+func segRows[C ColIndex](cs func(*kernelData) []C) segFunc {
 	return func(d *kernelData, block bool, Y [][]float64, sums []float64, un int) int {
-		vals, pal := vs(d)
 		col := cs(d)
 		if block {
-			return segSumBlockGo(vals, pal, col, d.tile(len(sums)), Y, sums, d.segs, un)
+			return segSumBlockGo(d.val, col, d.tile(len(sums)), Y, sums, d.segs, un)
 		}
-		return SegSum(vals, pal, col, d.X[0], Y[0], d.segs, un)
+		return SegSum(d.val, col, d.X[0], Y[0], d.segs, un)
 	}
 }
 
@@ -253,35 +237,29 @@ func avx2Rows(d *kernelData, _ bool, Y [][]float64, _ []float64, un int) int {
 
 // kernelEntry is one row of the kernel table.
 type kernelEntry struct {
-	name     string
-	idx      string // int, u32, dia
-	valBytes int
-	block    bool
-	w        int // vectors per call
-	frag     fragFunc
-	seg      segFunc
+	name  string
+	idx   string // int, u32, dia
+	block bool
+	w     int // vectors per call
+	frag  fragFunc
+	seg   segFunc
 }
 
-// kernelTable enumerates every kernel instantiation: each (index, value)
-// stream pair as a single-vector call and as a block of 1..MaxBlock
+// kernelTable enumerates every kernel instantiation: each index stream
+// as a single-vector call and as a block of 1..MaxBlock
 // vectors over fragments, and (except dia, which segmented regions
 // never use) as a single-vector call and a block of 2..MaxBlock vectors
 // over segments, the block ones through the Go body. On an AVX2 host a
-// last entry runs the assembly body of the 8-vector u32 × float64
-// segments.
+// last entry runs the assembly body of the 8-vector u32 segments.
 func kernelTable() []kernelEntry {
-	pairs := []struct {
-		idx, val string
-		valBytes int
-		frag     fragFunc
-		seg      segFunc
+	streams := []struct {
+		idx  string
+		frag fragFunc
+		seg  segFunc
 	}{
-		{"int", "f64", 8, gatherFrag(f64Vals, intCols), segRows(f64Vals, intCols)},
-		{"int", "palette", 1, gatherFrag(palVals, intCols), segRows(palVals, intCols)},
-		{"u32", "f64", 8, gatherFrag(f64Vals, u32Cols), segRows(f64Vals, u32Cols)},
-		{"u32", "palette", 1, gatherFrag(palVals, u32Cols), segRows(palVals, u32Cols)},
-		{"dia", "f64", 8, diaFrag(f64Vals), nil},
-		{"dia", "palette", 1, diaFrag(palVals), nil},
+		{"int", gatherFrag(intCols), segRows(intCols)},
+		{"u32", gatherFrag(u32Cols), segRows(u32Cols)},
+		{"dia", diaFrag, nil},
 	}
 	shapes := []struct {
 		name  string
@@ -296,23 +274,23 @@ func kernelTable() []kernelEntry {
 		}{fmt.Sprintf("block%d", w), true, w})
 	}
 	var tab []kernelEntry
-	for _, p := range pairs {
+	for _, p := range streams {
 		for _, s := range shapes {
-			e := kernelEntry{idx: p.idx, valBytes: p.valBytes, block: s.block, w: s.w}
-			e.name = fmt.Sprintf("%s/%s/%s/fragment", p.idx, p.val, s.name)
+			e := kernelEntry{idx: p.idx, block: s.block, w: s.w}
+			e.name = fmt.Sprintf("%s/%s/fragment", p.idx, s.name)
 			e.frag = p.frag
 			tab = append(tab, e)
 			// A width-1 segmented tile takes SegSum (the single entry),
 			// never SegSumBlock.
 			if p.seg != nil && (!s.block || s.w > 1) {
-				e.name = fmt.Sprintf("%s/%s/%s/segsum", p.idx, p.val, s.name)
+				e.name = fmt.Sprintf("%s/%s/segsum", p.idx, s.name)
 				e.frag, e.seg = nil, p.seg
 				tab = append(tab, e)
 			}
 		}
 	}
 	if hasAVX2 {
-		tab = append(tab, kernelEntry{name: "u32/f64/block8/segsum-avx2", idx: "u32", valBytes: 8, block: true, w: MaxBlock, seg: avx2Rows})
+		tab = append(tab, kernelEntry{name: "u32/block8/segsum-avx2", idx: "u32", block: true, w: MaxBlock, seg: avx2Rows})
 	}
 	return tab
 }
@@ -341,8 +319,6 @@ func family(e kernelEntry) string {
 		suffix = "BlockBitIdentical"
 	}
 	switch {
-	case e.valBytes == 1:
-		return "TestValueStreams" + suffix
 	case e.seg != nil:
 		return "TestSegSum" + suffix
 	case e.idx == "dia":
@@ -355,35 +331,30 @@ func family(e kernelEntry) string {
 	return "TestKernelsMatchChainOracle"
 }
 
-// TestKernelsMatchChainOracle checks the []int × float64 single-vector
+// TestKernelsMatchChainOracle checks the []int single-vector
 // gather (DotRange's instantiation) against chainOracle.
 func TestKernelsMatchChainOracle(t *testing.T) { checkFamily(t) }
 
-// TestBlockKernelBitIdenticalToDotRange checks the []int × float64 block
+// TestBlockKernelBitIdenticalToDotRange checks the []int block
 // gather against chainOracle, and so against DotRange's bits, at every
 // block width.
 func TestBlockKernelBitIdenticalToDotRange(t *testing.T) { checkFamily(t) }
 
 // TestCompressedBitIdentical and TestCompressedBlockBitIdentical check
-// the u32 gathers over float64 values.
+// the u32 gathers.
 func TestCompressedBitIdentical(t *testing.T)      { checkFamily(t) }
 func TestCompressedBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
 // TestDiagBitIdentical and TestDiagBlockBitIdentical check the diagonal
-// kernels over float64 values, on fragments that start at a run's first
+// kernels, on fragments that start at a run's first
 // nonzero and inside it.
 func TestDiagBitIdentical(t *testing.T)      { checkFamily(t) }
 func TestDiagBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
 // TestSegSumBitIdentical and TestSegSumBlockBitIdentical check the
-// segmented kernels over float64 values on every column stream.
+// segmented kernels on every column stream.
 func TestSegSumBitIdentical(t *testing.T)      { checkFamily(t) }
 func TestSegSumBlockBitIdentical(t *testing.T) { checkFamily(t) }
-
-// TestValueStreamsBitIdentical and TestValueStreamsBlockBitIdentical
-// check every palette instantiation: gathers, dia runs and segments.
-func TestValueStreamsBitIdentical(t *testing.T)      { checkFamily(t) }
-func TestValueStreamsBlockBitIdentical(t *testing.T) { checkFamily(t) }
 
 // checkFamily checks the kernel table entries of the calling test's
 // family bit for bit against chainOracle, over lengths 0-3, 4,
@@ -516,7 +487,7 @@ func BenchmarkKernels(b *testing.B) {
 			d = runs
 		}
 		idxBytes := map[string]int{"int": 8 * n, "u32": 4 * n, "dia": 4 * len(d.runs)}[e.idx]
-		bytes := e.valBytes*n + idxBytes
+		bytes := 8*n + idxBytes
 		if e.seg != nil {
 			bytes += 12 * len(d.segs)
 		}

@@ -34,14 +34,14 @@ type Segment struct {
 }
 
 // SegSum executes segs over one (value, index) stream pair: y[s.Dst] =
-// Dot(vals, pal, col, x, s.K0, s.K1, unrollLen) per segment, skipping
+// Dot(vals, col, x, s.K0, s.K1, unrollLen) per segment, skipping
 // empty segments (empty rows are pre-zeroed by the caller). Returns the
 // number of non-empty segments processed.
 //
 // The per-segment dispatch is Dot's — straight-line scalar under
 // ScalarThreshold, dot4 under unrollLen, dot8 above — so each row's
 // chain is bit-identical to the fragment walk's.
-func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, x, y []float64, segs []Segment, unrollLen int) int {
+func SegSum[C ColIndex](vals []float64, col []C, x, y []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
 		s := segs[i]
@@ -59,23 +59,23 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, x, y 
 			// here, so the row loop overhead is the dominant cost.
 			switch length {
 			case 1:
-				sum += valLoad(vals, pal, lo) * x[int(col[lo])]
+				sum += vals[lo] * x[int(col[lo])]
 			case 2:
-				sum += valLoad(vals, pal, lo) * x[int(col[lo])]
-				sum += valLoad(vals, pal, lo+1) * x[int(col[lo+1])]
+				sum += vals[lo] * x[int(col[lo])]
+				sum += vals[lo+1] * x[int(col[lo+1])]
 			case 3:
-				sum += valLoad(vals, pal, lo) * x[int(col[lo])]
-				sum += valLoad(vals, pal, lo+1) * x[int(col[lo+1])]
-				sum += valLoad(vals, pal, lo+2) * x[int(col[lo+2])]
+				sum += vals[lo] * x[int(col[lo])]
+				sum += vals[lo+1] * x[int(col[lo+1])]
+				sum += vals[lo+2] * x[int(col[lo+2])]
 			default: // only reached if ScalarThreshold grows past 4
 				for k := lo; k < hi; k++ {
-					sum += valLoad(vals, pal, k) * x[int(col[k])]
+					sum += vals[k] * x[int(col[k])]
 				}
 			}
 		} else if length < unrollLen {
-			sum = dot4(vals, pal, col, x, lo, hi)
+			sum = dot4(vals, col, x, lo, hi)
 		} else {
-			sum = dot8(vals, pal, col, x, lo, hi)
+			sum = dot8(vals, col, x, lo, hi)
 		}
 		y[s.Dst] = sum
 		done++
@@ -84,7 +84,7 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, x, y 
 }
 
 // SegSumBlock is the batch segmented kernel: Y[j][s.Dst] = Dot(vals,
-// pal, col, X[j], s.K0, s.K1, unrollLen) for j in [0, len(sums)),
+// col, X[j], s.K0, s.K1, unrollLen) for j in [0, len(sums)),
 // bit-identical per vector to SegSum, reading X through the interleaved
 // tile xi (xi[c*w+j] = X[j][c], see DotBlock). sums is the caller's
 // pooled per-core block buffer; its length, up to MaxBlock, is the tile
@@ -92,20 +92,20 @@ func SegSum[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, x, y 
 // x lines (see touch). Returns the number of non-empty segments
 // processed.
 //
-// A tile of 8 vectors over float64 values and uint32 columns runs the
-// AVX2 body where the host has it (segSumBlock8), every other call the
-// Go body segSumBlockGo; both store the same bits (but for a NaN's
-// payload, which the compiler may vary in the Go body).
-func SegSumBlock[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+// A tile of 8 vectors over uint32 columns runs the AVX2 body where the
+// host has it (segSumBlock8), every other call the Go body
+// segSumBlockGo; both store the same bits (but for a NaN's payload,
+// which the compiler may vary in the Go body).
+func SegSumBlock[C ColIndex](vals []float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	if done, ok := segSumBlock8(vals, col, xi, Y, sums, segs, unrollLen); ok {
 		return done
 	}
-	return segSumBlockGo(vals, pal, col, xi, Y, sums, segs, unrollLen)
+	return segSumBlockGo(vals, col, xi, Y, sums, segs, unrollLen)
 }
 
 // segSumBlockGo is SegSumBlock's portable body: DotBlock per segment,
 // then the w stores.
-func segSumBlockGo[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
+func segSumBlockGo[C ColIndex](vals []float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) int {
 	done := 0
 	for i := range segs {
 		if i%touchSegs == 0 {
@@ -116,7 +116,7 @@ func segSumBlockGo[V ValSource, C ColIndex](vals []V, pal *[256]float64, col []C
 		if hi <= lo {
 			continue
 		}
-		DotBlock(vals, pal, col, xi, sums, lo, hi, unrollLen)
+		DotBlock(vals, col, xi, sums, lo, hi, unrollLen)
 		for j, sum := range sums {
 			Y[j][s.Dst] = sum
 		}

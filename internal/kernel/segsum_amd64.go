@@ -48,17 +48,15 @@ func segSumBlock8AVX2(vals []float64, col []uint32, xi []float64, Y [][]float64,
 const asmChunk = 64 * touchSegs
 
 // segSumBlock8 runs SegSumBlock through segSumBlock8AVX2 when the host
-// has AVX2 and the call is a tile of 8 vectors over float64 values and
-// uint32 columns, and reports whether it did. The sizes of V and C tell
-// the stream types apart (see valLoad), so the test folds away in every
-// other instantiation.
-func segSumBlock8[V ValSource, C ColIndex](vals []V, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) (int, bool) {
-	var v V
+// has AVX2 and the call is a tile of 8 vectors over uint32 columns, and
+// reports whether it did. The size of C tells the column streams apart;
+// it is a constant within each gcshape instantiation, so the test folds
+// away in the []int one.
+func segSumBlock8[C ColIndex](vals []float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) (int, bool) {
 	var c C
-	if !hasAVX2 || unsafe.Sizeof(v) != 8 || unsafe.Sizeof(c) != 4 || len(sums) != 8 || len(Y) < 8 {
+	if !hasAVX2 || unsafe.Sizeof(c) != 4 || len(sums) != 8 || len(Y) < 8 {
 		return 0, false
 	}
-	f64 := unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals))
 	u32 := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(col))), len(col))
 	ylen := len(Y[0])
 	for _, y := range Y[1:8] {
@@ -68,13 +66,13 @@ func segSumBlock8[V ValSource, C ColIndex](vals []V, col []C, xi []float64, Y []
 	done := 0
 	for i := 0; i < len(segs); i += asmChunk {
 		chunk := segs[i:min(i+asmChunk, len(segs))]
-		d, next := segSumBlock8AVX2(f64, u32, xi, Y, chunk, unrollLen, nnz, ylen)
+		d, next := segSumBlock8AVX2(vals, u32, xi, Y, chunk, unrollLen, nnz, ylen)
 		done += d
 		if next < len(chunk) {
 			// A check failed: the Go body runs the rest from the failing
 			// block, whose stores the assembly has not begun, and panics
 			// where it always has.
-			return done + segSumBlockGo(vals, nil, col, xi, Y, sums, segs[i+next:], unrollLen), true
+			return done + segSumBlockGo(vals, col, xi, Y, sums, segs[i+next:], unrollLen), true
 		}
 	}
 	return done, true

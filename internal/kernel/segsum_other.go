@@ -6,6 +6,6 @@ package kernel
 const hasAVX2 = false
 
 // segSumBlock8 has no assembly body to run off amd64.
-func segSumBlock8[V ValSource, C ColIndex](vals []V, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) (int, bool) {
+func segSumBlock8[C ColIndex](vals []float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) (int, bool) {
 	return 0, false
 }

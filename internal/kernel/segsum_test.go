@@ -17,7 +17,7 @@ type segBody struct {
 // segBodies are the Go body and, on an AVX2 host, the assembly body.
 func segBodies() []segBody {
 	bodies := []segBody{{"go", func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
-		return segSumBlockGo(d.val, nil, col, d.tile(MaxBlock), Y, make([]float64, MaxBlock), segs, un)
+		return segSumBlockGo(d.val, col, d.tile(MaxBlock), Y, make([]float64, MaxBlock), segs, un)
 	}}}
 	if hasAVX2 {
 		bodies = append(bodies, segBody{"avx2", runAVX2})

@@ -5,13 +5,11 @@ import (
 	"sort"
 )
 
-// Diagonal-structure and value-stream statistics feeding the pluggable
-// per-region execution formats: the core Prepare pipeline replaces
-// per-nonzero column indices with one column offset on rows that are a
-// single run of consecutive columns, and dedups the value stream
-// into a byte-indexed palette when the matrix holds at most 256 distinct
-// values. These helpers let tools report what a matrix will get before
-// any Prepare runs.
+// Diagonal-structure statistics feeding the pluggable per-region
+// execution formats: the core Prepare pipeline replaces per-nonzero
+// column indices with one column offset on rows that are a single run
+// of consecutive columns. These helpers let tools report what a matrix
+// will get before any Prepare runs.
 
 // DiagStats summarizes how diagonal a matrix's structure is.
 type DiagStats struct {
@@ -101,32 +99,4 @@ func (s *DiagStats) addRun(l int) {
 	default:
 		s.RunLenHist[4]++
 	}
-}
-
-// ValueStatsCap is where distinct-value counting stops: one past the
-// PaletteMax-entry palette limit, so Distinct == ValueStatsCap means
-// "more than a palette can hold" rather than an exact count.
-const ValueStatsCap = PaletteMax + 1
-
-// ValueStats summarizes the value stream's compressibility.
-type ValueStats struct {
-	// Distinct is the number of distinct values (by exact bit pattern,
-	// so 0.0/-0.0 and NaN payloads count separately), counted up to
-	// ValueStatsCap; Capped reports whether counting stopped there.
-	Distinct int
-	Capped   bool
-}
-
-// PaletteEligible reports whether a byte-indexed PaletteMax-entry
-// palette can represent the value stream exactly.
-func (s ValueStats) PaletteEligible() bool { return !s.Capped && s.Distinct <= PaletteMax }
-
-// ComputeValueStats counts distinct values up to ValueStatsCap with the
-// same table Prepare discovers its palette through.
-func ComputeValueStats(a *CSR) ValueStats {
-	p, ok := FindPalette(a.Val)
-	if !ok {
-		return ValueStats{Distinct: ValueStatsCap, Capped: true}
-	}
-	return ValueStats{Distinct: len(p.Vals)}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// tridiag builds an n x n tridiagonal matrix with a two-value palette.
+// tridiag builds an n x n tridiagonal matrix.
 func tridiag(n int) *CSR {
 	c := &COO{Rows: n, Cols: n}
 	for i := 0; i < n; i++ {
@@ -74,23 +74,5 @@ func TestDiagStatsEmpty(t *testing.T) {
 	s := ComputeDiagStats(a, 8)
 	if s.Runs != 0 || s.Diagonals != 0 || s.TopShare != 1 {
 		t.Fatalf("empty matrix stats = %+v", s)
-	}
-}
-
-func TestValueStats(t *testing.T) {
-	a := tridiag(64)
-	vs := ComputeValueStats(a)
-	if vs.Distinct != 2 || vs.Capped || !vs.PaletteEligible() {
-		t.Fatalf("tridiag value stats = %+v, want 2 distinct, eligible", vs)
-	}
-
-	// 300 distinct values must cap at ValueStatsCap and lose eligibility.
-	c := &COO{Rows: 300, Cols: 300}
-	for i := 0; i < 300; i++ {
-		c.Add(i, i, 1+float64(i)/7)
-	}
-	vs = ComputeValueStats(c.ToCSR())
-	if vs.Distinct != ValueStatsCap || !vs.Capped || vs.PaletteEligible() {
-		t.Fatalf("300-value stats = %+v, want capped and ineligible", vs)
 	}
 }

@@ -16,8 +16,6 @@ import (
 // kernels fault pages in on first touch. The copying fallback in
 // alias_fallback.go serves every other platform.
 
-const zeroCopy = true
-
 func bytesOfInts(s []int) []byte {
 	if len(s) == 0 {
 		return nil

@@ -14,8 +14,6 @@ import (
 // tag). Sections are decoded element by element; the mmap window is
 // only a read source, never aliased.
 
-const zeroCopy = false
-
 func bytesOfInts(s []int) []byte {
 	b := make([]byte, 8*len(s))
 	for i, v := range s {

@@ -11,9 +11,11 @@ import (
 	"haspmv/internal/sparse"
 )
 
-// fuzzSeedCases mirrors snapCases' index/value-format coverage on
-// miniature matrices, so every section layout the writer can produce
-// is in the corpus without multi-megabyte seed files.
+// fuzzSeedCases mirrors snapCases' index-format coverage on miniature
+// matrices, so every section layout the writer can produce is in the
+// corpus without multi-megabyte seed files. The three-valued matrix
+// keeps the "palette" names of its checked-in seed files; one of its
+// cases sets the ignored Options.Value, which the meta round-trips.
 func fuzzSeedCases() []struct {
 	name string
 	a    *sparse.CSR
@@ -27,10 +29,10 @@ func fuzzSeedCases() []struct {
 		Dist: gen.UniformLen{Min: 0, Max: 12}, Place: gen.Random, Seed: 4}.Generate()
 	skewed := gen.Spec{Name: "k", Rows: 90, Cols: 90, TargetNNZ: 500,
 		Dist: gen.NewPowerLen(1, 40, 4), Place: gen.Skewed, Seed: 5, HubRows: 1}.Generate()
-	palette := gen.Spec{Name: "p", Rows: 64, Cols: 64, Dist: gen.ConstLen{L: 4},
+	fewValued := gen.Spec{Name: "p", Rows: 64, Cols: 64, Dist: gen.ConstLen{L: 4},
 		Place: gen.Banded, Seed: 6}.Generate()
-	for k := range palette.Val {
-		palette.Val[k] = float64(k % 3)
+	for k := range fewValued.Val {
+		fewValued.Val[k] = float64(k % 3)
 	}
 	return []struct {
 		name string
@@ -38,18 +40,18 @@ func fuzzSeedCases() []struct {
 		opts core.Options
 	}{
 		{"banded-auto", banded, core.Options{}},
-		{"reference", skewed, core.Options{Index: core.IndexReference, Value: core.ValueReference}},
+		{"reference", skewed, core.Options{Index: core.IndexReference}},
 		{"u32-only", scattered, core.Options{Index: core.IndexU32}},
 		{"force-dia", banded, core.Options{Index: core.IndexForceDia}},
-		{"palette", palette, core.Options{}},
+		{"palette", fewValued, core.Options{}},
 		{"segsum", skewed, core.Options{Exec: core.ExecSegSum}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
 		{"natural-order", skewed, core.Options{DisableReorder: true}},
-		{"palette-as-reference", palette, core.Options{Value: core.ValueReference}},
+		{"palette-as-reference", fewValued, core.Options{Value: core.ValueReference}},
 	}
 }
 
-// fuzzSeeds encodes one store file per index/value-stream combination,
+// fuzzSeeds encodes one store file per index-stream combination,
 // so the fuzzer starts from every section layout the writer can
 // produce.
 func fuzzSeeds(t testing.TB) []struct {
@@ -81,7 +83,7 @@ func fuzzSeeds(t testing.TB) []struct {
 // or accepts — and an accepted image must re-encode to the identical
 // bytes and restore into a servable instance without panicking. The
 // checked-in corpus under testdata/fuzz holds one writer-produced file
-// per index/value-format combination; the fuzzer mutates from there.
+// per index-format combination; the fuzzer mutates from there.
 func FuzzStoreRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s.data)

@@ -42,7 +42,7 @@ import (
 // Version is the on-disk format version. Bump it on any layout or
 // semantic change; Load rejects every other version with ErrVersion,
 // and the CI store cache keys on it so stale caches die with the bump.
-const Version = 4
+const Version = 5
 
 const (
 	headerSize = 64
@@ -95,7 +95,6 @@ var elemWidth = map[string]int64{
 	"u32":   4,
 	"i32":   4,
 	"f64":   8,
-	"u8":    1,
 	"seg12": segBytes,
 }
 
@@ -133,8 +132,6 @@ func sectionsOf(s *core.PreparedSnapshot) ([]rawSection, int64) {
 	add("diaoff", "i32", bytesOfI32(s.DiaOff), len(s.DiaOff), s.DiaOff != nil)
 	add("rowdia", "i32", bytesOfI32(s.RowDia), len(s.RowDia), s.RowDia != nil)
 	add("diainel", "i64", bytesOfInts(s.DiaInel), len(s.DiaInel), s.DiaInel != nil)
-	add("palidx", "u8", s.PalIdx, len(s.PalIdx), s.PalIdx != nil)
-	add("pal", "f64", bytesOfF64(s.Pal), len(s.Pal), s.Pal != nil)
 	add("segs", "seg12", bytesOfSegs(s.Segs), len(s.Segs), s.Segs != nil)
 	return secs, off
 }
@@ -577,11 +574,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 	} else if ok {
 		snap.Val = nonNil(f64OfBytes(b, n), n)
 	}
-	if b, n, ok, e := sec("pal", "f64"); e != nil {
-		return nil, e
-	} else if ok {
-		snap.Pal = nonNil(f64OfBytes(b, n), n)
-	}
 	if b, n, ok, e := sec("col32", "u32"); e != nil {
 		return nil, e
 	} else if ok {
@@ -597,11 +589,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 	} else if ok {
 		snap.RowDia = nonNil(i32OfBytes(b, n), n)
 	}
-	if b, n, ok, e := sec("palidx", "u8"); e != nil {
-		return nil, e
-	} else if ok {
-		snap.PalIdx = nonNil(u8OfBytes(b, n), n)
-	}
 	if b, n, ok, e := sec("segs", "seg12"); e != nil {
 		return nil, e
 	} else if ok {
@@ -611,21 +598,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 		return nil, fmt.Errorf("%w: unknown section %q", ErrFormat, name)
 	}
 	return snap, nil
-}
-
-// u8OfBytes mirrors the other decoders for the palette index stream:
-// alias in place on zero-copy platforms, copy elsewhere (the mmap
-// window must not outlive the File there).
-func u8OfBytes(b []byte, n int) []uint8 {
-	if n == 0 {
-		return nil
-	}
-	if zeroCopy {
-		return b[:n:n]
-	}
-	c := make([]uint8, n)
-	copy(c, b[:n])
-	return c
 }
 
 // nonNil keeps presence: a section that exists with zero elements

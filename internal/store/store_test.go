@@ -14,25 +14,17 @@ import (
 	"haspmv/internal/algtest"
 	"haspmv/internal/amp"
 	"haspmv/internal/core"
-	"haspmv/internal/gen"
 	"haspmv/internal/sparse"
 )
 
 // snapCases spans the format matrix: every index stream (reference,
-// u32, u32+dia mix, forced dia) crossed with every value stream
-// (reference f64, palette), plus the degenerate shapes, the natural
-// order, a one-level partition and a palette-eligible matrix pinned to
-// the f64 stream.
+// u32, u32+dia mix, forced dia), plus the degenerate shapes, segmented
+// execution, the natural order and a one-level partition.
 func snapCases() []struct {
 	name string
 	a    *sparse.CSR
 	opts core.Options
 } {
-	palette := gen.Spec{Name: "pal", Rows: 400, Cols: 400, Dist: gen.ConstLen{L: 7},
-		Place: gen.Banded, Seed: 11}.Generate()
-	for k := range palette.Val {
-		palette.Val[k] = float64(k % 5) // 5 distinct values: palette engages
-	}
 	return []struct {
 		name string
 		a    *sparse.CSR
@@ -40,16 +32,14 @@ func snapCases() []struct {
 	}{
 		{"banded-auto", algtest.Matrix("banded-fem"), core.Options{}},
 		{"powerlaw-auto", algtest.Matrix("powerlaw"), core.Options{}},
-		{"reference", algtest.Matrix("hub-row"), core.Options{Index: core.IndexReference, Value: core.ValueReference}},
+		{"reference", algtest.Matrix("hub-row"), core.Options{Index: core.IndexReference}},
 		{"u32-only", algtest.Matrix("medium-random"), core.Options{Index: core.IndexU32}},
 		{"force-dia", algtest.Matrix("banded-fem"), core.Options{Index: core.IndexForceDia}},
-		{"palette", palette, core.Options{}},
 		{"segsum", algtest.Matrix("powerlaw"), core.Options{Exec: core.ExecSegSum}},
 		{"empty-rows", algtest.Matrix("alternating-empty"), core.Options{}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
 		{"natural-order", algtest.Matrix("powerlaw"), core.Options{DisableReorder: true}},
 		{"one-level", algtest.Matrix("powerlaw"), core.Options{OneLevel: true}},
-		{"palette-as-reference", palette, core.Options{Value: core.ValueReference}},
 	}
 }
 
@@ -191,10 +181,11 @@ func TestVersionBumpRejected(t *testing.T) {
 
 // A file from an older format version — version 2 still carried the
 // u16-delta column sections, version 3 the 8-byte diagonal run
-// descriptors — must be refused with ErrVersion naming the file's
-// version, not decoded against this build's section list.
+// descriptors, version 4 the palette value sections — must be refused
+// with ErrVersion naming the file's version, not decoded against this
+// build's section list.
 func TestOlderVersionRejected(t *testing.T) {
-	for _, v := range []uint32{2, 3} {
+	for _, v := range []uint32{2, 3, 4} {
 		path, buf := writeSample(t)
 		binary.LittleEndian.PutUint32(buf[8:12], v)
 		binary.LittleEndian.PutUint32(buf[60:64], crc32.Checksum(buf[0:60], castagnoli))
