@@ -192,6 +192,7 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...))                                                                              // forced dia under forced segsum
 	f.Add(append([]byte{5, 31, 131}, segsumMegaRowSeed()[3:]...))                                                                          // forced segsum mega-row, one-level partition, reorder off
 	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...))                                                                             // 0/1 adjacency under forced segsum
+	f.Add(append([]byte{31, 31, 3}, adjacencySeed()[3:]...))                                                                               // 0/1 adjacency, natural order, one-level partition: the hub row stays row 3
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
 			return // keep Prepare cost bounded
@@ -372,6 +373,7 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add(shuffledBandSeed(), byte(7))                                                                                                                                                                         // scrambled band, base 4 sort, block kernels
 	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...), byte(5))                                                                                                                                         // forced dia under forced segsum, batched
 	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under forced segsum, batched
+	f.Add(append([]byte{31, 31, 3}, adjacencySeed()[3:]...), byte(8))                                                                                                                                          // 0/1 adjacency, natural order, one-level partition, full block
 	f.Add(shuffledBandSeed(), byte(17))                                                                                                                                                                        // X[1] aliases X[0], full block
 	f.Add([]byte{31, 31, 0, 1, 1, 4, 9, 9, 8, 30, 2, 252}, byte(12))                                                                                                                                           // X[1] aliases X[0], three-wide tile
 	f.Add(shuffledBandSeed(), byte(27))                                                                                                                                                                        // ±0 and subnormal x, full block

@@ -67,7 +67,10 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		{"rowptr-short", func(s *PreparedSnapshot) { s.RowPtr = s.RowPtr[:len(s.RowPtr)-1] }},
 		{"val-short", func(s *PreparedSnapshot) { s.Val = s.Val[:len(s.Val)-1] }},
 		{"no-cols", func(s *PreparedSnapshot) { s.ColIdx, s.Col32 = nil, nil }},
+		{"colidx-short", func(s *PreparedSnapshot) { s.ColIdx = make([]int, len(s.Val)-1) }},
+		{"col32-short", func(s *PreparedSnapshot) { s.Col32 = s.Col32[:len(s.Col32)-1] }},
 		{"hperm-short", func(s *PreparedSnapshot) { s.HPerm = s.HPerm[:len(s.HPerm)-1] }},
+		{"hbegin-short", func(s *PreparedSnapshot) { s.HRowBeginNNZ = s.HRowBeginNNZ[:len(s.HRowBeginNNZ)-1] }},
 		{"hrowptr-bad-nnz", func(s *PreparedSnapshot) {
 			rp := append([]int(nil), s.HRowPtr...)
 			rp[len(rp)-1]++
@@ -76,6 +79,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		{"cs-short", func(s *PreparedSnapshot) { s.CS = s.CS[:len(s.CS)-1] }},
 		{"bad-proportion", func(s *PreparedSnapshot) { s.Meta.Opts.PProportion = 1.5 }},
 		{"negative-rows", func(s *PreparedSnapshot) { s.Meta.Rows = -1 }},
+		{"negative-cols", func(s *PreparedSnapshot) { s.Meta.Cols = -1 }},
 		{"segs-short", func(s *PreparedSnapshot) {
 			s.Segs = make([]kernel.Segment, 1)
 		}},

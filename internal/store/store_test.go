@@ -14,17 +14,25 @@ import (
 	"haspmv/internal/algtest"
 	"haspmv/internal/amp"
 	"haspmv/internal/core"
+	"haspmv/internal/gen"
 	"haspmv/internal/sparse"
 )
 
 // snapCases spans the format matrix: every index stream (reference,
 // u32, u32+dia mix, forced dia), plus the degenerate shapes, segmented
-// execution, the natural order and a one-level partition.
+// execution, the natural order, a one-level partition and a matrix of
+// five distinct values, also prepared with the ignored ValueReference
+// option set (its meta must still round-trip).
 func snapCases() []struct {
 	name string
 	a    *sparse.CSR
 	opts core.Options
 } {
+	fewValues := gen.Spec{Name: "few", Rows: 400, Cols: 400, Dist: gen.ConstLen{L: 7},
+		Place: gen.Banded, Seed: 11}.Generate()
+	for k := range fewValues.Val {
+		fewValues.Val[k] = float64(k % 5)
+	}
 	return []struct {
 		name string
 		a    *sparse.CSR
@@ -40,6 +48,8 @@ func snapCases() []struct {
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
 		{"natural-order", algtest.Matrix("powerlaw"), core.Options{DisableReorder: true}},
 		{"one-level", algtest.Matrix("powerlaw"), core.Options{OneLevel: true}},
+		{"few-values", fewValues, core.Options{}},
+		{"few-values-as-reference", fewValues, core.Options{Value: core.ValueReference}},
 	}
 }
 
