@@ -119,30 +119,25 @@ const (
 	RowCost       = haspmvcore.RowCost
 )
 
-// ExecMode selects how rows cut across cores are resolved (see
-// core.ExecMode).
+// ExecMode selects how the regions are walked (see core.ExecMode).
 type ExecMode = haspmvcore.ExecMode
 
-// Execution modes: auto dispatch on row-length skew, the classic serial
-// extraY epilogue, or forced speculative segmented-sum execution with
-// the parallel cut-row patch.
+// Execution modes: segmented-sum execution with the parallel cut-row
+// patch (the default), or the paper's per-fragment walk with the serial
+// extraY epilogue, the reference the tests compare against.
 const (
 	ExecAuto   = haspmvcore.ExecAuto
 	ExecSerial = haspmvcore.ExecSerial
-	ExecSegSum = haspmvcore.ExecSegSum
 )
 
-// IndexMode selects the column-index stream policy (see core.IndexMode).
+// IndexMode selects the column-index stream (see core.IndexMode).
 type IndexMode = haspmvcore.IndexMode
 
-// Index-stream policies: auto per-region selection over the compressed
-// streams, the []int reference oracle, u32 only, or forced DIA-style
-// diagonal execution.
+// Index streams: the u32 stream (the default), or the []int reference
+// oracle.
 const (
 	IndexAuto      = haspmvcore.IndexAuto
 	IndexReference = haspmvcore.IndexReference
-	IndexU32       = haspmvcore.IndexU32
-	IndexForceDia  = haspmvcore.IndexForceDia
 )
 
 // ModelParams are the performance-model calibration constants.

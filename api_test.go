@@ -465,3 +465,15 @@ func TestOptionsVariantsThroughFacade(t *testing.T) {
 		}
 	}
 }
+
+// Analyze refuses a matrix past the 32-bit size limit with an error
+// instead of preparing it: 2^31 columns with three nonzeros.
+func TestAnalyzeRefusesPast32BitColumns(t *testing.T) {
+	n := int64(math.MaxInt32)
+	cols := int(n + 1) // wraps negative where int is 32 bits, which Analyze refuses too
+	a := &Matrix{Rows: 2, Cols: cols, RowPtr: []int{0, 2, 3},
+		ColIdx: []int{0, cols - 1, 5}, Val: []float64{1, 2, 3}}
+	if _, err := Analyze(IntelI912900KF(), a, Options{}); err == nil {
+		t.Fatal("Analyze accepted 2^31 columns")
+	}
+}

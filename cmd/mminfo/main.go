@@ -51,28 +51,21 @@ func run(args []string) error {
 	fmt.Printf("%s: %s\n", path, s)
 	fmt.Printf("bandwidth=%d density=%.3g sorted-rows=%v\n",
 		sparse.Bandwidth(a), sparse.Density(a), a.RowsSorted())
-	// The absolute column-index width the matrix needs (Prepare's
-	// compressed stream is u32 whenever it is at most 32).
+	// The absolute column-index width the matrix needs (Prepare streams
+	// u32 indices for every matrix it accepts).
 	fmt.Printf("index-width=u%d\n", sparse.IndexWidthBits(a.Cols))
-	// Diagonal structure — what the diagonal offset format would get out
-	// of this matrix.
-	ds := sparse.ComputeDiagStats(a, 8)
-	fmt.Printf("diagonals=%d top%d-diag-nnz=%.1f%% runs=%d mean-run-len=%.2f max-run-len=%d run-hist[%s]\n",
-		ds.Diagonals, ds.TopD, 100*ds.TopShare, ds.Runs, ds.MeanRunLen, ds.MaxRunLen, ds.HistString())
-	// Row-length skew — the same numbers the execution-mode dispatch
-	// reads, so segmented-sum eligibility is predictable from this line:
-	// hub share (max-row-nnz over nnz), Gini, and how many rows an
-	// equal-nnz split across the machine's cores would cut mid-row.
+	// Row-length skew — hub share (max-row-nnz over nnz), Gini, and how
+	// many rows an equal-nnz split across the machine's cores would cut
+	// mid-row: the shapes the default segmented execution serves.
 	m, ok := amp.ByName(*machine)
 	if !ok {
 		return fmt.Errorf("unknown machine %q", *machine)
 	}
 	cores := len(m.Cores(amp.PAndE))
 	skew := costmodel.ComputeRowSkew(a.RowPtr)
-	fmt.Printf("max-row-nnz=%d mean-row-nnz=%.2f hub-share=%.1f%% gini=%.3f spanning-rows@%dcores=%d exec=%s\n",
+	fmt.Printf("max-row-nnz=%d mean-row-nnz=%.2f hub-share=%.1f%% gini=%.3f spanning-rows@%dcores=%d\n",
 		skew.MaxRowNNZ, skew.MeanRowNNZ, 100*skew.MaxShare, skew.Gini,
-		cores, costmodel.RowsSpanningCores(a.RowPtr, cores),
-		map[bool]string{true: "segsum", false: "serial"}[skew.PreferSegSum(cores)])
+		cores, costmodel.RowsSpanningCores(a.RowPtr, cores))
 
 	if *convert != "" {
 		if err := mmio.WriteFile(*convert, a); err != nil {

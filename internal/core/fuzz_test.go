@@ -20,8 +20,8 @@ import (
 // A column byte of 200 or more selects the wide shape instead: 66556
 // columns with entries at 261-column strides, so row spans straddle a
 // 2^16 span — column bytes spanning up to 251 give row spans <= 65511,
-// 252 or more give >= 65772 — and pin the u32 stream (and the dia
-// fallback rows) on columns past 2^16.
+// 252 or more give >= 65772 — and pin the u32 stream on columns past
+// 2^16.
 func fuzzMatrix(data []byte) (*sparse.CSR, byte) {
 	if len(data) < 2 {
 		return nil, 0
@@ -47,24 +47,20 @@ func fuzzMatrix(data []byte) (*sparse.CSR, byte) {
 
 // fuzzOptions maps the option byte onto the ablation space: reorder
 // on/off, one- vs two-level partition, a handful of explicit base
-// thresholds around the short/long boundary, the index-stream mode
-// (bits 5-6: auto, u32, reference, forced-diagonal), and (bit 7) forced
-// segmented-sum execution — the oracle instance always pins ExecSerial,
-// so that bit turns every bit-equality stage into
-// segsum-vs-serial-epilogue.
+// thresholds around the short/long boundary, the index stream (bits
+// 5-6: 2 selects the []int reference, 0, 1 and 3 the default u32), and
+// (bit 7) ExecSerial for the primary instance. The oracle instance
+// always pins ExecSerial, so with bit 7 clear every bit-equality stage
+// compares the default segmented execution with the serial-epilogue
+// walk.
 func fuzzOptions(b byte) Options {
 	var mode IndexMode
-	switch (b >> 5) & 3 {
-	case 1:
-		mode = IndexU32
-	case 2:
+	if (b>>5)&3 == 2 {
 		mode = IndexReference
-	case 3:
-		mode = IndexForceDia
 	}
 	var ex ExecMode
 	if b&128 != 0 {
-		ex = ExecSegSum
+		ex = ExecSerial
 	}
 	return Options{
 		DisableReorder: b&1 != 0,
@@ -78,10 +74,10 @@ func fuzzOptions(b byte) Options {
 // referencePrepared builds the []int oracle instance for a prepared
 // compressed instance: same options, reference index mode, serial
 // epilogue execution, and the resolved proportion pinned so both cut
-// identical regions (the auto proportion is stream-aware, so leaving it
-// auto could move boundaries). Pinning ExecSerial means a primary
-// instance running segmented-sum is checked bit-for-bit against the
-// extraY serial-epilogue path it replaces.
+// identical regions even where the primary's was set explicitly.
+// Pinning ExecSerial means a primary instance running segmented-sum is
+// checked bit-for-bit against the extraY serial-epilogue path it
+// replaces.
 func referencePrepared(t *testing.T, hp *Prepared, a *sparse.CSR, opts Options) *Prepared {
 	t.Helper()
 	refOpts := opts
@@ -95,29 +91,27 @@ func referencePrepared(t *testing.T, hp *Prepared, a *sparse.CSR, opts Options) 
 	return ref.(*Prepared)
 }
 
-// segsumMegaRowSeed builds the mega-row fuzz seed: option bit 7 forces
-// segmented-sum, row 2 of 6 holds 20 of 23 entries so the equal-nnz cut
+// segsumMegaRowSeed builds the mega-row fuzz seed: default segmented
+// execution, row 2 of 6 holds 20 of 23 entries so the equal-nnz cut
 // splits it across most of the 16 regions.
 func segsumMegaRowSeed() []byte {
-	data := []byte{5, 31, 128}
+	data := []byte{5, 31, 0}
 	for j := 0; j < 20; j++ {
 		data = append(data, 2, byte(j), byte(40+j))
 	}
 	return append(data, 0, 1, 9, 1, 3, 8, 3, 5, 7)
 }
 
-// diaDefectSeed builds the banded-with-defect fuzz seed: option bits 5-6
-// force the diagonal format, rows 0-7 are 8-long contiguous runs
-// (offset eligible) and row 5 is an off-band defect row of isolated
-// entries, so diagonal regions mix offset rows with the per-row u32
-// fallback.
-func diaDefectSeed() []byte {
+// bandDefectSeed builds the banded-with-defect fuzz seed: rows 0-7 are
+// 8-long contiguous runs and row 5 is an off-band defect row of
+// isolated entries. Its option byte 96 (bits 5-6 = 3) selects the
+// default u32 stream.
+func bandDefectSeed() []byte {
 	data := []byte{7, 30, 96}
 	for i := 0; i < 8; i++ {
 		if i == 5 {
 			continue
 		}
-		// 8-wide bands: one run long enough to clear diaMinSingleRunLen.
 		for j := 0; j < 8; j++ {
 			data = append(data, byte(i), byte(3*i+j), byte(4+i+j))
 		}
@@ -167,15 +161,14 @@ func shuffledBandSeed() []byte {
 // testdata/fuzz/FuzzPrepareCompute covers the structural extremes:
 // all-empty rows, a single dense row, all-short rows, all-long rows, a
 // weighted repartition after reorder on a mostly-empty matrix, two
-// forced-segsum shapes (option bit 7): an all-one-row matrix and a
-// mega-row holding most of the nonzeros, both of which cut one row
-// across several regions so the parallel fragment patch is exercised,
-// and the pluggable-format shapes: a forced-diagonal banded matrix with
-// an off-band defect row and a single-value 0/1 adjacency matrix whose
-// hub row straddles a region boundary, plus a scrambled band the
-// short/long sort permutes, forced segsum over a forced-diagonal or
-// one-level partition, and the adjacency matrix under forced segsum
-// (checked bit for bit against the []int reference).
+// segmented shapes: an all-one-row matrix and a mega-row holding most
+// of the nonzeros, both of which cut one row across several regions so
+// the parallel fragment patch is exercised, a banded matrix with an
+// off-band defect row, a single-value 0/1 adjacency matrix whose hub
+// row straddles a region boundary, and a scrambled band the short/long
+// sort permutes; then the banded, mega-row (one-level partition) and
+// adjacency shapes again with option bit 7, whose primary runs
+// ExecSerial (checked bit for bit against the []int reference).
 func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{7, 7, 0})                                                                                                                 // 8x8, all rows empty
 	f.Add([]byte{0, 15, 1, 0, 0, 8, 0, 5, 16, 0, 11, 200})                                                                                 // single row, reorder off
@@ -184,14 +177,14 @@ func FuzzPrepareCompute(f *testing.F) {
 	f.Add([]byte{15, 7, 0, 201, 0, 0, 8, 0, 5, 200, 1, 40, 5, 3, 12})                                                                      // empty rows + weighted repartition
 	f.Add([]byte{7, 200, 0, 0, 10, 40, 0, 20, 41, 1, 0, 42, 1, 252, 43, 2, 0, 44, 2, 251, 45})                                             // wide: rows around a >2^16-span row, all on u32
 	f.Add([]byte{0, 255, 0, 0, 0, 10, 0, 252, 20, 0, 100, 30})                                                                             // wide: single row spanning past 2^16 columns
-	f.Add([]byte{0, 15, 128, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3})                                // forced segsum: the whole matrix is one row, cut across many regions
-	f.Add(segsumMegaRowSeed())                                                                                                             // forced segsum: one mega-row spanning 3+ regions among short rows
-	f.Add(diaDefectSeed())                                                                                                                 // forced dia: banded rows + one off-band defect row on the u32 fallback
+	f.Add([]byte{0, 15, 0, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3})                                  // segmented: the whole matrix is one row, cut across many regions
+	f.Add(segsumMegaRowSeed())                                                                                                             // segmented: one mega-row spanning 3+ regions among short rows
+	f.Add(bandDefectSeed())                                                                                                                // banded rows + one off-band defect row
 	f.Add(adjacencySeed())                                                                                                                 // 0/1 adjacency: one value, a hub row across a region boundary
 	f.Add(shuffledBandSeed())                                                                                                              // scrambled band of 1-6 entry rows, base 4: sorted vs natural order
-	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...))                                                                              // forced dia under forced segsum
-	f.Add(append([]byte{5, 31, 131}, segsumMegaRowSeed()[3:]...))                                                                          // forced segsum mega-row, one-level partition, reorder off
-	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...))                                                                             // 0/1 adjacency under forced segsum
+	f.Add(append([]byte{7, 30, 224}, bandDefectSeed()[3:]...))                                                                             // banded rows + defect row under ExecSerial
+	f.Add(append([]byte{5, 31, 131}, segsumMegaRowSeed()[3:]...))                                                                          // mega-row under ExecSerial, one-level partition, reorder off
+	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...))                                                                             // 0/1 adjacency under ExecSerial
 	f.Add(append([]byte{31, 31, 3}, adjacencySeed()[3:]...))                                                                               // 0/1 adjacency, natural order, one-level partition: the hub row stays row 3
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<12 {
@@ -275,9 +268,8 @@ func FuzzPrepareCompute(f *testing.F) {
 		}
 
 		// The same boundary move on the reference instance must keep the two
-		// bit-identical: Repartition re-picks per-region formats without
-		// rebuilding streams, and a region that drifts across a diagonal
-		// eligibility edge must fall back to u32, not drift bits.
+		// bit-identical: Repartition re-derives the cut-row groups without
+		// rebuilding streams.
 		if err := refPrep.Repartition(plan); err != nil {
 			t.Fatalf("reference Repartition(%+v) failed: %v", plan, err)
 		}
@@ -354,8 +346,9 @@ func FuzzPrepareCompute(f *testing.F) {
 // any matrix and any batch width, the fused ComputeBatch must produce
 // exactly — bit for bit — what nv independent Computes produce. Seed
 // corpus under testdata/fuzz/FuzzComputeBatch mirrors the structural
-// extremes with varying widths, including the forced-segsum one-row and
-// mega-row shapes so the block-kernel fragment patch is covered too.
+// extremes with varying widths, including the one-row and mega-row
+// shapes, so the block-kernel fragment patch is covered too, and
+// ExecSerial primaries (option bit 7).
 // nvByte picks the batch width (1 + nvByte%10) and, from its tens digit,
 // the x inputs: bit 0 makes X[1] alias X[0]'s slice, bit 1 mixes ±0
 // and subnormals into x, so the interleaved tiles must carry both
@@ -366,18 +359,18 @@ func FuzzComputeBatch(f *testing.F) {
 	f.Add([]byte{31, 31, 0, 1, 1, 4, 9, 9, 8, 30, 2, 252}, byte(9))                                                                                                                                            // short rows, two blocks
 	f.Add([]byte{2, 30, 0, 0, 0, 1, 0, 3, 2, 0, 6, 3, 0, 9, 4, 0, 12, 5, 0, 15, 6, 0, 18, 7, 0, 21, 8, 1, 1, 9, 1, 4, 10, 1, 7, 11, 1, 10, 12, 1, 13, 13, 1, 16, 14, 1, 19, 15, 1, 22, 16, 2, 2, 17}, byte(5)) // long rows
 	f.Add([]byte{7, 200, 0, 0, 10, 40, 0, 20, 41, 1, 0, 42, 1, 252, 43, 2, 0, 44, 2, 251, 45}, byte(5))                                                                                                        // wide: rows around a >2^16-span row, block path
-	f.Add([]byte{0, 15, 128, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3}, byte(5))                                                                                           // forced segsum: all-one-row matrix, batched fragment patch
-	f.Add(segsumMegaRowSeed(), byte(9))                                                                                                                                                                        // forced segsum: mega-row spanning 3+ regions, batched
-	f.Add(diaDefectSeed(), byte(6))                                                                                                                                                                            // forced dia with defect row, block kernels
+	f.Add([]byte{0, 15, 0, 0, 0, 8, 0, 5, 16, 0, 11, 200, 0, 3, 7, 0, 7, 9, 0, 13, 11, 0, 1, 5, 0, 9, 3}, byte(5))                                                                                             // segmented: all-one-row matrix, batched fragment patch
+	f.Add(segsumMegaRowSeed(), byte(9))                                                                                                                                                                        // segmented: mega-row spanning 3+ regions, batched
+	f.Add(bandDefectSeed(), byte(6))                                                                                                                                                                           // banded rows with a defect row, block kernels
 	f.Add(adjacencySeed(), byte(8))                                                                                                                                                                            // 0/1 adjacency: one value, a hub row across a region boundary, full block
 	f.Add(shuffledBandSeed(), byte(7))                                                                                                                                                                         // scrambled band, base 4 sort, block kernels
-	f.Add(append([]byte{7, 30, 224}, diaDefectSeed()[3:]...), byte(5))                                                                                                                                         // forced dia under forced segsum, batched
-	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under forced segsum, batched
+	f.Add(append([]byte{7, 30, 224}, bandDefectSeed()[3:]...), byte(5))                                                                                                                                        // banded rows with a defect row under ExecSerial, batched
+	f.Add(append([]byte{31, 31, 128}, adjacencySeed()[3:]...), byte(9))                                                                                                                                        // 0/1 adjacency under ExecSerial, batched
 	f.Add(append([]byte{31, 31, 3}, adjacencySeed()[3:]...), byte(8))                                                                                                                                          // 0/1 adjacency, natural order, one-level partition, full block
 	f.Add(shuffledBandSeed(), byte(17))                                                                                                                                                                        // X[1] aliases X[0], full block
 	f.Add([]byte{31, 31, 0, 1, 1, 4, 9, 9, 8, 30, 2, 252}, byte(12))                                                                                                                                           // X[1] aliases X[0], three-wide tile
 	f.Add(shuffledBandSeed(), byte(27))                                                                                                                                                                        // ±0 and subnormal x, full block
-	f.Add(diaDefectSeed(), byte(25))                                                                                                                                                                           // ±0 and subnormal x, dia fallback rows
+	f.Add(bandDefectSeed(), byte(25))                                                                                                                                                                          // ±0 and subnormal x, banded rows with a defect row
 	f.Add(segsumMegaRowSeed(), byte(38))                                                                                                                                                                       // aliased, ±0 and subnormal x, two tiles
 	f.Fuzz(func(t *testing.T, data []byte, nvByte byte) {
 		if len(data) > 1<<12 {

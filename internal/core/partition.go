@@ -22,29 +22,20 @@ type Region struct {
 	// walks without a per-call binary search. For an empty region
 	// (Lo == Hi == nnz) it is the row count.
 	StartRow int
-	// Format is the column-index stream this region executes with,
-	// stamped by assignFormats after every partition or repartition. The
-	// zero value dispatches to the []int reference kernels.
-	Format IndexFormat
-	// SegSum selects segmented-sum execution for this region, stamped by
-	// assignModes after every partition or repartition. The zero value
-	// keeps the classic fragment walk with the serial extraY epilogue.
-	SegSum bool
 	// EndRow is the reordered row containing Hi-1 (StartRow for an empty
-	// region), cached by assignModes alongside the group bookkeeping.
+	// region), cached by assignGroups alongside the group bookkeeping.
 	EndRow int
-	// Cut-row group bookkeeping (assignModes): ContFirst is the head
-	// region's slot when this region's leading fragment continues a cut
-	// row (-1 otherwise); HeadLast/HeadSpan describe the group this
-	// region heads — the last member's slot and the number of non-empty
-	// members (-1/0 when its last row is not cut). PatchCont/PatchHead
-	// arm the parallel patch rendezvous; when false the extraY epilogue
-	// resolves the group serially as before.
+	// Cut-row group bookkeeping of a segmented region (assignGroups):
+	// ContFirst is the head region's slot when this region's leading
+	// fragment continues a cut row (-1 otherwise); HeadLast/HeadSpan
+	// describe the group this region heads — the last member's slot and
+	// the number of non-empty members (-1/0 when its last row is not
+	// cut). Every such group meets at the parallel patch; under
+	// ExecSerial all three stay -1/-1/0 and the extraY epilogue resolves
+	// cut rows serially.
 	ContFirst int
 	HeadLast  int
 	HeadSpan  int
-	PatchCont bool
-	PatchHead bool
 }
 
 // DefaultProportion derives the level-1 split (P_proportion in Algorithm
@@ -70,18 +61,12 @@ func DefaultProportion(m *amp.Machine) float64 {
 // this is how the 7950X3D's V-Cache CCD earns a larger share on matrices
 // between 32MB and 96MB, the paper's bandwidth-test-driven calibration.
 // SpMV is memory bound, so memory capability dominates the weighting.
+// The footprint prices 8-byte values and 4-byte column indices, the
+// widths of the u32 stream every region runs (and the paper's CSR
+// index, which the []int reference is priced at). Prepare resolves an
+// unset Options.PProportion to exactly this value.
 func ProportionFor(m *amp.Machine, a *sparse.CSR) float64 {
-	return proportionForBytes(m, a, 4)
-}
-
-// proportionForBytes is ProportionFor with the index-stream width as a
-// parameter: Prepare passes the effective bytes per nonzero of the
-// index stream it actually built (4 for u32 and for the []int
-// reference, a per-row-best blend for diagonal partitions) beside the
-// 8-byte values, so the level-1 split prices the working set the
-// kernels will really move.
-func proportionForBytes(m *amp.Machine, a *sparse.CSR, idxBytes float64) float64 {
-	footprint := float64(a.NNZ())*(8+idxBytes) + float64(a.Cols*8+a.Rows*12)
+	footprint := float64(a.NNZ())*12 + float64(a.Cols*8+a.Rows*12)
 	capability := func(g *amp.CoreGroup) float64 {
 		compute := g.FreqGHz * float64(g.SIMDLanes)
 		r3 := 1.0

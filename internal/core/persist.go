@@ -11,14 +11,14 @@ import (
 
 // Prepared-state persistence. A Prepared instance is a pile of flat
 // arrays (the matrix, the HACSR indirection, the cost prefix sums, the
-// compressed index streams, the segment descriptors) plus a
+// u32 column stream, the segment descriptors) plus a
 // handful of scalars; everything else — regions, scratch, calibration
 // gauges — is cheaply derivable. Snapshot exposes exactly that split so
 // internal/store can serialize the arrays as raw sections (and mmap
 // them back with zero-copy aliasing) without importing any of the
 // package internals, and RestorePrepared rebuilds a servable instance
 // from the arrays in O(rows-touched-by-boundaries) time: the partition
-// binary searches and format/mode re-picks — the same work Repartition
+// binary searches and cut-row group scan — the same work Repartition
 // does — instead of the O(nnz) analysis sweeps Prepare runs.
 
 // SnapshotMeta is the scalar part of a snapshot (everything that is
@@ -37,12 +37,6 @@ type SnapshotMeta struct {
 	// HBase/HNumShort are the HACSR threshold fields.
 	HBase     int
 	HNumShort int
-	// Stream scalars (indexStreams).
-	RunNNZ  int
-	BestIdx int64
-	// Skew is the row-length profile driving execution-mode dispatch
-	// (recomputing it needs a counting sort over the row lengths).
-	Skew costmodel.RowSkew
 }
 
 // PreparedSnapshot is the full serializable state of a Prepared
@@ -68,14 +62,10 @@ type PreparedSnapshot struct {
 	EmptyRows []int
 	CS        []int
 
-	// Compressed index streams.
-	Col32   []uint32
-	DiaOff  []int32
-	RowDia  []int32
-	DiaInel []int
+	// The u32 column stream (nil under IndexReference).
+	Col32 []uint32
 
-	// Segment descriptors (nil when segmented execution is off for
-	// this instance).
+	// Segment descriptors (nil under ExecSerial).
 	Segs []kernel.Segment
 }
 
@@ -84,7 +74,6 @@ type PreparedSnapshot struct {
 // hold them across a mutation of the instance (there are none today:
 // Repartition only moves boundaries).
 func (p *Prepared) Snapshot() *PreparedSnapshot {
-	st := &p.streams
 	s := &PreparedSnapshot{
 		Meta: SnapshotMeta{
 			MachineName: p.machine.Name,
@@ -93,9 +82,6 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 			Cols:        p.mat.Cols,
 			HBase:       p.h.Base,
 			HNumShort:   p.h.NumShort,
-			RunNNZ:      st.runNNZ,
-			BestIdx:     st.bestIdx,
-			Skew:        p.skew,
 		},
 		RowPtr:       p.mat.RowPtr,
 		Val:          p.mat.Val,
@@ -104,13 +90,10 @@ func (p *Prepared) Snapshot() *PreparedSnapshot {
 		HRowBeginNNZ: p.h.RowBeginNNZ,
 		EmptyRows:    p.emptyRows,
 		CS:           p.cs,
-		Col32:        st.col32,
-		DiaOff:       st.diaOff,
-		RowDia:       st.rowDia,
-		DiaInel:      st.diaInel,
+		Col32:        p.col32,
 		Segs:         p.segs,
 	}
-	if st.col32 == nil {
+	if p.col32 == nil {
 		s.ColIdx = p.mat.ColIdx
 	}
 	return s
@@ -128,6 +111,9 @@ func checkSnapshot(s *PreparedSnapshot) error {
 		return fmt.Errorf("core: snapshot row pointer length %d, want %d", len(s.RowPtr), m+1)
 	}
 	nnz := s.RowPtr[m]
+	if err := checkSize(m, s.Meta.Cols, nnz); err != nil {
+		return err
+	}
 	if nnz < 0 || len(s.Val) != nnz {
 		return fmt.Errorf("core: snapshot value length %d, want %d", len(s.Val), nnz)
 	}
@@ -150,12 +136,6 @@ func checkSnapshot(s *PreparedSnapshot) error {
 	if s.Col32 != nil && len(s.Col32) != nnz {
 		return fmt.Errorf("core: snapshot u32 stream length %d, want %d", len(s.Col32), nnz)
 	}
-	if s.DiaOff != nil && (len(s.RowDia) != m+1 || len(s.DiaInel) != m+1) {
-		return fmt.Errorf("core: snapshot dia prefix lengths %d/%d, want %d", len(s.RowDia), len(s.DiaInel), m+1)
-	}
-	if s.DiaOff != nil && int(s.RowDia[m]) != len(s.DiaOff) {
-		return fmt.Errorf("core: snapshot dia prefix counts %d rows, %d offsets", s.RowDia[m], len(s.DiaOff))
-	}
 	if s.Segs != nil && len(s.Segs) != m {
 		return fmt.Errorf("core: snapshot segment count %d, want %d", len(s.Segs), m)
 	}
@@ -166,7 +146,7 @@ func checkSnapshot(s *PreparedSnapshot) error {
 // snapshot, reusing every stored array as-is (the snapshot's slices —
 // typically an mmap window — become the instance's live streams). Only
 // the derived state is recomputed: the partition boundaries from the
-// stored cost prefix sums, per-region formats and modes, and the triad
+// stored cost prefix sums, the cut-row groups, and the triad
 // calibration — O(cores·log nnz) work, no O(nnz) sweep.
 func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) {
 	if m == nil {
@@ -210,25 +190,19 @@ func RestorePrepared(m *amp.Machine, snap *PreparedSnapshot) (*Prepared, error) 
 		mat: mat, h: h, machine: m,
 		opts: opts, emptyRows: snap.EmptyRows, unroll: unroll,
 		cs: snap.CS, cores: cores,
-		streams: indexStreams{
-			col32: snap.Col32, diaOff: snap.DiaOff, rowDia: snap.RowDia,
-			diaInel: snap.DiaInel, runNNZ: snap.Meta.RunNNZ,
-			bestIdx: snap.Meta.BestIdx,
-		},
-		segs: snap.Segs,
-		skew: snap.Meta.Skew,
+		col32: snap.Col32, segs: snap.Segs,
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {
 			p.pCount++
 		}
 	}
-	regions := partition(mat, p.streams.col32, h, p.cs, m, cores, opts.PProportion, opts.Metric, opts.OneLevel, nil)
+	regions := partition(mat, p.col32, h, p.cs, m, cores, opts.PProportion, opts.Metric, opts.OneLevel, nil)
 	if err := checkRegions(h, regions); err != nil {
 		return nil, err
 	}
-	p.assignModes(regions)
-	p.assignFormats(regions)
+	p.assignGroups(regions)
+	p.recordStreams()
 	p.regions.Store(&regions)
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
 	cPrepares.Add(1)

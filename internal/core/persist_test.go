@@ -27,7 +27,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{Index: IndexReference},
-		{Exec: ExecSegSum},
+		{Exec: ExecSerial},
 		{DisableReorder: true},
 		{Metric: NNZCost, OneLevel: true},
 	} {
@@ -83,15 +83,7 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 		{"segs-short", func(s *PreparedSnapshot) {
 			s.Segs = make([]kernel.Segment, 1)
 		}},
-		{"dia-prefix-past-offsets", func(s *PreparedSnapshot) {
-			// Every row claims an offset, but only one is stored.
-			s.DiaOff = []int32{0}
-			s.RowDia = make([]int32, s.Meta.Rows+1)
-			for i := range s.RowDia {
-				s.RowDia[i] = int32(i)
-			}
-			s.DiaInel = make([]int, s.Meta.Rows+1)
-		}},
+		{"cols-past-32-bit", func(s *PreparedSnapshot) { s.Meta.Cols = past32() }},
 	}
 	for _, tc := range muts {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,4 +102,24 @@ func TestRestoreRejectsMalformedSnapshots(t *testing.T) {
 func snapshotOf2(t *testing.T) *PreparedSnapshot {
 	_, s := snapshotOf(t, Options{})
 	return s
+}
+
+// A snapshot holds the arrays its instance's multiply path reads: the
+// default keeps the u32 stream and the segment descriptors but not the
+// []int indices, IndexReference keeps the []int indices instead of the
+// u32 stream, and ExecSerial keeps no descriptors.
+func TestSnapshotHoldsWhatThePathReads(t *testing.T) {
+	for _, tc := range []struct {
+		opts                Options
+		colIdx, col32, segs bool
+	}{
+		{Options{}, false, true, true},
+		{Options{Index: IndexReference}, true, false, true},
+		{Options{Exec: ExecSerial}, false, true, false},
+	} {
+		_, s := snapshotOf(t, tc.opts)
+		if got := [3]bool{s.ColIdx != nil, s.Col32 != nil, s.Segs != nil}; got != [3]bool{tc.colIdx, tc.col32, tc.segs} {
+			t.Errorf("%+v: ColIdx/Col32/Segs present %v, want %v", tc.opts, got, [3]bool{tc.colIdx, tc.col32, tc.segs})
+		}
+	}
 }

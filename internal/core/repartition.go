@@ -79,7 +79,7 @@ func (p *Prepared) Repartition(plan Plan) error {
 	cuts[0] = 0
 	cuts[n] = h.NNZ()
 	for i := 1; i < n; i++ {
-		cuts[i] = costToPosition(p.mat, p.streams.col32, h, p.cs, bounds[i], p.opts.Metric)
+		cuts[i] = costToPosition(p.mat, p.col32, h, p.cs, bounds[i], p.opts.Metric)
 		if cuts[i] < cuts[i-1] {
 			cuts[i] = cuts[i-1]
 		}
@@ -91,12 +91,10 @@ func (p *Prepared) Repartition(plan Plan) error {
 	if err := checkRegions(h, regions); err != nil {
 		return err
 	}
-	// Streams and segment descriptors are never rebuilt on a boundary
-	// move: each moved region just re-picks the narrowest format all its
-	// rows still support and its execution mode (which rows are cut, and
-	// whether their groups patch in parallel).
-	p.assignModes(regions)
-	p.assignFormats(regions)
+	// The column stream and segment descriptors are never rebuilt on a
+	// boundary move: the moved regions only re-derive which rows are cut
+	// and which groups patch them.
+	p.assignGroups(regions)
 	planCopy := plan
 	if plan.Weights != nil {
 		planCopy.Weights = append([]float64(nil), plan.Weights...)

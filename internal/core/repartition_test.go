@@ -103,7 +103,7 @@ func TestRepartitionPropertyRandomPlans(t *testing.T) {
 	}
 	optsList := []Options{
 		{}, {OneLevel: true}, {DisableReorder: true}, {Metric: NNZCost}, {Metric: RowCost},
-		{Config: amp.POnly}, {Index: IndexU32}, {Exec: ExecSegSum},
+		{Config: amp.POnly}, {Index: IndexReference}, {Exec: ExecSerial},
 	}
 	r := rand.New(rand.NewSource(42))
 	for name, a := range mats {

@@ -2,52 +2,46 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"haspmv/internal/costmodel"
 	"haspmv/internal/exec"
 	"haspmv/internal/kernel"
 	"haspmv/internal/telemetry"
 )
 
-// Speculative segmented-sum execution (Liu & Vinter, arXiv:1504.06474,
-// grafted onto the HACSR partition). The classic HASpMV Compute has two
-// scalability hazards on power-law matrices: the serial extraY epilogue
-// grows with every row cut across cores — one mega-row split over many
-// cores serializes its merge no matter how well nnz is balanced — and
-// the per-row fragment walk pays a kernel call plus four metadata loads
-// per row, which dominates when the typical row holds a handful of
-// nonzeros. Segmented execution removes both: each core runs its whole
-// interior rows from a flat 12-byte descriptor stream (the row loop
-// lives inside kernel.SegSum), and rows cut across cores are resolved
-// by a *parallel patch* — the last core of a cut-row group to finish
-// adds the group's fragments into the destination row, coordinated by
-// one atomic counter per group, so no serial section remains.
+// Segmented-sum execution (Liu & Vinter, arXiv:1504.06474, grafted
+// onto the HACSR partition) is the default multiply path. The classic
+// HASpMV Compute has two scalability hazards on power-law matrices: the
+// serial extraY epilogue grows with every row cut across cores — one
+// mega-row split over many cores serializes its merge no matter how
+// well nnz is balanced — and the per-row fragment walk pays a kernel
+// call plus four metadata loads per row, which dominates when the
+// typical row holds a handful of nonzeros. Segmented execution removes
+// both: each core runs its whole interior rows from a flat 12-byte
+// descriptor stream (the row loop lives inside kernel.SegSum), and rows
+// cut across cores are resolved by a *parallel patch* — the last core of
+// a cut-row group to finish adds the group's fragments into the
+// destination row, coordinated by one atomic counter per group, so no
+// serial section remains.
 //
-// Everything here is bit-exact with the serial-epilogue path: the
-// segmented kernels reuse Dot's dispatch thresholds and
-// accumulator chains, and the patch adds a group's fragments in the
-// same ascending-region order the serial epilogue would have used, so
-// the float64 sums associate identically. The fuzz bit-equality stage
-// pins the two modes against each other (including after Repartition).
+// Everything here is bit-exact with the serial-epilogue path, which
+// stays as ExecSerial: the paper's Algorithm 5 walk and the reference
+// the tests compare against. The segmented kernels reuse Dot's
+// dispatch thresholds and accumulator chains, and the patch adds a
+// group's fragments in the same ascending-region order the serial
+// epilogue would have used, so the float64 sums associate identically.
 
-// ExecMode selects how Compute/ComputeBatch resolve rows cut across
-// cores. The zero value is the dispatching default.
+// ExecMode selects how Compute/ComputeBatch walk the regions. The zero
+// value is the segmented default.
 type ExecMode int
 
 const (
-	// ExecAuto picks per region: segmented when the matrix-level row
-	// skew predicts the epilogue or the per-row walk overhead dominates
-	// (costmodel.RowSkew.PreferSegSum), serial otherwise.
+	// ExecAuto runs every region segmented, with the parallel cut-row
+	// patch.
 	ExecAuto ExecMode = iota
 	// ExecSerial forces the classic per-fragment walk with the serial
-	// extraY epilogue everywhere — the oracle the fuzz stage compares
+	// extraY epilogue everywhere — the reference the tests compare
 	// against.
 	ExecSerial
-	// ExecSegSum forces segmented-sum execution on every region (cut-row
-	// groups are always parallel-patched; the epilogue has nothing to
-	// do).
-	ExecSegSum
 )
 
 func (m ExecMode) String() string {
@@ -56,8 +50,6 @@ func (m ExecMode) String() string {
 		return "auto"
 	case ExecSerial:
 		return "serial"
-	case ExecSegSum:
-		return "segsum"
 	default:
 		return fmt.Sprintf("ExecMode(%d)", int(m))
 	}
@@ -67,29 +59,17 @@ func (m ExecMode) String() string {
 // live partition, next to the per-format gauges.
 var gNNZSegSum = telemetry.NewGauge("core_partition_nnz_segsum")
 
-// autoSegSumMeanRow is the region mean-row-length ceiling under which
-// ExecAuto prefers the descriptor walk: at a few nonzeros per row the
-// fragment walk's per-row overhead is comparable to the dot product
-// itself, which is exactly what the segmented kernels amortize away.
-const autoSegSumMeanRow = 32
-
-// buildSegments materializes the per-row descriptor stream when the
-// selected mode can use it. Descriptors are global (one per reordered
+// buildSegments materializes the per-row descriptor stream unless the
+// instance runs ExecSerial. Descriptors are global (one per reordered
 // row, in original-nnz space), so Repartition never rebuilds them — a
 // boundary move only changes which rows are interior vs cut, which
-// assignModes re-derives. The int32 fields gate segmented execution to
-// matrices under 2^31 nonzeros and rows.
+// assignGroups re-derives. Their int32 fields fit because checkSize
+// bounds rows and nonzeros.
 func (p *Prepared) buildSegments() {
 	if p.opts.Exec == ExecSerial {
 		return
 	}
 	h := p.h
-	if h.NNZ() > math.MaxInt32 || h.Rows > math.MaxInt32 {
-		return
-	}
-	if p.opts.Exec == ExecAuto && !p.skew.PreferSegSum(len(p.cores)) {
-		return
-	}
 	segs := make([]kernel.Segment, h.Rows)
 	exec.ParallelRanges(h.Rows, prepWidth(), prepGrain, func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
@@ -100,24 +80,20 @@ func (p *Prepared) buildSegments() {
 	p.segs = segs
 }
 
-// assignModes stamps every region's execution mode and cut-row group
-// bookkeeping. Like assignFormats it runs at Prepare and after every
-// Repartition, before the regions slice is published, so a boundary
-// move re-picks the mode exactly the way it re-picks the index format.
+// assignGroups stamps every region's cut-row group bookkeeping. It runs
+// at Prepare and after every Repartition, before the regions slice is
+// published.
 //
 // A cut-row *group* is the head region (the one owning the cut row's
 // first fragment) plus every region whose leading fragment continues
-// that row. The group is parallel-patched iff all its non-empty members
-// run segmented; otherwise its continuations fall back to the extraY
-// slots and the serial epilogue resolves them as before (mixed groups
-// under ExecAuto stay correct either way, just not patched).
-func (p *Prepared) assignModes(regions []Region) {
+// that row. When the instance runs segmented, every group is
+// parallel-patched; under ExecSerial no group is chained, and the
+// continuations' extraY slots are merged by the serial epilogue.
+func (p *Prepared) assignGroups(regions []Region) {
 	h := p.h
 	for i := range regions {
 		r := &regions[i]
-		r.SegSum = false
 		r.ContFirst, r.HeadLast, r.HeadSpan = -1, -1, 0
-		r.PatchCont, r.PatchHead = false, false
 		if r.Lo < r.Hi {
 			r.EndRow = rowOfPosition(h, r.Hi-1)
 		} else {
@@ -154,67 +130,16 @@ func (p *Prepared) assignModes(regions []Region) {
 		}
 		ri.HeadLast, ri.HeadSpan = last, span
 	}
-	// Mode per region: forced, or the auto predicate — short typical
-	// rows (the descriptor walk amortizes the per-row overhead) or
-	// cut-row group membership (the parallel patch removes the serial
-	// merge).
-	for i := range regions {
-		r := &regions[i]
-		if p.opts.Exec == ExecSegSum {
-			r.SegSum = true
-			continue
-		}
-		if r.Lo >= r.Hi {
-			continue
-		}
-		mean := float64(r.Hi-r.Lo) / float64(r.EndRow-r.StartRow+1)
-		r.SegSum = mean <= autoSegSumMeanRow || r.ContFirst >= 0 || r.HeadLast >= 0
-	}
-	// Patch flags: a group rendezvouses in parallel only when every
-	// non-empty member runs segmented.
-	var segNNZ int64
-	for i := range regions {
-		ri := &regions[i]
-		if ri.SegSum {
-			segNNZ += int64(ri.Hi - ri.Lo)
-		}
-		if ri.HeadLast < 0 {
-			continue
-		}
-		all := true
-		for j := i; j <= ri.HeadLast; j++ {
-			if regions[j].Lo < regions[j].Hi && !regions[j].SegSum {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		ri.PatchHead = true
-		for j := i + 1; j <= ri.HeadLast; j++ {
-			if regions[j].Lo < regions[j].Hi && regions[j].ContFirst == i {
-				regions[j].PatchCont = true
-			}
-		}
-	}
-	gNNZSegSum.Set(segNNZ)
+	gNNZSegSum.Set(int64(h.NNZ()))
 }
 
-// RowSkew returns the row-length skew statistics Prepare computed for
-// the execution-mode dispatch.
-func (p *Prepared) RowSkew() costmodel.RowSkew { return p.skew }
-
-// SegSumNNZ returns the nonzeros assigned to segmented-sum execution in
-// the live partition (0 while the mode is off everywhere).
+// SegSumNNZ returns the nonzeros executed segmented: every nonzero, or
+// 0 under ExecSerial.
 func (p *Prepared) SegSumNNZ() int64 {
-	var n int64
-	for _, r := range *p.regions.Load() {
-		if r.SegSum {
-			n += int64(r.Hi - r.Lo)
-		}
+	if p.segs == nil {
+		return 0
 	}
-	return n
+	return int64(p.mat.NNZ())
 }
 
 // batchSegSumRegion is one core's share of a multiply in segmented
@@ -230,10 +155,9 @@ func batchSegSumRegion[C kernel.ColIndex](s *batchScratch, id int, reg Region, v
 	frags := 0
 	r0, r1 := reg.StartRow, reg.EndRow
 	// Leading continuation: the region starts mid-row, so its partial
-	// sum is a fragment — patched in parallel when the whole group is
-	// segmented, merged by the serial epilogue otherwise.
+	// sum is a fragment, which the group's patch adds.
 	if reg.Lo > h.RowPtr[r0] {
-		frags += walkBatchFragments(s, id, reg, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, v0, w, col)
+		frags += walkBatchFragments(s, id, reg.Lo, min(h.RowPtr[r0+1], reg.Hi), r0, v0, w, col)
 		r0++
 	}
 	// Trailing fragment exists when the region's last row continues
@@ -256,8 +180,8 @@ func batchSegSumRegion[C kernel.ColIndex](s *batchScratch, id int, reg Region, v
 	if tailClip {
 		// This region owns the cut row's first fragment: direct store,
 		// exactly like the fragment walk's pos==rowStart arm. The patch
-		// (or the epilogue) adds the continuations on top.
-		frags += walkBatchFragments(s, id, reg, h.RowPtr[r1], reg.Hi, r1, v0, w, col)
+		// adds the continuations on top.
+		frags += walkBatchFragments(s, id, h.RowPtr[r1], reg.Hi, r1, v0, w, col)
 	}
 	return frags
 }

@@ -56,17 +56,15 @@ type Options struct {
 	// OneLevel disables the heterogeneity-aware level-1 split, balancing
 	// cost equally across all cores (ablation).
 	OneLevel bool
-	// Index selects the column-index stream policy (default IndexAuto:
-	// compressed u32/diagonal streams with per-region dispatch).
+	// Index selects the column-index stream (default IndexAuto: the u32
+	// stream; IndexReference walks the []int ColIdx).
 	Index IndexMode
 	// Value is ignored: every instance streams the matrix's own
 	// []float64. It stays because perfbench's pinned reference sets it.
 	Value ValueMode
-	// Exec selects how rows cut across cores are resolved (default
-	// ExecAuto: segmented-sum execution with a parallel patch when the
-	// row-length skew predicts the serial extraY epilogue or the
-	// per-row fragment-walk overhead dominates, the classic serial
-	// epilogue otherwise).
+	// Exec selects the region walk (default ExecAuto: segmented-sum
+	// execution with the parallel cut-row patch; ExecSerial: the
+	// per-fragment walk with the serial extraY epilogue).
 	Exec ExecMode
 }
 
@@ -82,6 +80,9 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	var tPrep, t0 time.Time
 	if tel != nil {
 		tPrep = time.Now()
+	}
+	if err := checkSize(mat.Rows, mat.Cols, len(mat.Val)); err != nil {
+		return nil, err
 	}
 	if err := validate(mat); err != nil {
 		return nil, err
@@ -111,21 +112,19 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 		tel.RecordPhase(telemetry.PhaseReorder, time.Since(t0))
 		t0 = time.Now()
 	}
-	streams := buildStreams(mat, h, opts.Index)
+	col32 := buildCol32(mat, opts.Index)
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseStreams, time.Since(t0))
 		t0 = time.Now()
 	}
-	// The auto level-1 proportion prices the working set the kernels will
-	// actually stream, so it sees the compressed index width.
 	if opts.PProportion <= 0 || opts.PProportion >= 1 {
-		opts.PProportion = proportionForBytes(m, mat, streams.effIdxBytes(mat.NNZ()))
+		opts.PProportion = ProportionFor(m, mat)
 	}
 	cs := costSum(mat, h, opts.Metric)
 	if tel != nil {
 		tel.RecordPhase(telemetry.PhaseCacheLineCost, time.Since(t0))
 	}
-	regions := partition(mat, streams.col32, h, cs, m, cores, opts.PProportion, opts.Metric, opts.OneLevel, tel)
+	regions := partition(mat, col32, h, cs, m, cores, opts.PProportion, opts.Metric, opts.OneLevel, tel)
 	if err := checkRegions(h, regions); err != nil {
 		return nil, err
 	}
@@ -144,17 +143,16 @@ func (a *alg) Prepare(m *amp.Machine, mat *sparse.CSR) (exec.Prepared, error) {
 	p := &Prepared{
 		mat: mat, h: h, machine: m,
 		opts: opts, emptyRows: empty, unroll: unroll,
-		cs: cs, cores: cores, streams: streams,
+		cs: cs, cores: cores, col32: col32,
 	}
 	for _, c := range cores {
 		if g, _ := m.GroupOf(c); g.Kind == amp.Performance {
 			p.pCount++
 		}
 	}
-	p.skew = costmodel.ComputeRowSkew(mat.RowPtr)
 	p.buildSegments()
-	p.assignModes(regions)
-	p.assignFormats(regions)
+	p.assignGroups(regions)
+	p.recordStreams()
 	p.regions.Store(&regions)
 	p.triadMBps = int64(costmodel.EstimateTriad(m, costmodel.DefaultParams(), cores, triadElems).GBps * 1000)
 	gTriadPeak.Set(p.triadMBps)
@@ -213,17 +211,14 @@ type Prepared struct {
 	// cs is the per-reordered-row cost prefix sum the partition was cut
 	// from; Repartition reuses it to move boundaries in O(cores·log nnz).
 	cs []int
-	// streams holds the compressed column-index streams built once at
-	// Prepare; Repartition only re-picks per-region formats over them.
-	streams indexStreams
+	// col32 is the u32 column-index stream, in original nnz order, built
+	// once at Prepare (nil under IndexReference).
+	col32 []uint32
 	// segs is the per-reordered-row segment descriptor stream for
-	// segmented-sum execution (nil when the mode is off for this
-	// instance); like streams it is built once at Prepare and survives
-	// every Repartition, which only re-picks per-region modes.
+	// segmented-sum execution (nil under ExecSerial); like col32 it is
+	// built once at Prepare and survives every Repartition, which only
+	// re-derives the cut-row groups.
 	segs []kernel.Segment
-	// skew is the row-length skew profile driving the execution-mode
-	// dispatch.
-	skew costmodel.RowSkew
 	// cores are the participating core ids (P slots first), and pCount
 	// how many of them belong to the Performance group.
 	cores  []int
@@ -244,14 +239,10 @@ type Prepared struct {
 	// batch is the pooled multiply workspace Compute and ComputeBatch
 	// claim with an atomic swap (see batchScratch).
 	batch atomic.Pointer[batchScratch]
-	// structBytes is the modeled memory traffic of one sweep over the
-	// matrix structure (values, column indices at the cost model's widths,
-	// row pointers), refreshed by assignFormats whenever region formats
-	// change. Together with the vector traffic it prices each multiply's
-	// effective bandwidth against triadMBps, the calibrated stream-triad
-	// DRAM peak for this core selection.
-	structBytes atomic.Int64
-	triadMBps   int64
+	// triadMBps is the calibrated stream-triad DRAM peak for this core
+	// selection, which each multiply's effective bandwidth (its modeled
+	// traffic over its time) is compared against.
+	triadMBps int64
 }
 
 // TrafficBytes returns the modeled memory traffic of one Compute call at
@@ -265,7 +256,7 @@ func (p *Prepared) TrafficBytes() int64 { return p.batchTrafficBytes(1, 0) }
 // writes each packed vector once more.
 func (p *Prepared) batchTrafficBytes(nv, packed int) int64 {
 	sweeps := int64((nv + kernel.MaxBlock - 1) / kernel.MaxBlock)
-	return p.structBytes.Load()*sweeps + int64(nv)*int64(p.mat.Rows+p.mat.Cols)*8 +
+	return p.structBytes()*sweeps + int64(nv)*int64(p.mat.Rows+p.mat.Cols)*8 +
 		2*int64(packed)*int64(p.mat.Cols)*8
 }
 
@@ -338,14 +329,8 @@ func (p *Prepared) Assignments() []costmodel.Assignment {
 		// Tell the model which index width this region streams; the []int
 		// reference keeps the zero value (the model then prices the
 		// paper's 4-byte baseline, as before this representation existed).
-		// Diagonal regions have no per-nonzero width — their index-side
-		// traffic is the total offset plus fallback bytes, reported
-		// through DiagBytes instead.
-		switch reg.Format {
-		case Index32:
+		if p.col32 != nil {
 			asg.IdxBytes = 4
-		case IndexDia:
-			asg.DiagBytes = int(diaBytes(p.regionDiaParts(reg)))
 		}
 		if reg.Lo < reg.Hi {
 			r := reg.StartRow

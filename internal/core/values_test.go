@@ -13,8 +13,8 @@ import (
 // Options.Value is inert: on all-ones matrices, where a single-value
 // encoding would be cheapest, the instance with the default value mode
 // and a ValueReference one stream f64 and take the same level-1
-// proportion, the same regions and the same y bits, on every index
-// stream and execution mode. The graph01-shaped matrix's f64 working
+// proportion, the same regions and the same y bits, on both index
+// streams and both execution modes. The graph01-shaped matrix's f64 working
 // set outgrows the machine's last-level cache. perfbench pins its
 // reference with ValueReference at the default handle's cuts, so the
 // two must not drift apart.
@@ -41,10 +41,10 @@ func TestValueOptionInert(t *testing.T) {
 		opts Options
 	}{
 		{"graph01", graph, Options{}},
-		{"graph01/u32", graph, Options{Index: IndexU32}},
-		{"graph01/segsum", graph, Options{Exec: ExecSegSum}},
+		{"graph01/reference", graph, Options{Index: IndexReference}},
+		{"graph01/serial", graph, Options{Exec: ExecSerial}},
 		{"stencil9", sten, Options{}},
-		{"stencil9/dia", sten, Options{Index: IndexForceDia}},
+		{"stencil9/serial", sten, Options{Exec: ExecSerial}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := tc.a
@@ -84,11 +84,11 @@ func TestValueOptionInert(t *testing.T) {
 }
 
 // The value stream is the matrix's own []float64, read unchanged by
-// every index stream and execution mode: on a banded matrix whose
-// values are drawn from IEEE special cases, the u32, diagonal and
-// segmented instances reproduce the []int serial reference at the same
-// cuts, bit for bit on every finite or infinite output and NaN where
-// it is NaN. NaN payloads are not compared: the Go kernel bodies leave
+// both index streams and execution modes: on a banded matrix whose
+// values are drawn from IEEE special cases, the default (u32,
+// segmented) and the u32 serial instances reproduce the []int serial
+// reference at the same cuts, bit for bit on every finite or infinite
+// output and NaN where it is NaN. NaN payloads are not compared: the Go kernel bodies leave
 // the operand order of a NaN-NaN addition to the compiler.
 func TestSpecialValuesMatchReference(t *testing.T) {
 	m := amp.IntelI912900KF()
@@ -124,17 +124,14 @@ func TestSpecialValuesMatchReference(t *testing.T) {
 			for i := range x {
 				x[i] = [...]float64{1, -2.5, 0.75, 1e-300, 3}[i%5]
 			}
-			for _, opts := range []Options{{}, {Index: IndexU32}, {Index: IndexForceDia}, {Exec: ExecSegSum}} {
+			for _, opts := range []Options{{}, {Exec: ExecSerial}} {
 				pp, err := New(opts).Prepare(m, a)
 				if err != nil {
 					t.Fatal(err)
 				}
 				p := pp.(*Prepared)
-				if opts.Index == IndexForceDia && p.IndexStats().NNZByFormat[IndexDia] == 0 {
-					t.Fatal("forced dia put no nonzero on diagonal offsets")
-				}
-				if opts.Exec == ExecSegSum && p.SegSumNNZ() == 0 {
-					t.Fatal("forced segsum segmented no nonzero")
+				if opts.Exec == ExecAuto && p.SegSumNNZ() != int64(a.NNZ()) {
+					t.Fatal("the default left nonzeros unsegmented")
 				}
 				y, want := make([]float64, a.Rows), make([]float64, a.Rows)
 				p.Compute(y, x)

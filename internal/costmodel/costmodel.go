@@ -80,15 +80,10 @@ type Assignment struct {
 	Core  int
 	Spans []Span
 	// IdxBytes, when positive, overrides Params.IdxBytes for this
-	// assignment's streaming term: algorithms with compressed per-region
-	// column-index streams (HASpMV's u32 and diagonal execution streams) price
-	// each region at the width it actually moves.
+	// assignment's streaming term: algorithms with a compressed
+	// column-index stream (HASpMV's u32 stream) price each region at the
+	// width it actually moves.
 	IdxBytes int
-	// DiagBytes, when positive, replaces the per-nonzero index term
-	// entirely with this total: a DIA-style region streams a 4-byte
-	// column offset per row plus u32 fallback indices for its other rows,
-	// which has no meaningful per-nonzero width.
-	DiagBytes int
 }
 
 // NNZ returns the total nonzeros assigned.
@@ -173,11 +168,7 @@ func EstimateSpMV(m *amp.Machine, p Params, a *sparse.CSR, asgs []Assignment) Re
 		if asg.IdxBytes > 0 {
 			idxBytes = asg.IdxBytes
 		}
-		idxTraffic := cc.NNZ * idxBytes
-		if asg.DiagBytes > 0 {
-			idxTraffic = asg.DiagBytes
-		}
-		streamBytes := float64(cc.NNZ*p.ValBytes + idxTraffic + rows*(p.PtrBytes+8))
+		streamBytes := float64(cc.NNZ*p.ValBytes + cc.NNZ*idxBytes + rows*(p.PtrBytes+8))
 		caps := effectiveCaches(m, g, activeP, activeE)
 		share := xShare(xBytes, streamBytes, caps)
 

@@ -2,20 +2,19 @@ package costmodel
 
 import "sort"
 
-// Row-length skew: the cost-model term behind the segmented-sum
-// execution dispatch. HASpMV's extraY epilogue is a serial tail whose
-// length grows with the number of rows cut across cores, and the
-// fragment walk pays a fixed per-row overhead that dominates when the
-// typical row holds only a few nonzeros — both are properties of the
-// row-length *distribution*, not of the nnz total the partitioner
-// balances. RowSkew captures that distribution in the two classic
-// shapes: the hub-row extreme (max-row-nnz against the mean and the
-// total) and the overall inequality (Gini coefficient), computed
-// exactly in one pass over the row pointer so Prepare can afford it on
-// every call.
+// Row-length skew, as cmd/mminfo reports it. HASpMV's serial extraY
+// epilogue is a tail whose length grows with the number of rows cut
+// across cores, and the per-row fragment walk pays a fixed overhead that
+// dominates when the typical row holds only a few nonzeros — both are
+// properties of the row-length *distribution*, not of the nnz total the
+// partitioner balances, and both are what the default segmented-sum
+// execution removes. RowSkew captures that distribution in the two
+// classic shapes: the hub-row extreme (max-row-nnz against the mean and
+// the total) and the overall inequality (Gini coefficient), computed
+// exactly in one pass over the row pointer.
 
-// RowSkew summarizes the row-length distribution of a matrix for the
-// execution-mode dispatch (and cmd/mminfo's skew report).
+// RowSkew summarizes the row-length distribution of a matrix (cmd/mminfo's
+// skew report).
 type RowSkew struct {
 	// Rows is the row count; MaxRowNNZ the longest row's nonzeros.
 	Rows      int
@@ -89,32 +88,11 @@ func ComputeRowSkew(rowPtr []int) RowSkew {
 	return s
 }
 
-// PreferSegSum is the dispatch predicate: does the skew predict that
-// the serial extraY epilogue and the fragment walk's per-row overhead
-// dominate a multiply across this many cores? True on the two shapes
-// segmented-sum execution exists for:
-//
-//   - a hub row holding at least half of one core's equal share, which
-//     forces a multi-core cut whose merge serializes the tail no matter
-//     how well nnz is balanced, and
-//   - a short-row-dominated power-law profile (high Gini, small mean),
-//     where the per-row kernel dispatch is the critical path the
-//     descriptor walk removes.
-func (s RowSkew) PreferSegSum(cores int) bool {
-	if cores < 2 || s.Rows == 0 || s.MeanRowNNZ <= 0 {
-		return false
-	}
-	if s.MaxShare*float64(cores) >= 0.5 {
-		return true
-	}
-	return s.Gini >= 0.6 && s.MeanRowNNZ <= 32
-}
-
 // RowsSpanningCores counts the rows an equal-nnz partition across
 // `cores` cores cuts mid-row — each one an extraY merge the serial
 // epilogue pays for. It is the cheap nnz-cut approximation of the cost
-// partition (boundaries at i*nnz/cores), which is what cmd/mminfo
-// reports as segmented-sum eligibility context.
+// partition (boundaries at i*nnz/cores), which cmd/mminfo reports
+// beside the skew.
 func RowsSpanningCores(rowPtr []int, cores int) int {
 	rows := len(rowPtr) - 1
 	if rows <= 0 || cores < 2 {

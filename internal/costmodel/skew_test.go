@@ -64,31 +64,6 @@ func TestRowSkewGiniMatchesRowStats(t *testing.T) {
 	}
 }
 
-func TestPreferSegSum(t *testing.T) {
-	// Hub shape: one row holds 30% of nnz — any multi-core run wants the
-	// parallel patch.
-	hub := RowSkew{Rows: 100, MaxRowNNZ: 300, MeanRowNNZ: 10, MaxShare: 0.3, Gini: 0.4}
-	if !hub.PreferSegSum(8) {
-		t.Error("hub shape rejected at 8 cores")
-	}
-	if hub.PreferSegSum(1) {
-		t.Error("single core accepted (no cut rows exist)")
-	}
-	// Power-law shape: short typical rows, high inequality.
-	pl := RowSkew{Rows: 1 << 20, MaxRowNNZ: 5000, MeanRowNNZ: 4, MaxShare: 0.001, Gini: 0.75}
-	if !pl.PreferSegSum(8) {
-		t.Error("power-law shape rejected")
-	}
-	// Regular FEM shape: even rows, moderate length.
-	fem := RowSkew{Rows: 1 << 20, MaxRowNNZ: 60, MeanRowNNZ: 55, MaxShare: 1e-6, Gini: 0.02}
-	if fem.PreferSegSum(8) {
-		t.Error("regular shape accepted")
-	}
-	if (RowSkew{}).PreferSegSum(8) {
-		t.Error("zero skew accepted")
-	}
-}
-
 func TestRowsSpanningCores(t *testing.T) {
 	// One row holding everything: every interior cut lands inside it,
 	// but it is a single spanning row.

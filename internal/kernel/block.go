@@ -34,13 +34,6 @@ const MaxBlock = 8
 // costs more than the shared lines save, so it runs those one by one.
 const MinBlock = 4
 
-// blockTile is the index-stream tile the dia block kernels revisit once
-// per vector: 1024 nonzeros = 16KB of values + indices, comfortably
-// inside a 32KB L1D alongside the contiguous x lines. It is a multiple
-// of 8 so tile boundaries never disturb the accumulator-chain
-// assignment.
-const blockTile = 1024
-
 // DotBlock computes sums[j] = Dot(vals, col, X[j], lo, hi, unrollLen)
 // for j in [0, len(sums)), reading X through the interleaved tile xi
 // (xi[c*w+j] = X[j][c], w = len(sums)). len(sums) must be between 1 and

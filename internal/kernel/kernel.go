@@ -14,12 +14,10 @@
 // There is one body per loop shape, generic over the column index C
 // (ColIndex: the []int reference or the u32 absolute stream) for the
 // gather family; every body reads the matrix's own []float64 values.
-// The shapes are the gather (Dot, DotBlock), the one-run diagonal read
-// at a per-row column offset (DotDia, DotDiaBlock) and the segmented
-// row walk (SegSum, SegSumBlock). The batch gathers (DotBlock,
-// SegSumBlock) read x from a column-interleaved tile, so the one random
-// cache line a nonzero fetches serves every vector of the batch;
-// DotDiaBlock reads each vector's contiguous run directly. Every
+// The shapes are the gather (Dot, DotBlock) and the segmented row walk
+// (SegSum, SegSumBlock). The batch bodies (DotBlock, SegSumBlock) read
+// x from a column-interleaved tile, so the one random cache line a
+// nonzero fetches serves every vector of the batch. Every
 // instantiation assigns nonzeros to accumulator chains, reduces them
 // and finishes the remainder in the same order, so all of them produce
 // the same IEEE-754 bits as DotRange over the decoded columns. That

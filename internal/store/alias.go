@@ -44,20 +44,6 @@ func u32OfBytes(b []byte, n int) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
 }
 
-func bytesOfI32(s []int32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), 4*len(s))
-}
-
-func i32OfBytes(b []byte, n int) []int32 {
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-}
-
 func bytesOfF64(s []float64) []byte {
 	if len(s) == 0 {
 		return nil

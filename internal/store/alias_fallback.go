@@ -46,22 +46,6 @@ func u32OfBytes(b []byte, n int) []uint32 {
 	return s
 }
 
-func bytesOfI32(s []int32) []byte {
-	b := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-	}
-	return b
-}
-
-func i32OfBytes(b []byte, n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return s
-}
-
 func bytesOfF64(s []float64) []byte {
 	b := make([]byte, 8*len(s))
 	for i, v := range s {

@@ -11,7 +11,7 @@ import (
 	"haspmv/internal/sparse"
 )
 
-// fuzzSeedCases mirrors snapCases' index-format coverage on miniature
+// fuzzSeedCases mirrors snapCases' section coverage on miniature
 // matrices, so every section layout the writer can produce is in the
 // corpus without multi-megabyte seed files. The three-valued matrix
 // keeps the "palette" names of its checked-in seed files; one of its
@@ -21,8 +21,7 @@ func fuzzSeedCases() []struct {
 	a    *sparse.CSR
 	opts core.Options
 } {
-	// Rows of 8 consecutive columns: long enough for diagonal offsets,
-	// so the dia sections are in the corpus.
+	// Rows of 8 consecutive columns.
 	banded := gen.Spec{Name: "b", Rows: 96, Cols: 96, Dist: gen.ConstLen{L: 8},
 		Place: gen.Banded, Seed: 3}.Generate()
 	scattered := gen.Spec{Name: "s", Rows: 80, Cols: 80, TargetNNZ: 400,
@@ -41,17 +40,17 @@ func fuzzSeedCases() []struct {
 	}{
 		{"banded-auto", banded, core.Options{}},
 		{"reference", skewed, core.Options{Index: core.IndexReference}},
-		{"u32-only", scattered, core.Options{Index: core.IndexU32}},
-		{"force-dia", banded, core.Options{Index: core.IndexForceDia}},
+		{"scattered-default", scattered, core.Options{}},
+		{"banded-natural-order", banded, core.Options{DisableReorder: true}},
 		{"palette", fewValued, core.Options{}},
-		{"segsum", skewed, core.Options{Exec: core.ExecSegSum}},
+		{"serial", skewed, core.Options{Exec: core.ExecSerial}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
 		{"natural-order", skewed, core.Options{DisableReorder: true}},
 		{"palette-as-reference", fewValued, core.Options{Value: core.ValueReference}},
 	}
 }
 
-// fuzzSeeds encodes one store file per index-stream combination,
+// fuzzSeeds encodes one store file per seed case,
 // so the fuzzer starts from every section layout the writer can
 // produce.
 func fuzzSeeds(t testing.TB) []struct {
@@ -83,7 +82,7 @@ func fuzzSeeds(t testing.TB) []struct {
 // or accepts — and an accepted image must re-encode to the identical
 // bytes and restore into a servable instance without panicking. The
 // checked-in corpus under testdata/fuzz holds one writer-produced file
-// per index-format combination; the fuzzer mutates from there.
+// per seed case; the fuzzer mutates from there.
 func FuzzStoreRoundTrip(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s.data)

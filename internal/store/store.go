@@ -42,7 +42,7 @@ import (
 // Version is the on-disk format version. Bump it on any layout or
 // semantic change; Load rejects every other version with ErrVersion,
 // and the CI store cache keys on it so stale caches die with the bump.
-const Version = 5
+const Version = 6
 
 const (
 	headerSize = 64
@@ -93,7 +93,6 @@ type fileMeta struct {
 var elemWidth = map[string]int64{
 	"i64":   8,
 	"u32":   4,
-	"i32":   4,
 	"f64":   8,
 	"seg12": segBytes,
 }
@@ -129,9 +128,6 @@ func sectionsOf(s *core.PreparedSnapshot) ([]rawSection, int64) {
 	add("emptyrows", "i64", bytesOfInts(s.EmptyRows), len(s.EmptyRows), s.EmptyRows != nil)
 	add("cs", "i64", bytesOfInts(s.CS), len(s.CS), s.CS != nil)
 	add("col32", "u32", bytesOfU32(s.Col32), len(s.Col32), s.Col32 != nil)
-	add("diaoff", "i32", bytesOfI32(s.DiaOff), len(s.DiaOff), s.DiaOff != nil)
-	add("rowdia", "i32", bytesOfI32(s.RowDia), len(s.RowDia), s.RowDia != nil)
-	add("diainel", "i64", bytesOfInts(s.DiaInel), len(s.DiaInel), s.DiaInel != nil)
 	add("segs", "seg12", bytesOfSegs(s.Segs), len(s.Segs), s.Segs != nil)
 	return secs, off
 }
@@ -565,7 +561,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 	ints(&snap.HRowBeginNNZ, "hrowbeginnnz")
 	ints(&snap.EmptyRows, "emptyrows")
 	ints(&snap.CS, "cs")
-	ints(&snap.DiaInel, "diainel")
 	if err != nil {
 		return nil, err
 	}
@@ -578,16 +573,6 @@ func decodeSections(fm fileMeta, payload []byte) (*core.PreparedSnapshot, error)
 		return nil, e
 	} else if ok {
 		snap.Col32 = nonNil(u32OfBytes(b, n), n)
-	}
-	if b, n, ok, e := sec("diaoff", "i32"); e != nil {
-		return nil, e
-	} else if ok {
-		snap.DiaOff = nonNil(i32OfBytes(b, n), n)
-	}
-	if b, n, ok, e := sec("rowdia", "i32"); e != nil {
-		return nil, e
-	} else if ok {
-		snap.RowDia = nonNil(i32OfBytes(b, n), n)
 	}
 	if b, n, ok, e := sec("segs", "seg12"); e != nil {
 		return nil, e

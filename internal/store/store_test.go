@@ -18,11 +18,13 @@ import (
 	"haspmv/internal/sparse"
 )
 
-// snapCases spans the format matrix: every index stream (reference,
-// u32, u32+dia mix, forced dia), plus the degenerate shapes, segmented
-// execution, the natural order, a one-level partition and a matrix of
-// five distinct values, also prepared with the ignored ValueReference
-// option set (its meta must still round-trip).
+// snapCases spans the section layouts: both index streams (u32 and
+// the []int reference), both execution modes (segmented and the serial
+// walk, which keeps no descriptors), banded, stencil, random and
+// power-law structure, the degenerate shapes, the natural order, a
+// one-level partition and a matrix of five distinct values, also
+// prepared with the ignored ValueReference option set (its meta must
+// still round-trip).
 func snapCases() []struct {
 	name string
 	a    *sparse.CSR
@@ -30,6 +32,8 @@ func snapCases() []struct {
 } {
 	fewValues := gen.Spec{Name: "few", Rows: 400, Cols: 400, Dist: gen.ConstLen{L: 7},
 		Place: gen.Banded, Seed: 11}.Generate()
+	stencil := gen.StencilSpec{Name: "stencil9", Rows: 2048, Cols: 2048,
+		Diagonals: 9, NoiseFrac: 0.01, Seed: 12}.Generate()
 	for k := range fewValues.Val {
 		fewValues.Val[k] = float64(k % 5)
 	}
@@ -41,9 +45,9 @@ func snapCases() []struct {
 		{"banded-auto", algtest.Matrix("banded-fem"), core.Options{}},
 		{"powerlaw-auto", algtest.Matrix("powerlaw"), core.Options{}},
 		{"reference", algtest.Matrix("hub-row"), core.Options{Index: core.IndexReference}},
-		{"u32-only", algtest.Matrix("medium-random"), core.Options{Index: core.IndexU32}},
-		{"force-dia", algtest.Matrix("banded-fem"), core.Options{Index: core.IndexForceDia}},
-		{"segsum", algtest.Matrix("powerlaw"), core.Options{Exec: core.ExecSegSum}},
+		{"random-default", algtest.Matrix("medium-random"), core.Options{}},
+		{"banded-default", stencil, core.Options{}},
+		{"serial", algtest.Matrix("powerlaw"), core.Options{Exec: core.ExecSerial}},
 		{"empty-rows", algtest.Matrix("alternating-empty"), core.Options{}},
 		{"tiny", algtest.Matrix("tiny-3x3"), core.Options{}},
 		{"natural-order", algtest.Matrix("powerlaw"), core.Options{DisableReorder: true}},
@@ -191,11 +195,12 @@ func TestVersionBumpRejected(t *testing.T) {
 
 // A file from an older format version — version 2 still carried the
 // u16-delta column sections, version 3 the 8-byte diagonal run
-// descriptors, version 4 the palette value sections — must be refused
+// descriptors, version 4 the palette value sections, version 5 the
+// diagonal offset sections and the row-skew meta — must be refused
 // with ErrVersion naming the file's version, not decoded against this
 // build's section list.
 func TestOlderVersionRejected(t *testing.T) {
-	for _, v := range []uint32{2, 3, 4} {
+	for _, v := range []uint32{2, 3, 4, 5} {
 		path, buf := writeSample(t)
 		binary.LittleEndian.PutUint32(buf[8:12], v)
 		binary.LittleEndian.PutUint32(buf[60:64], crc32.Checksum(buf[0:60], castagnoli))

@@ -11,8 +11,8 @@ type Phase int
 const (
 	// PhaseReorder is the HACSR conversion (Algorithm 2).
 	PhaseReorder Phase = iota
-	// PhaseStreams is the compressed column-index stream build (u32 and
-	// diagonal execution streams derived from the reordered matrix).
+	// PhaseStreams is the compressed column-index stream build (the u32
+	// copy of the column indices).
 	PhaseStreams
 	// PhaseCacheLineCost is the per-row cost computation and prefix sum
 	// (Algorithm 3), for whichever CostMetric is selected.
