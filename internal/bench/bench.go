@@ -79,19 +79,21 @@ func isAMD(m *amp.Machine) bool {
 
 // AlgorithmsFor returns the paper's Figure 8 competitor set for a machine:
 // HASpMV, the vendor library (oneMKL-like on Intel, AOCL-like on AMD),
-// CSR5 and Merge-SpMV, all using every core. HASpMV runs in reference
-// index mode: the paper's algorithm has no compressed execution streams,
-// and the baselines are all priced at the paper's 4-byte CSR indices, so
-// the figure reproductions compare like with like (the compressed-stream
-// win is measured separately by the root BenchmarkCompute int/u32/auto
-// rows and perfbench's kernel.bytes_per_nnz rows).
+// CSR5 and Merge-SpMV, all using every core. HASpMV runs the paper's
+// pipeline: the reference index mode and the serial walk (Algorithm 5).
+// The paper's algorithm has no compressed streams or segment
+// descriptors, and the baselines are all priced at the paper's 4-byte
+// CSR indices, so the figure reproductions compare like with like (the
+// default u32 segmented path is measured separately by the root
+// BenchmarkCompute int and auto rows and perfbench's
+// kernel.bytes_per_nnz rows).
 func AlgorithmsFor(m *amp.Machine) []exec.Algorithm {
 	vendor := vendorlike.New(vendorlike.MKL, amp.PAndE)
 	if isAMD(m) {
 		vendor = vendorlike.New(vendorlike.AOCL, amp.PAndE)
 	}
 	return []exec.Algorithm{
-		haspmvcore.New(haspmvcore.Options{Index: haspmvcore.IndexReference}),
+		haspmvcore.New(haspmvcore.Options{Index: haspmvcore.IndexReference, Exec: haspmvcore.ExecSerial}),
 		vendor,
 		csr5.New(amp.PAndE),
 		mergespmv.New(amp.PAndE),

@@ -176,11 +176,12 @@ func Fig10(cfg Config, m *amp.Machine) ([]Fig10Row, error) {
 	if isAMD(m) {
 		vendor = vendorlike.New(vendorlike.AOCL, amp.PAndE)
 	}
-	// Reference index mode: Figure 10 reproduces the paper's
-	// preprocessing cost, and the paper's pipeline has no stream build
-	// (the compressed-stream build cost shows up in -exp phases instead).
+	// Reference index mode and the serial walk: Figure 10 reproduces the
+	// paper's preprocessing cost, and the paper's pipeline builds neither
+	// a compressed stream nor segment descriptors (their cost shows up in
+	// -exp phases instead).
 	algs := []exec.Algorithm{
-		haspmvcore.New(haspmvcore.Options{Index: haspmvcore.IndexReference}),
+		haspmvcore.New(haspmvcore.Options{Index: haspmvcore.IndexReference, Exec: haspmvcore.ExecSerial}),
 		vendor,
 		csr5.New(amp.PAndE),
 		mergespmv.New(amp.PAndE),

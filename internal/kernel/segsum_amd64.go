@@ -42,31 +42,83 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func segSumBlock8AVX2(vals []float64, col []uint32, xi []float64, Y [][]float64, segs []Segment, unrollLen, nnz, ylen int) (done, next int)
 
+// segSumBlock4AVX2 is segSumBlock8AVX2 for a tile of 4 vectors, whose
+// columns it checks against len(xi)/4.
+//
+//go:noescape
+func segSumBlock4AVX2(vals []float64, col []uint32, xi []float64, Y [][]float64, segs []Segment, unrollLen, nnz, ylen int) (done, next int)
+
+// segSumAVX2 is SegSum over float64 values and uint32 columns. It checks
+// each non-empty segment — 0 <= K0, K1 <= nnz, Dst < len(y) and every
+// column < len(x) — as it computes it, and returns the non-empty
+// segments it stored and next = len(segs), or, when a check fails, the
+// index of the failing segment, having stored nothing of it.
+//
+//go:noescape
+func segSumAVX2(vals []float64, col []uint32, x, y []float64, segs []Segment, unrollLen, nnz int) (done, next int)
+
 // asmChunk is how many segments one assembly call runs: assembly is not
-// preemptible, so the wrapper returns to Go between chunks. It is a
+// preemptible, so the wrappers return to Go between chunks. It is a
 // multiple of touchSegs, so the touch blocks fall where the Go body's do.
 const asmChunk = 64 * touchSegs
 
-// segSumBlock8 runs SegSumBlock through segSumBlock8AVX2 when the host
-// has AVX2 and the call is a tile of 8 vectors over uint32 columns, and
-// reports whether it did. The size of C tells the column streams apart;
-// it is a constant within each gcshape instantiation, so the test folds
-// away in the []int one.
-func segSumBlock8[C ColIndex](vals []float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) (int, bool) {
+// asCol32 returns col as a []uint32 when C is the u32 stream and the host
+// has AVX2, the two conditions of every assembly body. The size of C
+// tells the column streams apart; it is a constant within each gcshape
+// instantiation, so the test folds away in the []int one.
+func asCol32[C ColIndex](col []C) ([]uint32, bool) {
 	var c C
-	if !hasAVX2 || unsafe.Sizeof(c) != 4 || len(sums) != 8 || len(Y) < 8 {
+	if !hasAVX2 || unsafe.Sizeof(c) != 4 {
+		return nil, false
+	}
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(col))), len(col)), true
+}
+
+// segSumAsm runs SegSum through segSumAVX2 when asCol32 allows, and
+// reports whether it did.
+func segSumAsm[C ColIndex](vals []float64, col []C, x, y []float64, segs []Segment, unrollLen int) (int, bool) {
+	u32, ok := asCol32(col)
+	if !ok {
 		return 0, false
 	}
-	u32 := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(col))), len(col))
+	nnz := min(len(vals), len(col))
+	done := 0
+	for i := 0; i < len(segs); i += asmChunk {
+		chunk := segs[i:min(i+asmChunk, len(segs))]
+		d, next := segSumAVX2(vals, u32, x, y, chunk, unrollLen, nnz)
+		done += d
+		if next < len(chunk) {
+			// A check failed: the Go body runs the rest from the failing
+			// segment and panics where it always has.
+			return done + segSumGo(vals, col, x, y, segs[i+next:], unrollLen), true
+		}
+	}
+	return done, true
+}
+
+// segSumBlockAsm runs SegSumBlock through segSumBlock8AVX2 or
+// segSumBlock4AVX2 when asCol32 allows and the tile is 8 or 4 vectors
+// wide, and reports whether it did.
+func segSumBlockAsm[C ColIndex](vals []float64, col []C, xi []float64, Y [][]float64, sums []float64, segs []Segment, unrollLen int) (int, bool) {
+	w := len(sums)
+	u32, ok := asCol32(col)
+	if !ok || w != 4 && w != 8 || len(Y) < w {
+		return 0, false
+	}
 	ylen := len(Y[0])
-	for _, y := range Y[1:8] {
+	for _, y := range Y[1:w] {
 		ylen = min(ylen, len(y))
 	}
 	nnz := min(len(vals), len(col))
 	done := 0
 	for i := 0; i < len(segs); i += asmChunk {
 		chunk := segs[i:min(i+asmChunk, len(segs))]
-		d, next := segSumBlock8AVX2(vals, u32, xi, Y, chunk, unrollLen, nnz, ylen)
+		var d, next int
+		if w == 8 {
+			d, next = segSumBlock8AVX2(vals, u32, xi, Y, chunk, unrollLen, nnz, ylen)
+		} else {
+			d, next = segSumBlock4AVX2(vals, u32, xi, Y, chunk, unrollLen, nnz, ylen)
+		}
 		done += d
 		if next < len(chunk) {
 			// A check failed: the Go body runs the rest from the failing

@@ -1,38 +1,64 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
 	"testing"
 )
 
-// segBody runs segs over d's u32 × float64 streams as one 8-vector
-// SegSumBlock tile into Y.
+// segBody runs segs over d's u32 × float64 streams into Y, as one
+// SegSum call when w is 1 and as one SegSumBlock tile of w vectors
+// otherwise.
 type segBody struct {
 	name string
+	w    int
 	run  func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, unrollLen int) int
 }
 
-// segBodies are the Go body and, on an AVX2 host, the assembly body.
+// asmWidths are the widths that have an assembly body.
+var asmWidths = []int{1, 4, MaxBlock}
+
+// segBodies are, for each width in asmWidths, the Go body and, on an
+// AVX2 host, the assembly body.
 func segBodies() []segBody {
-	bodies := []segBody{{"go", func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
-		return segSumBlockGo(d.val, col, d.tile(MaxBlock), Y, make([]float64, MaxBlock), segs, un)
-	}}}
-	if hasAVX2 {
-		bodies = append(bodies, segBody{"avx2", runAVX2})
+	var bodies []segBody
+	for _, w := range asmWidths {
+		bodies = append(bodies, segBody{fmt.Sprintf("go/w%d", w), w, goBody(w)})
+		if hasAVX2 {
+			bodies = append(bodies, segBody{fmt.Sprintf("avx2/w%d", w), w, asmBody(w)})
+		}
 	}
 	return bodies
 }
 
-// runAVX2 runs segs through the AVX2 body of the 8-vector u32 × float64
-// tile, which SegSumBlock selects on hosts that have it.
-func runAVX2(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
-	done, ok := segSumBlock8(d.val, col, d.tile(MaxBlock), Y, make([]float64, MaxBlock), segs, un)
-	if !ok {
-		panic("kernel: the AVX2 segsum body did not run")
+// goBody runs segs through the Go body of width w.
+func goBody(w int) func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
+	return func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
+		if w == 1 {
+			return segSumGo(d.val, col, d.X[0], Y[0], segs, un)
+		}
+		return segSumBlockGo(d.val, col, d.tile(w), Y, make([]float64, w), segs, un)
 	}
-	return done
+}
+
+// asmBody runs segs through the AVX2 body of width w, which SegSum
+// (w = 1) or SegSumBlock selects on hosts that have it.
+func asmBody(w int) func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
+	return func(d *kernelData, col []uint32, Y [][]float64, segs []Segment, un int) int {
+		var done int
+		var ok bool
+		if w == 1 {
+			done, ok = segSumAsm(d.val, col, d.X[0], Y[0], segs, un)
+		} else {
+			done, ok = segSumBlockAsm(d.val, col, d.tile(w), Y, make([]float64, w), segs, un)
+		}
+		if !ok {
+			panic(fmt.Sprintf("kernel: the AVX2 segsum body of width %d did not run", w))
+		}
+		return done
+	}
 }
 
 // sentinelY returns 8 outputs of n entries filled with a NaN no kernel
@@ -173,59 +199,69 @@ func x86Oracle(val []float64, col []int, x []float64, lo, hi, unrollLen int) flo
 	return sum
 }
 
-// TestSegSumBlockSpecialValues runs the 8-vector u32 × float64 tile on
-// special operands. The assembly body must give x86Oracle's bits, NaN
-// payloads included, so a swapped operand anywhere shows. The Go body
-// must give the same bits wherever the result is not a NaN, and a NaN
-// where it is: its payloads are the compiler's choice (see x86Oracle).
+// TestSegSumBlockSpecialValues runs the u32 × float64 segmented sums
+// that have an assembly body (one vector, tiles of 4 and 8) on special
+// operands. The assembly body must give x86Oracle's bits, NaN payloads
+// included, so a swapped operand anywhere shows. The Go body must give
+// the same bits wherever the result is not a NaN, and a NaN where it
+// is: its payloads are the compiler's choice (see x86Oracle).
 func TestSegSumBlockSpecialValues(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2 body on this host")
 	}
-	for _, density := range []int{3, 16, 64} {
-		d := specialData(uint64(density), density)
-		payloads := map[uint64]bool{}
-		for _, un := range []int{4, 32, DefaultUnrollThreshold, 1 << 30} {
-			var got [2][][]float64
-			for b, body := range segBodies() {
-				got[b] = sentinelY(len(d.segs))
-				body.run(d, d.col32, got[b], d.segs, un)
-			}
-			for i, s := range d.segs {
-				if s.K1 <= s.K0 {
-					continue
+	bodies := segBodies()
+	for b := 0; b < len(bodies); b += 2 {
+		goBody, asmBody := bodies[b], bodies[b+1]
+		for _, density := range []int{3, 16, 64} {
+			d := specialData(uint64(density), density)
+			payloads := map[uint64]bool{}
+			for _, un := range []int{4, 32, DefaultUnrollThreshold, 1 << 30} {
+				goY, asmY := sentinelY(len(d.segs)), sentinelY(len(d.segs))
+				goBody.run(d, d.col32, goY, d.segs, un)
+				asmBody.run(d, d.col32, asmY, d.segs, un)
+				for i, s := range d.segs {
+					if s.K1 <= s.K0 {
+						continue
+					}
+					for j := range goBody.w {
+						goBits, asm := math.Float64bits(goY[j][i]), asmY[j][i]
+						want := x86Oracle(d.val, d.col, d.X[j], int(s.K0), int(s.K1), un)
+						if math.Float64bits(asm) != math.Float64bits(want) {
+							t.Fatalf("%s density %d un %d seg %d [%d,%d) vec %d: %x, x86Oracle %x",
+								asmBody.name, density, un, i, s.K0, s.K1, j, math.Float64bits(asm), math.Float64bits(want))
+						}
+						if math.IsNaN(want) {
+							payloads[math.Float64bits(want)] = true
+						}
+						if math.IsNaN(want) != math.IsNaN(goY[j][i]) || !math.IsNaN(want) && goBits != math.Float64bits(want) {
+							t.Fatalf("%s density %d un %d seg %d vec %d: %x, x86Oracle %x", goBody.name, density, un, i, j, goBits, math.Float64bits(want))
+						}
+					}
 				}
-				for j := range got[0] {
-					goBits, asm := math.Float64bits(got[0][j][i]), got[1][j][i]
-					want := x86Oracle(d.val, d.col, d.X[j], int(s.K0), int(s.K1), un)
-					if math.Float64bits(asm) != math.Float64bits(want) {
-						t.Fatalf("density %d un %d seg %d [%d,%d) vec %d: avx2 %x, x86Oracle %x",
-							density, un, i, s.K0, s.K1, j, math.Float64bits(asm), math.Float64bits(want))
-					}
-					if math.IsNaN(want) {
-						payloads[math.Float64bits(want)] = true
-					}
-					if math.IsNaN(want) != math.IsNaN(got[0][j][i]) || !math.IsNaN(want) && goBits != math.Float64bits(want) {
-						t.Fatalf("density %d un %d seg %d vec %d: go body %x, x86Oracle %x", density, un, i, j, goBits, math.Float64bits(want))
-					}
-				}
 			}
-		}
-		// The payloads must survive: a body that returned only the
-		// default NaN would pass a NaN-for-NaN comparison.
-		if len(payloads) < 20 {
-			t.Fatalf("density %d: only %d distinct NaN results", density, len(payloads))
+			// The payloads must survive: a body that returned only the
+			// default NaN would pass a NaN-for-NaN comparison. One
+			// vector has an eighth of a full tile's results.
+			want := 20
+			if goBody.w == 1 {
+				want = 10
+			}
+			if len(payloads) < want {
+				t.Fatalf("%s density %d: only %d distinct NaN results", asmBody.name, density, len(payloads))
+			}
 		}
 	}
 }
 
 // TestSegSumBlockBoundsChecks corrupts one descriptor or column of a
 // restored-looking stream — a column past the tile, K0 < 0, K1 past
-// the streams, a Dst past an output — and runs it through every body.
-// Each must panic with a runtime bounds error as the Go body does. A
-// corruption in the first non-empty segment must leave every Y
-// untouched; one in a later touch block must leave the bodies' Y equal,
-// since both store every segment before that block and none after.
+// the streams, a Dst past an output — and runs it through every body
+// of every width in asmWidths. Each must panic with a runtime bounds
+// error as the Go body does. A corruption in the first non-empty
+// segment must leave every Y untouched; one in a later touch block must
+// leave the two bodies of a width with equal Y, since both store every
+// segment before the failing one (a tile: before its touch block) and
+// none after.
 func TestSegSumBlockBoundsChecks(t *testing.T) {
 	d := newKernelData(7, 4096, 4095, 20)
 	cols := len(d.X[0])
@@ -266,19 +302,22 @@ func TestSegSumBlockBoundsChecks(t *testing.T) {
 		{"negative Dst", func(col []uint32, segs []Segment, Y [][]float64, i int) {
 			segs[i].Dst = -1
 		}},
-		{"one short output", func(col []uint32, segs []Segment, Y [][]float64, i int) {
-			Y[5] = Y[5][:segs[i].Dst]
-		}},
+		{"one short output", nil},
 	}
 	for _, c := range corruptions {
 		for _, at := range []int{first, later} {
-			var results [][][]float64
+			goY := map[int][][]float64{} // the Go body's Y per width
 			for _, body := range segBodies() {
 				col := append([]uint32(nil), d.col32...)
 				segs := append([]Segment(nil), d.segs...)
 				Y := sentinelY(len(d.segs))
-				full := Y[5]
-				c.f(col, segs, Y, at)
+				last := body.w - 1
+				full := Y[last]
+				if c.f != nil {
+					c.f(col, segs, Y, at)
+				} else {
+					Y[last] = Y[last][:segs[at].Dst]
+				}
 				func() {
 					defer func() {
 						// A bounds error, not a fault the runtime turned
@@ -290,17 +329,19 @@ func TestSegSumBlockBoundsChecks(t *testing.T) {
 					}()
 					body.run(d, col, Y, segs, DefaultUnrollThreshold)
 				}()
-				Y[5] = full
-				results = append(results, Y)
-			}
-			if at == first && c.name != "one short output" {
-				if j, i, ok := sameBits(results[0], sentinelY(len(d.segs))); !ok {
-					t.Fatalf("%s at segment %d: the go body stored Y[%d][%d]", c.name, at, j, i)
+				Y[last] = full
+				ref, ok := goY[body.w]
+				if !ok {
+					goY[body.w] = Y
+					if at == first && c.f != nil {
+						if j, i, ok := sameBits(Y, sentinelY(len(d.segs))); !ok {
+							t.Fatalf("%s at segment %d: the %s body stored Y[%d][%d]", c.name, at, body.name, j, i)
+						}
+					}
+					continue
 				}
-			}
-			for b := 1; b < len(results); b++ {
-				if j, i, ok := sameBits(results[0], results[b]); !ok {
-					t.Fatalf("%s at segment %d: the bodies left different Y[%d][%d]", c.name, at, j, i)
+				if j, i, ok := sameBits(ref, Y); !ok {
+					t.Fatalf("%s at segment %d: the %s body left Y[%d][%d] unlike the Go body", c.name, at, body.name, j, i)
 				}
 			}
 		}
